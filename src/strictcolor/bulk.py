@@ -148,14 +148,3 @@ def mask_stream(rows: Iterable[tuple[int, ...]], n: int,
             yield offset, done, fut.result()
             offset += done.shape[0]
 
-
-def first_uncolorable(
-        masks: Iterable[tuple[int, np.ndarray, np.ndarray]]
-) -> tuple[int, tuple[int, ...]] | None:
-    """First False verdict as (stream index, row), or None if all are True."""
-    for offset, chunk, mask in masks:
-        bad = np.flatnonzero(~mask)
-        if bad.size:
-            i = int(bad[0])
-            return offset + i, tuple(int(x) for x in chunk[i])
-    return None

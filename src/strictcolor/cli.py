@@ -9,7 +9,8 @@ output.
 JSON verdicts go to standard output; human diagnostics go to standard
 error and `--quiet` drops them.  Exit codes: 0 for yes (colorable,
 choosable, valid, strict, all claims pass), 1 for a definite no, 2 for
-undecided, 64 for unusable input.
+undecided, 64 for unusable input, 70 for an internal fault, such as the
+bulk filter and the solver disagreeing on a row, which prints no verdict.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .strict import (
     witness_k3k,
 )
 
-OK, NO, UNDECIDED, USAGE = 0, 1, 2, 64
+OK, NO, UNDECIDED, USAGE, INTERNAL = 0, 1, 2, 64, 70
 
 WITNESS_MAKERS = (("k3k", witness_k3k), ("k246", witness_k246),
                   ("k255", witness_k255))
@@ -374,6 +375,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

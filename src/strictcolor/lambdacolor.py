@@ -24,23 +24,27 @@ each positive verdict records which rung proved it in ``provenance``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .bulk import CHOICE_CAP, CHUNK_ROWS, mask_stream
+from .bulk import CHOICE_CAP, CHUNK_ROWS
 from .errors import BoundExceeded, Undetermined
 from .graphs import Graph
-from .listcolor import k_choosable, l_color, two_choosable_fast
+from .listcolor import find_refusals, k_choosable, l_color, two_choosable_fast
 from .partitions import (
     GroupingWitness,
     IntegerPartition,
     check_refinement_witness,
     near_unit_partition,
 )
-from .streams import GROUPED_BOUND, enumerate_grouped, group_offsets
+from .streams import (
+    GROUPED_BOUND,
+    enumerate_grouped,
+    group_offsets,
+    row_lists,
+)
 
 PARTITION_GENERIC_BOUND = 200_000
 PROSPECT_ROWS = 200_000
@@ -155,21 +159,21 @@ def coarsen_grouping(a: LambdaAssignment, coarse: IntegerPartition,
     return out
 
 
-def _row_assignment(row: tuple[int, ...], n: int, lam: IntegerPartition,
-                    desc: tuple[int, ...],
-                    sizes: tuple[int, ...] | None) -> LambdaAssignment:
-    """Decode a flat canonical-stream row, shifting colors to be 1-based."""
-    k = sum(desc)
-    lists = tuple(tuple(c + 1 for c in row[v * k:(v + 1) * k])
-                  for v in range(n))
-    used: list[set[int]] = [set() for _ in desc]
-    for v in range(n):
-        at = v * k
-        for gi, s in enumerate(desc):
-            used[gi].update(c + 1 for c in row[at:at + s])
-            at += s
-    return LambdaAssignment(lam, lists, tuple(frozenset(u) for u in used),
-                            sizes=sizes)
+def _stream_assignment(g: Graph, lam: IntegerPartition,
+                       lists: Sequence[Sequence[int]]) -> LambdaAssignment:
+    """A lam-assignment from 0-based stream lists, colors shifted to 1-based.
+
+    Each color's group is the stream window it falls in.
+    """
+    offs = group_offsets(g.n, descending_parts(lam))
+    used: list[set[int]] = [set() for _ in offs]
+    for lst in lists:
+        for c in lst:
+            used[bisect_right(offs, c) - 1].add(c + 1)
+    sizes = tuple(len(p) for p in g.parts) if g.parts is not None else None
+    return LambdaAssignment(lam, tuple(tuple(c + 1 for c in lst)
+                                       for lst in lists),
+                            tuple(used), sizes=sizes)
 
 
 def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition,
@@ -184,10 +188,9 @@ def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition,
     equal-size groups, and part-preserving vertex permutations, in a
     deterministic order.  Colors are 1-based.
     """
-    desc = descending_parts(lam)
-    sizes = tuple(len(p) for p in g.parts) if g.parts is not None else None
-    for row in enumerate_grouped(g.n, desc, parts=g.parts, bound=bound):
-        yield _row_assignment(row, g.n, lam, desc, sizes)
+    for row in enumerate_grouped(g.n, descending_parts(lam), parts=g.parts,
+                                 bound=bound):
+        yield _stream_assignment(g, lam, row_lists(row, g.n))
 
 
 @dataclass(frozen=True)
@@ -375,8 +378,26 @@ def _caps_chain(n: int, desc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _prospect_bad_row(g: Graph, lam: IntegerPartition,
-                      desc: tuple[int, ...], workers: int = 1,
+def _stream_refusal(g: Graph, lam: IntegerPartition, rows,
+                    before: int = 0, chunk_rows: int = CHUNK_ROWS,
+                    workers: int = 1) -> tuple["LambdaVerdict | None", int]:
+    """The first confirmed refusal in a lam-assignment stream, if any.
+
+    Returns the exhaustive-provenance negative verdict (or None) and the
+    running row count, which starts from ``before`` rows already examined.
+    """
+    refusals, examined = find_refusals(g, rows, g.n * lam.weight,
+                                       chunk_rows=chunk_rows, workers=workers)
+    checked = before + examined
+    if not refusals:
+        return None, checked
+    _, lists, nodes = refusals[0]
+    witness = BadAssignmentWitness(_stream_assignment(g, lam, lists), nodes)
+    return LambdaVerdict(False, "exhaustive", classes_checked=checked,
+                         witness=witness), checked
+
+
+def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1,
                       budget: int = PROSPECT_ROWS) -> "LambdaVerdict | None":
     """Hunt for an uncolorable assignment among small-palette rows.
 
@@ -388,37 +409,20 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition,
     """
     if g.n == 0:
         return None
-    n, k = g.n, lam.weight
-    if k ** n > CHOICE_CAP:
+    n, desc = g.n, descending_parts(lam)
+    if lam.weight ** n > CHOICE_CAP:
         return None
-    sizes_meta = (tuple(len(p) for p in g.parts)
-                  if g.parts is not None else None)
     examined = 0
     for caps in _caps_chain(n, desc):
         if examined >= budget:
             return None
-        stage_base = examined
         rows = islice(
             enumerate_grouped(n, desc, parts=g.parts, caps=caps),
             budget - examined)
-        for offset, chunk, mask in mask_stream(rows, n, g.edges,
-                                               width=n * k, workers=workers):
-            bad = np.flatnonzero(~mask)
-            if bad.size:
-                i = int(bad[0])
-                a = _row_assignment(tuple(int(x) for x in chunk[i]), n, lam,
-                                    desc, sizes_meta)
-                confirm = l_color(g, a.lists)
-                if confirm.colorable:
-                    raise RuntimeError("bulk filter and solver disagree on "
-                                       "a row; refusing to report either "
-                                       "verdict")
-                return LambdaVerdict(False, "exhaustive",
-                                     classes_checked=stage_base + offset
-                                     + i + 1,
-                                     witness=BadAssignmentWitness(
-                                         a, confirm.nodes_searched))
-            examined = stage_base + offset + mask.shape[0]
+        found, examined = _stream_refusal(g, lam, rows, examined,
+                                          workers=workers)
+        if found is not None:
+            return found
     return None
 
 
@@ -470,8 +474,7 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
         part = lambda_partitionable(g, lam)
         if isinstance(part, PartitionabilityWitness):
             return LambdaVerdict(True, "partitionable", partition=part)
-        found = _prospect_bad_row(g, lam, descending_parts(lam),
-                                  workers=workers)
+        found = _prospect_bad_row(g, lam, workers=workers)
         if found is not None:
             return found
     n, k = g.n, lam.weight
@@ -479,27 +482,11 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
         return LambdaVerdict(None, "undecided",
                              reason=f"enumeration needs {n * k} total "
                                     f"colors, bounded at {bound}")
-    sizes_meta = (tuple(len(p) for p in g.parts)
-                  if g.parts is not None else None)
     rows = enumerate_grouped(n, desc, parts=g.parts, bound=bound)
-    checked = 0
-    for offset, chunk, mask in mask_stream(rows, n, g.edges, width=n * k,
-                                           chunk_rows=chunk_rows,
-                                           workers=workers):
-        bad = np.flatnonzero(~mask)
-        if bad.size:
-            i = int(bad[0])
-            a = _row_assignment(tuple(int(x) for x in chunk[i]), n, lam,
-                                desc, sizes_meta)
-            confirm = l_color(g, a.lists)
-            if confirm.colorable:
-                raise RuntimeError("bulk filter and solver disagree on a "
-                                   "row; refusing to report either verdict")
-            return LambdaVerdict(False, "exhaustive",
-                                 classes_checked=offset + i + 1,
-                                 witness=BadAssignmentWitness(
-                                     a, confirm.nodes_searched))
-        checked = offset + mask.shape[0]
+    found, checked = _stream_refusal(g, lam, rows, chunk_rows=chunk_rows,
+                                     workers=workers)
+    if found is not None:
+        return found
     return LambdaVerdict(True, "exhaustive", classes_checked=checked)
 
 

@@ -11,6 +11,13 @@ Choosability goes through the canonical assignment stream: a graph is
 k-choosable when every canonical k-assignment row is colorable, and the
 stream covers every assignment class, so the bulk verdict decides the
 property exactly.
+
+Every negative verdict drawn from an assignment stream rests on
+``find_refusals``, the one stream -> mask -> confirm skeleton: the bulk
+mask refuses a row, the row is decoded and ``l_color`` refuses it again
+before it is reported.  The disagreement guard lives there and nowhere
+else; callers only build the stream and decode the refusals into their
+own certificates.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bulk import CHUNK_ROWS, mask_stream
-from .errors import BoundExceeded, Undetermined
+from .errors import Undetermined
 from .graphs import Graph, complete_multipartite
 from .streams import enumerate_k_lists, row_lists
 
@@ -182,22 +189,34 @@ def _bits(mask: int):
         mask ^= low
 
 
-def enumerate_k_assignments(g: Graph, k: int, bound: int = KLISTS_BOUND):
-    """Canonical k-assignment stream as per-vertex color tuples.
+def find_refusals(g: Graph, rows, width: int, first_only: bool = True,
+                  chunk_rows: int = CHUNK_ROWS, workers: int = 1):
+    """Rows of an assignment stream that no proper coloring satisfies.
 
-    Colors are drawn from {1, ..., n*k}; restricting to that window loses
-    no generality because an assignment only matters up to color
-    bijection.  At least one representative of every assignment class
-    (color bijection plus part-preserving vertex permutations) appears,
-    in a deterministic order.
+    The bulk mask sweeps the rows; each refused row is decoded with
+    row_lists and re-solved with l_color, so the mask never vouches for
+    itself, and a row the solver colors raises RuntimeError.  Returns
+    ``(refusals, rows_examined)``: refusals are ``(index, lists,
+    nodes_searched)`` with the stream's own 0-based colors, only the first
+    one when first_only, and rows_examined is index + 1 after that early
+    stop, the stream length otherwise.
     """
-    if k < 1:
-        raise ValueError(f"list size must be >= 1, got {k}")
-    if g.n * k > bound:
-        raise BoundExceeded(f"k-assignment enumeration is bounded at {bound} "
-                            f"total colors, got {g.n * k}")
-    for row in enumerate_k_lists(g.n, k, parts=g.parts):
-        yield tuple(tuple(c + 1 for c in lst) for lst in row_lists(row, g.n))
+    refusals = []
+    examined = 0
+    for offset, chunk, mask in mask_stream(rows, g.n, g.edges, width=width,
+                                           chunk_rows=chunk_rows,
+                                           workers=workers):
+        for i in np.flatnonzero(~mask):
+            lists = tuple(row_lists(tuple(int(x) for x in chunk[i]), g.n))
+            confirm = l_color(g, lists)
+            if confirm.colorable:
+                raise RuntimeError("bulk filter and solver disagree on a row; "
+                                   "refusing to report either verdict")
+            refusals.append((offset + int(i), lists, confirm.nodes_searched))
+            if first_only:
+                return refusals, offset + int(i) + 1
+        examined = offset + mask.shape[0]
+    return refusals, examined
 
 
 @dataclass(frozen=True)
@@ -213,34 +232,22 @@ def k_choosable(g: Graph, k: int, chunk_rows: int = CHUNK_ROWS,
                 ) -> ChoosabilityVerdict:
     """Decide k-choosability by exhausting the canonical assignment stream.
 
-    On failure the earliest uncolorable row becomes bad_lists, re-solved
-    with l_color both as a cross-check of the bulk path and to report a
-    search node count.
+    On failure the earliest uncolorable row, shifted to colors 1..n*k,
+    becomes bad_lists, with the node count of its confirming l_color
+    solve.  The stream raises BoundExceeded past ``bound`` total colors.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n * k > bound:
-        raise BoundExceeded(f"k-choosability enumeration is bounded at "
-                            f"{bound} total colors, got {g.n * k}")
-    rows = enumerate_k_lists(g.n, k, parts=g.parts)
-    checked = 0
-    for offset, chunk, mask in mask_stream(rows, g.n, g.edges, width=g.n * k,
-                                           chunk_rows=chunk_rows,
-                                           workers=workers):
-        bad = np.flatnonzero(~mask)
-        if bad.size:
-            i = int(bad[0])
-            lists = tuple(tuple(c + 1 for c in lst)
-                          for lst in row_lists(tuple(int(x) for x in chunk[i]),
-                                               g.n))
-            confirm = l_color(g, lists)
-            if confirm.colorable:
-                raise RuntimeError("bulk filter and solver disagree on a row; "
-                                   "refusing to report either verdict")
-            return ChoosabilityVerdict(False, lists, offset + i + 1,
-                                       confirm.nodes_searched)
-        checked = offset + mask.shape[0]
-    return ChoosabilityVerdict(True, None, checked, 0)
+    rows = enumerate_k_lists(g.n, k, parts=g.parts, bound=bound)
+    refusals, checked = find_refusals(g, rows, g.n * k,
+                                      chunk_rows=chunk_rows, workers=workers)
+    if not refusals:
+        return ChoosabilityVerdict(True, None, checked, 0)
+    _, lists, nodes = refusals[0]
+    return ChoosabilityVerdict(False,
+                               tuple(tuple(c + 1 for c in lst)
+                                     for lst in lists),
+                               checked, nodes)
 
 
 def choice_number(g: Graph, bound: int = KLISTS_BOUND,

@@ -25,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .bulk import mask_stream
 from .graphs import (
     Graph,
     chromatic_number,
@@ -46,7 +43,7 @@ from .lambdacolor import (
     random_lambda_assignment,
     validate_lambda,
 )
-from .listcolor import l_color
+from .listcolor import find_refusals, l_color
 from .partitions import IntegerPartition, near_unit_partition, unit_partition
 from .streams import canonical_class, enumerate_k_lists, row_lists
 
@@ -436,15 +433,8 @@ def hoffman_johnson_enumerate(m: int, n: int) -> tuple[tuple[tuple[int, ...],
     g = complete_multipartite([m, n])
     assert g.parts is not None
     rows = enumerate_k_lists(g.n, 2, parts=g.parts)
-    classes: set[tuple[int, ...]] = set()
-    for offset, chunk, mask in mask_stream(rows, g.n, g.edges,
-                                           width=2 * g.n):
-        for i in np.flatnonzero(~mask):
-            lists = row_lists(tuple(int(x) for x in chunk[i]), g.n)
-            if l_color(g, lists).colorable:
-                raise RuntimeError("bulk filter and solver disagree on a "
-                                   "row; refusing to report either verdict")
-            classes.add(canonical_class(lists, g.parts))
+    refusals, _ = find_refusals(g, rows, 2 * g.n, first_only=False)
+    classes = {canonical_class(lists, g.parts) for _, lists, _ in refusals}
     return tuple(
         tuple(tuple(c + 1 for c in lst) for lst in row_lists(row, g.n))
         for row in sorted(classes))

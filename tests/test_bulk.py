@@ -8,14 +8,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from strictcolor.bulk import (
-    colorable_mask,
-    first_uncolorable,
-    mask_stream,
-    row_chunks,
-)
+from strictcolor.bulk import colorable_mask, mask_stream, row_chunks
 from strictcolor.errors import BoundExceeded
-from strictcolor.graphs import complete_multipartite
+from strictcolor.graphs import Graph, complete_multipartite
+from strictcolor.listcolor import find_refusals
 from strictcolor.streams import enumerate_k_lists
 
 
@@ -110,10 +106,13 @@ class TestMaskStream:
         # A single edge with 1-lists: the only uncolorable rows give both
         # endpoints the same singleton list.
         rows = list(enumerate_k_lists(2, 1))
-        masks = mask_stream(iter(rows), 2, ((0, 1),), width=2)
-        assert first_uncolorable(masks) == (0, (0, 0))
+        refusals, examined = find_refusals(Graph(2, ((0, 1),)), iter(rows),
+                                           width=2)
+        [(index, lists, _nodes)] = refusals
+        assert index == 0 and examined == 1
+        assert lists == ((0,), (0,))
 
     def test_first_uncolorable_none(self):
         rows = list(enumerate_k_lists(2, 2))
-        assert first_uncolorable(
-            mask_stream(iter(rows), 2, ((0, 1),), width=4)) is None
+        assert find_refusals(Graph(2, ((0, 1),)), iter(rows),
+                             width=4) == ([], len(rows))

@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import strictcolor
+from strictcolor import bulk
 from strictcolor import serialize as ser
 from strictcolor.cli import main
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
@@ -161,6 +163,20 @@ class TestCheck:
         assert code == 64
         code, _, err = run_cli(capsys, "not-a-command")
         assert code == 64
+
+    def test_internal_fault(self, capsys, monkeypatch):
+        # A bulk mask that refuses a colorable row is a fault of the
+        # program: exit 70 with a one-line diagnostic and no verdict.
+        monkeypatch.setattr(
+            bulk, "colorable_mask",
+            lambda chunk, *_args, **_kw: np.zeros(chunk.shape[0], dtype=bool))
+        code, out, err = run_cli(capsys, "check", "k-choosable",
+                                 "--parts", "2,2", "--k", "2")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("error: internal: bulk filter and solver "
+                              "disagree")
+        assert "Traceback" not in err
 
 
 class TestStrict:

@@ -7,17 +7,15 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from oracles import embedding_oracle, find_subgraph, part_of
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import (
     Graph,
     chromatic_number,
     complete_multipartite,
     contains_parts,
-    embedding_oracle,
     find_coloring,
-    find_subgraph,
     is_proper,
-    part_of,
 )
 
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from strictcolor import bulk
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
+from strictcolor.lambdacolor import lambda_choosable
 from strictcolor.listcolor import (
     ChoosabilityVerdict,
     choice_number,
@@ -22,6 +25,8 @@ from strictcolor.listcolor import (
     l_color_multipartite,
     two_choosable_fast,
 )
+from strictcolor.partitions import IntegerPartition
+from strictcolor.strict import hoffman_johnson_enumerate
 
 
 def colorable_oracle(g, lists):
@@ -145,6 +150,27 @@ class TestKChoosable:
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             k_choosable(complete_multipartite([5, 5]), 3)
+
+
+def refuse_every_row(chunk, n, edges, choice_cap=bulk.CHOICE_CAP):
+    return np.zeros(chunk.shape[0], dtype=bool)
+
+
+@pytest.mark.parametrize("decide", [
+    lambda: k_choosable(complete_multipartite([2, 2]), 2),
+    lambda: lambda_choosable(complete_multipartite([1, 1, 1]),
+                             IntegerPartition((1, 2)), method="exhaustive"),
+    lambda: lambda_choosable(complete_multipartite([3, 3, 3]),
+                             IntegerPartition((1, 2))),
+    lambda: hoffman_johnson_enumerate(2, 2),
+], ids=["k-choosable", "lambda-exhaustive", "lambda-prospect",
+        "hoffman-johnson"])
+def test_bulk_solver_disagreement_raises(monkeypatch, decide):
+    # A mask that refuses colorable rows must stop every decision loop
+    # before it reports a verdict.
+    monkeypatch.setattr(bulk, "colorable_mask", refuse_every_row)
+    with pytest.raises(RuntimeError, match="bulk filter and solver disagree"):
+        decide()
 
 
 class TestChoiceNumber:
