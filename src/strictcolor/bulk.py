@@ -1,11 +1,28 @@
 """Vectorized colorability verdicts over assignment streams.
 
-An assignment row fixes one sorted color list per vertex.  Packing many
-rows into an integer matrix lets one pass over all choice vectors (one
-color index per vertex) settle every row at once: each choice vector
-resolves the rows where it induces a proper coloring, and rows surviving
-every choice vector have no proper coloring at all.  Everything is exact
-integer comparison; numpy only supplies the bulk loops.
+An assignment row fixes one sorted color list per vertex, and a choice
+vector picks one list slot per vertex.  A row is colorable iff some choice
+vector picks different colors at the two ends of every edge.  Packing many
+rows into an integer matrix lets one sweep over all k^n choice vectors
+settle every row at once.
+
+The sweep is bit-sliced, one bit per row.  For each edge e and slot pair
+(i, j), a conflict plane is a bitset over the still-undecided rows, in
+little-endian uint64 words: bit r says row r's i-th color at one end of e
+equals its j-th color at the other.  A choice vector is improper on row r
+iff bit r is set in one of the planes its slots select, so OR-ing those
+planes over the edges and AND-ing the result over a block of vectors
+leaves exactly the rows that no vector of the block colors.  A row whose
+bit survives all k^n vectors is refused.
+
+Memory is bounded: the planes take edges × k² bits per row, and a block
+of vectors is sized so that its working set (picks, plane indices, the
+OR accumulator and one gathered plane per vector) stays under
+``SWEEP_BYTES``, so nothing grows with rows × vectors × n.  Blocks
+start at ``FIRST_BLOCK`` vectors and double, and the planes are rebuilt
+from the surviving rows whenever the undecided set halves, so the rare
+hard rows face the long tail of the sweep in a few words.  Everything is
+exact integer comparison; numpy only supplies the bulk loops.
 """
 
 from __future__ import annotations
@@ -13,6 +30,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,6 +39,9 @@ from .errors import BoundExceeded
 
 CHUNK_ROWS = 65536
 CHOICE_CAP = 2_000_000
+SWEEP_BYTES = 8 << 20
+FIRST_BLOCK = 64
+WORD = np.dtype("<u8")
 
 
 def row_chunks(rows: Iterable[tuple[int, ...]], width: int,
@@ -45,19 +66,44 @@ def row_chunks(rows: Iterable[tuple[int, ...]], width: int,
         yield np.frombuffer(buf, dtype=np.int32).reshape(pending, width)
 
 
+@lru_cache(maxsize=8)
 def _choice_matrix(k: int, n: int) -> np.ndarray:
-    """All k^n choice vectors, deterministically shuffled.
+    """All k^n choice vectors as the columns of a read-only (n, k^n) matrix.
 
-    Lexicographic order is pathological here: consecutive vectors share
-    long constant prefixes, which are improper on nearly every row, so a
-    filtering sweep would keep the whole chunk undecided for ages.  A
-    fixed shuffle spreads proper vectors evenly through the sweep.
+    Column j holds the base-k digits of the j-th entry of a fixed shuffle
+    of range(k^n).  Lexicographic order is pathological here: consecutive
+    vectors share long constant prefixes, which are improper on nearly
+    every row, so a filtering sweep would keep the whole chunk undecided
+    for ages.  The shuffle spreads proper vectors evenly through the sweep.
+    The matrix is shared between calls, hence read-only.
     """
     count = k ** n
-    vals = np.arange(count, dtype=np.int64)
-    powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = ((vals[:, None] // powers[None, :]) % k).astype(np.int8)
-    return np.random.default_rng(0).permutation(digits)
+    order = np.random.default_rng(0).permutation(count)
+    digits = np.empty((n, count), dtype=np.int8)
+    for v in range(n):
+        np.remainder(order // k ** (n - 1 - v), k, out=digits[v],
+                     casting="unsafe")
+    digits.flags.writeable = False
+    return digits
+
+
+def _conflict_planes(lists: np.ndarray,
+                     edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """(edges, k*k, words) bitsets over the rows of an (m, n, k) array.
+
+    Bit r of plane [e, i*k + j] is set when row r's i-th color at the
+    first end of edge e equals its j-th color at the second end.  Bits
+    past m, in the last word, stay clear.
+    """
+    m, _, k = lists.shape
+    by_slot = np.ascontiguousarray(lists.transpose(1, 2, 0))
+    planes = np.zeros((len(edges), k * k, -(-m // 64) * 8), dtype=np.uint8)
+    equal = np.empty((k, k, m), dtype=bool)
+    for e, (u, v) in enumerate(edges):
+        np.equal(by_slot[u][:, None, :], by_slot[v][None, :, :], out=equal)
+        planes[e, :, :-(-m // 8)] = np.packbits(
+            equal.reshape(k * k, m), axis=1, bitorder="little")
+    return planes.view(WORD)
 
 
 def colorable_mask(chunk: np.ndarray, n: int,
@@ -65,11 +111,14 @@ def colorable_mask(chunk: np.ndarray, n: int,
                    choice_cap: int = CHOICE_CAP) -> np.ndarray:
     """Per-row verdict: does the row's assignment admit a proper coloring?
 
-    Sweeps every k^n choice vector, filtering down to still-undecided rows:
-    a first pass of single shuffled vectors settles typical rows in a few
-    steps, and the rare stragglers face the remaining vectors in vectorized
-    blocks.  Raises BoundExceeded instead of starting a hopeless sweep when
-    k^n is over choice_cap.
+    Runs the bit-sliced sweep of the module docstring over the k^n
+    shuffled choice vectors, in blocks of FIRST_BLOCK vectors that double
+    up to the SWEEP_BYTES budget.  After each block the rows it colored
+    are settled; once half of the rows the planes cover are settled, the
+    planes are rebuilt over the rest.  Rows still undecided after the
+    last vector are refused.  The result depends only on the rows, not
+    on the block sizes or the vector order.  Raises BoundExceeded instead
+    of starting a hopeless sweep when k^n is over choice_cap.
     """
     rows = chunk.shape[0]
     if n == 0 or not edges:
@@ -82,32 +131,38 @@ def colorable_mask(chunk: np.ndarray, n: int,
         raise BoundExceeded(f"{k}^{n} choice vectors exceed the cap of "
                             f"{choice_cap}")
     choices = _choice_matrix(k, n)
+    if chunk.size and chunk.dtype.kind in "iu":
+        # Colors compare equal in the narrowest type holding them, and
+        # the plane build is memory-bound.
+        chunk = chunk.astype(np.promote_types(
+            np.min_scalar_type(int(chunk.min())),
+            np.min_scalar_type(int(chunk.max()))))
     lists = chunk.reshape(rows, n, k)
     colorable = np.zeros(rows, dtype=bool)
     undecided = np.arange(rows)
-    vidx = np.arange(n)
-    eu = np.array([u for u, _ in edges])
-    ev = np.array([v for _, v in edges])
-    head = min(len(choices), 2048)
-    for choice in choices[:head]:
-        picked = lists[undecided[:, None], vidx[None, :], choice[None, :]]
-        proper = (picked[:, eu] != picked[:, ev]).all(axis=1)
-        colorable[undecided[proper]] = True
-        undecided = undecided[~proper]
-        if undecided.size == 0:
-            return colorable
-    uidx = np.arange(undecided.size)
-    for at in range(head, len(choices), 1024):
-        block = choices[at:at + 1024]
-        picked = lists[undecided[uidx, None, None],
-                       vidx[None, None, :], block[None, :, :]]
-        proper = (picked[:, :, eu] != picked[:, :, ev]).all(axis=2)
-        hit = proper.any(axis=1)
-        colorable[undecided[hit]] = True
-        undecided = undecided[~hit]
-        uidx = np.arange(undecided.size)
-        if undecided.size == 0:
-            break
+    at, block = 0, FIRST_BLOCK
+    while undecided.size and at < choices.shape[1]:
+        planes = _conflict_planes(lists[undecided], edges)
+        live, words = undecided.size, planes.shape[2]
+        still = np.full(words, ~np.uint64(0), dtype=WORD)
+        # Per vector, a block holds its picks, two plane indices, the OR
+        # accumulator and one gathered plane.
+        block_cap = max(1, SWEEP_BYTES // (8 * (n + 2 + 2 * words)))
+        block = min(block, block_cap)
+        while at < choices.shape[1]:
+            picks = choices[:, at:at + block].astype(np.intp)
+            at += picks.shape[1]
+            improper = np.zeros((picks.shape[1], words), dtype=WORD)
+            for e, (u, v) in enumerate(edges):
+                improper |= planes[e][picks[u] * k + picks[v]]
+            still &= np.bitwise_and.reduce(improper, axis=0)
+            block = min(2 * block, block_cap)
+            refused = np.unpackbits(still.view(np.uint8), count=live,
+                                    bitorder="little").view(bool)
+            if 2 * np.count_nonzero(refused) <= live:
+                break
+        colorable[undecided[~refused]] = True
+        undecided = undecided[refused]
     return colorable
 
 
