@@ -166,9 +166,8 @@ def colorable_mask(chunk: np.ndarray, n: int,
     return colorable
 
 
-def mask_stream(rows: Iterable[tuple[int, ...]], n: int,
-                edges: Sequence[tuple[int, int]], width: int,
-                chunk_rows: int = CHUNK_ROWS, workers: int = 1,
+def mask_chunks(chunks: Iterable[np.ndarray], n: int,
+                edges: Sequence[tuple[int, int]], workers: int = 1,
                 choice_cap: int = CHOICE_CAP
                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (row_offset, chunk, colorable_mask) per chunk, in stream order.
@@ -176,7 +175,6 @@ def mask_stream(rows: Iterable[tuple[int, ...]], n: int,
     With workers > 1 the chunks are solved by a thread pool; results are
     merged back in order, so the output is identical for any worker count.
     """
-    chunks = row_chunks(rows, width, chunk_rows=chunk_rows)
     if workers <= 1:
         offset = 0
         for chunk in chunks:
@@ -203,3 +201,12 @@ def mask_stream(rows: Iterable[tuple[int, ...]], n: int,
             yield offset, done, fut.result()
             offset += done.shape[0]
 
+
+def mask_stream(rows: Iterable[tuple[int, ...]], n: int,
+                edges: Sequence[tuple[int, int]], width: int,
+                chunk_rows: int = CHUNK_ROWS, workers: int = 1,
+                choice_cap: int = CHOICE_CAP
+                ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """mask_chunks over tuple rows packed by row_chunks."""
+    return mask_chunks(row_chunks(rows, width, chunk_rows=chunk_rows), n,
+                       edges, workers=workers, choice_cap=choice_cap)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Sequence
 
 from .bulk import CHOICE_CAP, CHUNK_ROWS
@@ -43,6 +43,7 @@ from .streams import (
     GROUPED_BOUND,
     enumerate_grouped,
     group_offsets,
+    grouped_chunks,
     row_lists,
 )
 
@@ -378,16 +379,15 @@ def _caps_chain(n: int, desc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _stream_refusal(g: Graph, lam: IntegerPartition, rows,
-                    before: int = 0, chunk_rows: int = CHUNK_ROWS,
-                    workers: int = 1) -> tuple["LambdaVerdict | None", int]:
-    """The first confirmed refusal in a lam-assignment stream, if any.
+def _stream_refusal(g: Graph, lam: IntegerPartition, chunks,
+                    before: int = 0, workers: int = 1
+                    ) -> tuple["LambdaVerdict | None", int]:
+    """The first confirmed refusal in a chunked lam-assignment stream.
 
     Returns the exhaustive-provenance negative verdict (or None) and the
     running row count, which starts from ``before`` rows already examined.
     """
-    refusals, examined = find_refusals(g, rows, g.n * lam.weight,
-                                       chunk_rows=chunk_rows, workers=workers)
+    refusals, examined = find_refusals(g, chunks, workers=workers)
     checked = before + examined
     if not refusals:
         return None, checked
@@ -395,6 +395,15 @@ def _stream_refusal(g: Graph, lam: IntegerPartition, rows,
     witness = BadAssignmentWitness(_stream_assignment(g, lam, lists), nodes)
     return LambdaVerdict(False, "exhaustive", classes_checked=checked,
                          witness=witness), checked
+
+
+def _head_rows(chunks, limit: int) -> Iterator:
+    """The first ``limit`` rows of a chunk stream; the last chunk is cut."""
+    for chunk in chunks:
+        yield chunk[:limit]
+        limit -= chunk.shape[0]
+        if limit <= 0:
+            return
 
 
 def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1,
@@ -416,10 +425,9 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1,
     for caps in _caps_chain(n, desc):
         if examined >= budget:
             return None
-        rows = islice(
-            enumerate_grouped(n, desc, parts=g.parts, caps=caps),
-            budget - examined)
-        found, examined = _stream_refusal(g, lam, rows, examined,
+        chunks = _head_rows(grouped_chunks(n, desc, parts=g.parts, caps=caps),
+                            budget - examined)
+        found, examined = _stream_refusal(g, lam, chunks, examined,
                                           workers=workers)
         if found is not None:
             return found
@@ -482,9 +490,9 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
         return LambdaVerdict(None, "undecided",
                              reason=f"enumeration needs {n * k} total "
                                     f"colors, bounded at {bound}")
-    rows = enumerate_grouped(n, desc, parts=g.parts, bound=bound)
-    found, checked = _stream_refusal(g, lam, rows, chunk_rows=chunk_rows,
-                                     workers=workers)
+    chunks = grouped_chunks(n, desc, parts=g.parts, bound=bound,
+                            chunk_rows=chunk_rows)
+    found, checked = _stream_refusal(g, lam, chunks, workers=workers)
     if found is not None:
         return found
     return LambdaVerdict(True, "exhaustive", classes_checked=checked)

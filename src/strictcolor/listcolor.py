@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bulk import CHUNK_ROWS, mask_stream
+from .bulk import CHUNK_ROWS, mask_chunks
 from .errors import Undetermined
 from .graphs import Graph, complete_multipartite
-from .streams import enumerate_k_lists, row_lists
+from .streams import grouped_chunks, row_lists
+from .streams import enumerate_k_lists  # noqa: F401  perfbench rebinds it
 
 KLISTS_BOUND = 24
 
@@ -189,11 +190,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def find_refusals(g: Graph, rows, width: int, first_only: bool = True,
-                  chunk_rows: int = CHUNK_ROWS, workers: int = 1):
-    """Rows of an assignment stream that no proper coloring satisfies.
+def find_refusals(g: Graph, chunks, first_only: bool = True,
+                  workers: int = 1):
+    """Rows of a chunked assignment stream that no proper coloring satisfies.
 
-    The bulk mask sweeps the rows; each refused row is decoded with
+    The bulk mask sweeps the chunks; each refused row is decoded with
     row_lists and re-solved with l_color, so the mask never vouches for
     itself, and a row the solver colors raises RuntimeError.  Returns
     ``(refusals, rows_examined)``: refusals are ``(index, lists,
@@ -203,8 +204,7 @@ def find_refusals(g: Graph, rows, width: int, first_only: bool = True,
     """
     refusals = []
     examined = 0
-    for offset, chunk, mask in mask_stream(rows, g.n, g.edges, width=width,
-                                           chunk_rows=chunk_rows,
+    for offset, chunk, mask in mask_chunks(chunks, g.n, g.edges,
                                            workers=workers):
         for i in np.flatnonzero(~mask):
             lists = tuple(row_lists(tuple(int(x) for x in chunk[i]), g.n))
@@ -238,9 +238,9 @@ def k_choosable(g: Graph, k: int, chunk_rows: int = CHUNK_ROWS,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = enumerate_k_lists(g.n, k, parts=g.parts, bound=bound)
-    refusals, checked = find_refusals(g, rows, g.n * k,
-                                      chunk_rows=chunk_rows, workers=workers)
+    chunks = grouped_chunks(g.n, (k,), parts=g.parts, bound=bound,
+                            chunk_rows=chunk_rows)
+    refusals, checked = find_refusals(g, chunks, workers=workers)
     if not refusals:
         return ChoosabilityVerdict(True, None, checked, 0)
     _, lists, nodes = refusals[0]

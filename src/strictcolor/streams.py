@@ -33,6 +33,18 @@ are necessary for minimality, not sufficient), which is harmless for
 exhaustive verification and is counted rather than hidden.
 
 Ordinary k-assignments are the single-group case: group_sizes = (k,).
+
+The stream comes out as int32 chunks (``grouped_chunks``).  The rows below
+a vertex depend only on its state: the vertex index, the colors each group
+has used so far, which equal-size groups are still tied under (3), and
+the previous vertex's choice when both share a part (2).  Each state's
+vertex rows and row count are computed once.  A subtree that fits in a
+chunk is emitted whole: it is assembled from its children's blocks, which
+are built once and kept read-only in the narrowest integer type, and
+copied into the chunk with the prefix columns broadcast.  The emitted
+block itself is not kept, so the memo holds only the small sub-blocks.
+Subtrees too big for a chunk are walked one vertex row at a time.
+``enumerate_grouped``, the tuple stream, is the chunk stream flattened.
 """
 
 from __future__ import annotations
@@ -41,6 +53,9 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from .bulk import CHUNK_ROWS
 from .errors import BoundExceeded
 
 GROUPED_BOUND = 30
@@ -56,23 +71,27 @@ def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(offs)
 
 
-def enumerate_grouped(n: int, group_sizes: Sequence[int],
-                      parts: Sequence[Sequence[int]] | None = None,
-                      bound: int = GROUPED_BOUND,
-                      caps: Sequence[int] | None = None
-                      ) -> Iterator[tuple[int, ...]]:
-    """Yield canonical assignment rows in lexicographic order.
+def grouped_chunks(n: int, group_sizes: Sequence[int],
+                   parts: Sequence[Sequence[int]] | None = None,
+                   bound: int = GROUPED_BOUND,
+                   caps: Sequence[int] | None = None,
+                   chunk_rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
+    """Yield the canonical rows, in lexicographic order, as int32 chunks.
 
-    ``parts`` marks runs of interchangeable vertices (consecutive vertex
-    ranges, as produced by complete multipartite construction); constraint 2
-    applies inside each part.  Without it every vertex is its own part and
-    only constraints 1 and 3 apply.
+    Every chunk is a fresh, writable (m, n*k) array with m == chunk_rows
+    except in the last one.  ``parts`` marks runs of interchangeable
+    vertices (consecutive vertex ranges, as produced by complete
+    multipartite construction); constraint 2 applies inside each part.
+    Without it every vertex is its own part and only constraints 1 and 3
+    apply.
 
     ``caps`` filters the stream to rows whose group-i colors stay within
     the first caps[i] values of that group's window.  Assignments hostile
     to coloring reuse few colors, so small caps concentrate them; the
     filtered stream makes no completeness promise of its own and is exempt
     from ``bound``, since the caller is expected to truncate it.
+
+    Arguments are checked, and errors raised, at the first ``next()``.
     """
     sizes = tuple(group_sizes)
     if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
@@ -81,6 +100,8 @@ def enumerate_grouped(n: int, group_sizes: Sequence[int],
         raise ValueError(f"group sizes must be non-increasing, got {sizes}")
     if n < 0:
         raise ValueError("vertex count must be >= 0")
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     if caps is None:
         total = n * sum(sizes)
         if total > bound:
@@ -95,7 +116,7 @@ def enumerate_grouped(n: int, group_sizes: Sequence[int],
                              f"group size {sizes}")
         caps = tuple(min(c, n * s) for c, s in zip(caps, sizes))
     if n == 0:
-        yield ()
+        yield np.zeros((1, 0), dtype=np.int32)
         return
 
     if parts is None:
@@ -110,8 +131,10 @@ def enumerate_grouped(n: int, group_sizes: Sequence[int],
                 samepart[v] = True
 
     t = len(sizes)
+    k = sum(sizes)
     offs = group_offsets(n, sizes)
     eqpair = tuple(g > 0 and sizes[g] == sizes[g - 1] for g in range(t))
+    narrow = np.min_scalar_type(n * k - 1)
 
     @lru_cache(maxsize=None)
     def options(g: int, seen: int):
@@ -150,18 +173,122 @@ def enumerate_grouped(n: int, group_sizes: Sequence[int],
                      r3_acc + (r3eq[g] and rel == floor_r3,))
 
         grec(0, lower is not None, (), (), (), ())
+        del grec  # it refers to itself: free it, and its rows, right away
         return results
 
-    def vrec(v: int, seen, r3eq, prev_rel, prefix) -> Iterator[tuple[int, ...]]:
-        lower = prev_rel if samepart[v] else None
-        if v == n - 1:
-            for abs_row, _rels, _nseen, _nr3 in vertex_rows(seen, r3eq, lower):
-                yield prefix + abs_row
-        else:
-            for abs_row, rels, nseen, nr3 in vertex_rows(seen, r3eq, lower):
-                yield from vrec(v + 1, nseen, nr3, rels, prefix + abs_row)
+    # A vertex state is (v, seen, r3eq, previous vertex's choice if v
+    # shares its part, else None): everything the rows of vertices v..
+    # depend on.  Past the last vertex there is one state, with one empty
+    # row.
+    end = (n,)
+    kids_of: dict[tuple, tuple[np.ndarray, list[tuple]]] = {}
+    states: dict[tuple, tuple] = {end: end}
 
-    yield from vrec(0, (0,) * t, eqpair, None, ())
+    def children(state) -> tuple[np.ndarray, list[tuple]]:
+        """The state's vertex rows (narrow, in order) and their next states."""
+        got = kids_of.get(state)
+        if got is None:
+            v, seen, r3eq, lower = state
+            last = v + 1 == n
+            same = not last and samepart[v + 1]
+            heads, nexts = [], []
+            for abs_row, rels, nseen, nr3 in vertex_rows(seen, r3eq, lower):
+                heads.append(abs_row)
+                nxt = end if last else (v + 1, nseen, nr3,
+                                        rels if same else None)
+                # One shared tuple per distinct state keeps the memo small.
+                nexts.append(states.setdefault(nxt, nxt))
+            got = (np.array(heads, dtype=narrow).reshape(len(heads), k),
+                   nexts)
+            kids_of[state] = got
+        return got
+
+    # Subtree row counts, capped at chunk_rows + 1 ("too big for a block").
+    counts: dict[tuple, int] = {end: 1}
+
+    def count(state) -> int:
+        got = counts.get(state)
+        if got is None:
+            got = 0
+            for child in children(state)[1]:
+                got += count(child)
+                if got > chunk_rows:
+                    got = chunk_rows + 1
+                    break
+            counts[state] = got
+        return got
+
+    # Read-only rows of the subtrees that emitted blocks are built from.
+    blocks: dict[tuple, np.ndarray] = {end: np.zeros((1, 0), dtype=narrow)}
+
+    def block(state, keep: bool = True) -> np.ndarray:
+        """The subtree's rows over vertices v.., as a narrow-dtype array."""
+        got = blocks.get(state)
+        if got is not None:
+            return got
+        heads, nexts = children(state)
+        if state[0] == n - 1:
+            got = heads
+        else:
+            subs = [block(child) for child in nexts]
+            lens = [sub.shape[0] for sub in subs]
+            got = np.empty((sum(lens), (n - state[0]) * k), dtype=narrow)
+            got[:, :k] = np.repeat(heads, lens, axis=0)
+            np.concatenate(subs, out=got[:, k:])
+        if keep:
+            got.flags.writeable = False
+            blocks[state] = got
+        return got
+
+    root = (0, (0,) * t, eqpair, None)
+    width = n * k
+    buf = np.empty((min(chunk_rows, count(root)), width), dtype=np.int32)
+    pos = 0
+
+    def walk(state, prefix: list[int]) -> Iterator[np.ndarray]:
+        """Emit the subtree below prefix: whole if it fits a chunk."""
+        nonlocal buf, pos
+        if count(state) > chunk_rows:
+            heads, nexts = children(state)
+            for head, child in zip(heads.tolist(), nexts):
+                yield from walk(child, prefix + head)
+            return
+        rows = block(state, keep=False)
+        done, split = 0, len(prefix)
+        while done < rows.shape[0]:
+            take = min(rows.shape[0] - done, chunk_rows - pos)
+            out = buf[pos:pos + take]
+            out[:, :split] = prefix
+            out[:, split:] = rows[done:done + take]
+            pos += take
+            done += take
+            if pos == chunk_rows:
+                yield buf
+                buf = np.empty((chunk_rows, width), dtype=np.int32)
+                pos = 0
+
+    try:
+        yield from walk(root, [])
+        if pos:
+            yield buf[:pos]
+    finally:
+        # walk, count and block call themselves, so only the cycle
+        # collector would free them and what they hold: let go of it now.
+        buf = None
+        options.cache_clear()
+        for memo in (kids_of, counts, blocks, states):
+            memo.clear()
+
+
+def enumerate_grouped(n: int, group_sizes: Sequence[int],
+                      parts: Sequence[Sequence[int]] | None = None,
+                      bound: int = GROUPED_BOUND,
+                      caps: Sequence[int] | None = None
+                      ) -> Iterator[tuple[int, ...]]:
+    """The rows of grouped_chunks one at a time, as tuples of ints."""
+    for chunk in grouped_chunks(n, group_sizes, parts=parts, bound=bound,
+                                caps=caps):
+        yield from map(tuple, chunk.tolist())
 
 
 def enumerate_k_lists(n: int, k: int,

@@ -45,7 +45,8 @@ from .lambdacolor import (
 )
 from .listcolor import find_refusals, l_color
 from .partitions import IntegerPartition, near_unit_partition, unit_partition
-from .streams import canonical_class, enumerate_k_lists, row_lists
+from .streams import canonical_class, grouped_chunks, row_lists
+from .streams import enumerate_k_lists  # noqa: F401  perfbench rebinds it
 
 __all__ = [
     "Case2Transcript",
@@ -432,8 +433,8 @@ def hoffman_johnson_enumerate(m: int, n: int) -> tuple[tuple[tuple[int, ...],
     """
     g = complete_multipartite([m, n])
     assert g.parts is not None
-    rows = enumerate_k_lists(g.n, 2, parts=g.parts)
-    refusals, _ = find_refusals(g, rows, 2 * g.n, first_only=False)
+    chunks = grouped_chunks(g.n, (2,), parts=g.parts)
+    refusals, _ = find_refusals(g, chunks, first_only=False)
     classes = {canonical_class(lists, g.parts) for _, lists, _ in refusals}
     return tuple(
         tuple(tuple(c + 1 for c in lst) for lst in row_lists(row, g.n))

@@ -1,16 +1,19 @@
-"""Brute-force graph oracles used only by the tests.
+"""Brute-force oracles used only by the tests.
 
 They answer questions the package answers another way (part lookup,
-subgraph embedding) by the slow direct route, so agreement between the
-two is testable.
+subgraph embedding, the canonical assignment stream) by the slow direct
+route, so agreement between the two is testable.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import CHROMATIC_BOUND, Graph, complete_multipartite
+from strictcolor.streams import GROUPED_BOUND, group_offsets
 
 
 def part_of(g: Graph, v: int) -> int:
@@ -92,3 +95,115 @@ def embedding_oracle(host_sizes: Sequence[int],
     host = complete_multipartite(host_sizes)
     pattern = complete_multipartite(pattern_sizes)
     return find_subgraph(host, pattern) is not None
+
+
+def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
+                        parts: Sequence[Sequence[int]] | None = None,
+                        bound: int = GROUPED_BOUND,
+                        caps: Sequence[int] | None = None
+                        ) -> Iterator[tuple[int, ...]]:
+    """Reference canonical stream: one tuple per row, lexicographic order.
+
+    The row-at-a-time walk that ``streams.grouped_chunks`` replaces, kept
+    as its oracle: the chunked stream must hold exactly these rows, in
+    this order, and raise the same errors.
+
+    ``parts`` marks runs of interchangeable vertices (consecutive vertex
+    ranges, as produced by complete multipartite construction); constraint 2
+    applies inside each part.  Without it every vertex is its own part and
+    only constraints 1 and 3 apply.
+
+    ``caps`` filters the stream to rows whose group-i colors stay within
+    the first caps[i] values of that group's window.  Assignments hostile
+    to coloring reuse few colors, so small caps concentrate them; the
+    filtered stream makes no completeness promise of its own and is exempt
+    from ``bound``, since the caller is expected to truncate it.
+    """
+    sizes = tuple(group_sizes)
+    if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
+        raise ValueError(f"group sizes must be positive integers, got {sizes}")
+    if list(sizes) != sorted(sizes, reverse=True):
+        raise ValueError(f"group sizes must be non-increasing, got {sizes}")
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    if caps is None:
+        total = n * sum(sizes)
+        if total > bound:
+            raise BoundExceeded(f"assignment enumeration is bounded at "
+                                f"{bound} total colors per row, got {total}")
+    else:
+        caps = tuple(int(c) for c in caps)
+        if len(caps) != len(sizes):
+            raise ValueError("caps must give one limit per group")
+        if any(c < s for c, s in zip(caps, sizes)):
+            raise ValueError(f"caps {caps} leave some vertex short of its "
+                             f"group size {sizes}")
+        caps = tuple(min(c, n * s) for c, s in zip(caps, sizes))
+    if n == 0:
+        yield ()
+        return
+
+    if parts is None:
+        samepart = [False] * n
+    else:
+        flat = [v for part in parts for v in part]
+        if flat != list(range(n)):
+            raise ValueError("parts must be consecutive ranges covering 0..n-1")
+        samepart = [False] * n
+        for part in parts:
+            for v in list(part)[1:]:
+                samepart[v] = True
+
+    t = len(sizes)
+    offs = group_offsets(n, sizes)
+    eqpair = tuple(g > 0 and sizes[g] == sizes[g - 1] for g in range(t))
+
+    @lru_cache(maxsize=None)
+    def options(g: int, seen: int):
+        """All canonical choices for one vertex in group g, sorted."""
+        size, off = sizes[g], offs[g]
+        room = size if caps is None else min(size, caps[g] - seen)
+        out = []
+        for fresh in range(max(room, -1) + 1):
+            for old in combinations(range(seen), size - fresh):
+                rel = old + tuple(range(seen, seen + fresh))
+                out.append((rel, tuple(c + off for c in rel), seen + fresh))
+        out.sort(key=lambda o: o[0])
+        return tuple(out)
+
+    def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...],
+                    lower: tuple[tuple[int, ...], ...] | None):
+        """All admissible rows for one vertex given the running state."""
+        results: list[tuple] = []
+
+        def grec(g, tight, abs_acc, rel_acc, seen_acc, r3_acc):
+            if g == t:
+                results.append((abs_acc, rel_acc, seen_acc, r3_acc))
+                return
+            floor_r2 = lower[g] if (lower is not None and tight) else None
+            floor_r3 = rel_acc[g - 1] if (eqpair[g] and r3eq[g]) else None
+            for rel, abs_, nseen in options(g, seen[g]):
+                if floor_r2 is not None and rel < floor_r2:
+                    continue
+                if floor_r3 is not None and rel < floor_r3:
+                    continue
+                grec(g + 1,
+                     tight and floor_r2 is not None and rel == floor_r2,
+                     abs_acc + abs_,
+                     rel_acc + (rel,),
+                     seen_acc + (nseen,),
+                     r3_acc + (r3eq[g] and rel == floor_r3,))
+
+        grec(0, lower is not None, (), (), (), ())
+        return results
+
+    def vrec(v: int, seen, r3eq, prev_rel, prefix) -> Iterator[tuple[int, ...]]:
+        lower = prev_rel if samepart[v] else None
+        if v == n - 1:
+            for abs_row, _rels, _nseen, _nr3 in vertex_rows(seen, r3eq, lower):
+                yield prefix + abs_row
+        else:
+            for abs_row, rels, nseen, nr3 in vertex_rows(seen, r3eq, lower):
+                yield from vrec(v + 1, nseen, nr3, rels, prefix + abs_row)
+
+    yield from vrec(0, (0,) * t, eqpair, None, ())

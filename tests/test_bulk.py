@@ -20,7 +20,12 @@ from strictcolor.bulk import (
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import Graph, complete_multipartite
 from strictcolor.listcolor import find_refusals, l_color_multipartite
-from strictcolor.streams import enumerate_grouped, enumerate_k_lists, row_lists
+from strictcolor.streams import (
+    enumerate_grouped,
+    enumerate_k_lists,
+    grouped_chunks,
+    row_lists,
+)
 
 
 def row_colorable_oracle(row, n, edges):
@@ -231,14 +236,13 @@ class TestMaskStream:
     def test_first_uncolorable(self):
         # A single edge with 1-lists: the only uncolorable rows give both
         # endpoints the same singleton list.
-        rows = list(enumerate_k_lists(2, 1))
-        refusals, examined = find_refusals(Graph(2, ((0, 1),)), iter(rows),
-                                           width=2)
+        refusals, examined = find_refusals(Graph(2, ((0, 1),)),
+                                           grouped_chunks(2, (1,)))
         [(index, lists, _nodes)] = refusals
         assert index == 0 and examined == 1
         assert lists == ((0,), (0,))
 
     def test_first_uncolorable_none(self):
         rows = list(enumerate_k_lists(2, 2))
-        assert find_refusals(Graph(2, ((0, 1),)), iter(rows),
-                             width=4) == ([], len(rows))
+        assert find_refusals(Graph(2, ((0, 1),)),
+                             row_chunks(iter(rows), 4)) == ([], len(rows))

@@ -6,12 +6,15 @@ import random
 
 import pytest
 
-from strictcolor.errors import Undetermined
+from strictcolor import bulk
+from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite, is_proper
 from strictcolor.lambdacolor import (
     BadAssignmentWitness,
     LambdaAssignment,
     PartitionabilityWitness,
+    _certify_block,
+    _prospect_bad_row,
     check_bad_witness,
     check_partitionability_witness,
     coarsen_grouping,
@@ -205,6 +208,13 @@ class TestPartitionable:
         got = lambda_partitionable(cyc, P((3,)))
         assert isinstance(got, Undetermined)
 
+    def test_block_bound_comes_from_the_stream(self):
+        # The level-3 block's stream raises at its first chunk, inside
+        # k_choosable; lambda_partitionable catches it (test above).
+        cyc = Graph(11, tuple((i, (i + 1) % 11) for i in range(11)))
+        with pytest.raises(BoundExceeded, match="33"):
+            _certify_block(cyc, tuple(range(11)), 3)
+
     def test_tampered_witness_fails(self):
         g = complete_multipartite([2, 3, 3])
         w = lambda_partitionable(g, P((1, 2)))
@@ -272,6 +282,77 @@ class TestChoosable:
                 for k in (1, 2):
                     v = lambda_choosable(g, unit_partition(k))
                     assert v.choosable is (chromatic_number(g) <= k), (g, k)
+
+
+# The search-strict benchmark profiles; the case-2 shapes never reach the
+# prospect rung.
+PROSPECT_PROFILES = [
+    (a, b, c) for a in range(1, 12) for b in range(a, 12) for c in range(b, 12)
+    if a + b + c <= 11 and (a, b, c) not in {(2, 4, 4), (2, 4, 5)}]
+
+# Refusals lambda_choosable(auto) finds with lambda = {1,2} on the 3-part
+# profiles up to 11 vertices: (classes_checked, witness lists, solver nodes).
+PROSPECT_REFUSALS = {
+    (3, 3, 3): (446, (
+        (1, 2, 19), (1, 3, 19), (2, 3, 19),
+        (1, 2, 19), (1, 3, 19), (2, 3, 19),
+        (1, 2, 19), (1, 3, 19), (2, 3, 19),
+    ), 21),
+    (3, 3, 4): (666, (
+        (1, 2, 21), (1, 3, 21), (2, 3, 21),
+        (1, 2, 21), (1, 3, 21), (2, 3, 21),
+        (1, 2, 21), (1, 2, 21), (1, 3, 21), (2, 3, 21),
+    ), 21),
+    (3, 3, 5): (930, (
+        (1, 2, 23), (1, 3, 23), (2, 3, 23),
+        (1, 2, 23), (1, 3, 23), (2, 3, 23),
+        (1, 2, 23), (1, 2, 23), (1, 2, 23), (1, 3, 23), (2, 3, 23),
+    ), 21),
+    (3, 4, 4): (966, (
+        (1, 2, 23), (1, 3, 23), (2, 3, 23),
+        (1, 2, 23), (1, 2, 23), (1, 3, 23), (2, 3, 23),
+        (1, 2, 23), (1, 2, 23), (1, 3, 23), (2, 3, 23),
+    ), 23),
+}
+
+
+class TestProspectBudget:
+    """The prospect rung reads its caps streams exactly to its row budget."""
+
+    def test_refusing_profiles_keep_their_witnesses(self):
+        found = {}
+        for sizes in PROSPECT_PROFILES:
+            v = lambda_choosable(complete_multipartite(sizes), P((1, 2)))
+            if v.choosable is False:
+                assert v.provenance == "exhaustive"
+                found[sizes] = (v.classes_checked, v.witness.assignment.lists,
+                                v.witness.nodes_searched)
+        assert found == PROSPECT_REFUSALS
+
+    # (rows of each chunk the mask saw, classes_checked or None if no hit)
+    @pytest.mark.parametrize("sizes,budget,masked,checked", [
+        ((3, 3, 3), 445, [1, 444], None),
+        ((3, 3, 3), 446, [1, 445], 446),
+        ((3, 3, 5), 929, [1, 928], None),
+        ((3, 3, 5), 930, [1, 929], 930),
+        ((2, 2, 2), 600, [1, 108, 491], None),
+        ((2, 2, 2), 70000, [1, 108, 2646, 43812, 23433], None),
+        ((2, 2, 2), 200000, [1, 108, 2646, 43812, 65536, 65536, 22361], None),
+    ])
+    def test_budget_is_cut_exactly(self, monkeypatch, sizes, budget, masked,
+                                   checked):
+        seen = []
+        mask = bulk.colorable_mask
+
+        def counting(chunk, *args, **kwargs):
+            seen.append(chunk.shape[0])
+            return mask(chunk, *args, **kwargs)
+
+        monkeypatch.setattr(bulk, "colorable_mask", counting)
+        v = _prospect_bad_row(complete_multipartite(sizes), P((1, 2)),
+                              budget=budget)
+        assert seen == masked
+        assert (None if v is None else v.classes_checked) == checked
 
 
 class TestPartitionImpliesChoosable:

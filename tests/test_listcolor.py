@@ -151,6 +151,14 @@ class TestKChoosable:
         with pytest.raises(BoundExceeded):
             k_choosable(complete_multipartite([5, 5]), 3)
 
+    def test_bound_above_the_stream_default_passes_through(self):
+        # One vertex with 31 colors: a single row, one past GROUPED_BOUND.
+        g = Graph(1, ())
+        assert k_choosable(g, 31, bound=31) == ChoosabilityVerdict(
+            True, None, 1, 0)
+        with pytest.raises(BoundExceeded, match="31"):
+            k_choosable(g, 31, bound=30)
+
 
 def refuse_every_row(chunk, n, edges, choice_cap=bulk.CHOICE_CAP):
     return np.zeros(chunk.shape[0], dtype=bool)

@@ -9,16 +9,23 @@ minimized over the symmetries the stream is allowed to quotient by.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import grouped_rows_oracle
+from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded
+from strictcolor.graphs import complete_multipartite
 from strictcolor.streams import (
     canonical_class,
     enumerate_grouped,
     enumerate_k_lists,
     group_offsets,
+    grouped_chunks,
     row_lists,
 )
 
@@ -222,6 +229,169 @@ def test_row_lists_roundtrip():
     assert row_lists((), 0) == []
     with pytest.raises(ValueError):
         row_lists((1, 2, 3), 2)
+
+
+# ---------------------------------------------------------------- chunks
+
+ORACLE_ROWS = 3000
+
+
+def chunk_rows_of(chunks):
+    return [tuple(r) for c in chunks for r in c.tolist()]
+
+
+def first_error(stream):
+    """(type, message) of the error the stream's first next() raises."""
+    with pytest.raises(ValueError) as info:
+        next(stream)
+    return type(info.value), str(info.value)
+
+
+@st.composite
+def stream_cases(draw):
+    """(n, sizes, parts, caps, chunk_rows) over small streams."""
+    n = draw(st.integers(0, 7))
+    sizes = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=1,
+                                       max_size=3)), reverse=True))
+    parts = None
+    if n and draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+                      if n > 1 else set())
+        ends = [0] + cuts + [n]
+        parts = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+    caps = None
+    if draw(st.booleans()):
+        caps = tuple(draw(st.integers(s, s + 3)) for s in sizes)
+    chunk_rows = draw(st.sampled_from((1, 3, 64, 65536)))
+    return n, sizes, parts, caps, chunk_rows
+
+
+class TestGroupedChunks:
+    @settings(max_examples=80, deadline=None)
+    @given(stream_cases())
+    @example((3, (1, 1), ((0, 1), (2,)), None, 1))
+    @example((4, (1, 1), None, (1, 2), 3))  # unequal caps on equal groups
+    @example((6, (2, 1), ((0, 1), (2, 3), (4, 5)), None, 64))
+    def test_matches_reference_rows(self, case):
+        n, sizes, parts, caps, chunk_rows = case
+        try:
+            want = list(islice(grouped_rows_oracle(n, sizes, parts=parts,
+                                                   caps=caps),
+                               ORACLE_ROWS + 1))
+        except BoundExceeded as exc:
+            assert first_error(grouped_chunks(
+                n, sizes, parts=parts, caps=caps,
+                chunk_rows=chunk_rows)) == (BoundExceeded, str(exc))
+            return
+        chunks, taken = [], 0
+        for chunk in grouped_chunks(n, sizes, parts=parts, caps=caps,
+                                    chunk_rows=chunk_rows):
+            assert chunk.dtype == np.int32
+            assert chunk.shape[1] == n * sum(sizes)
+            chunks.append(chunk)
+            taken += chunk.shape[0]
+            if taken > ORACLE_ROWS:
+                break
+        got = chunk_rows_of(chunks)
+        assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
+        if len(want) <= ORACLE_ROWS:
+            # The whole stream: same rows, and a short last chunk only.
+            assert got == want
+            assert 0 < chunks[-1].shape[0] <= chunk_rows
+        else:
+            assert got[:len(want)] == want
+
+    def test_empty_graph_is_one_empty_row(self):
+        [chunk] = list(grouped_chunks(0, (2,)))
+        assert chunk.shape == (1, 0) and chunk.dtype == np.int32
+
+    @pytest.mark.parametrize("sizes,n,lam,count", [
+        ((2, 2, 2), 6, (2, 1), 5_618_352),  # K(2,2,2), lambda = {1,2}
+        ((2, 6), 8, (2,), 239_467),         # K(2,6), 2-lists
+    ])
+    def test_pinned_counts(self, sizes, n, lam, count):
+        g = complete_multipartite(sizes)
+        shapes = [c.shape for c in grouped_chunks(n, lam, parts=g.parts)]
+        assert sum(m for m, _ in shapes) == count
+        assert all(m == 65536 for m, _ in shapes[:-1])
+        assert {w for _, w in shapes} == {n * sum(lam)}
+
+    def test_tuple_stream_is_the_flattened_chunks(self):
+        g = complete_multipartite((1, 2, 2))
+        rows = list(enumerate_grouped(5, (2, 1), parts=g.parts))
+        assert rows == chunk_rows_of(grouped_chunks(5, (2, 1), parts=g.parts,
+                                                    chunk_rows=7))
+        assert all(type(x) is int for x in rows[-1])
+
+
+class TestChunkOwnership:
+    """Chunks are fresh arrays; memoised subtree blocks never leak out."""
+
+    N, SIZES = 4, (2, 1)
+    PARTS = ((0, 1), (2,), (3,))  # K(2,1,1), 4,815 rows
+
+    def stream(self, chunk_rows=50):
+        return grouped_chunks(self.N, self.SIZES, parts=self.PARTS,
+                              chunk_rows=chunk_rows)
+
+    @pytest.fixture(scope="class")
+    def want(self):
+        return list(grouped_rows_oracle(self.N, self.SIZES, parts=self.PARTS))
+
+    def test_held_chunks_keep_their_rows(self, want):
+        chunks = list(self.stream())
+        assert len(chunks) > 2
+        assert chunk_rows_of(chunks) == want
+        for a, b in zip(chunks, chunks[1:]):
+            assert not np.shares_memory(a, b)
+
+    def test_zeroing_a_chunk_changes_nothing_else(self, want):
+        seen = []
+        for chunk in self.stream():
+            assert chunk.flags.writeable
+            seen.append(chunk.copy())
+            chunk[...] = 0
+        assert chunk_rows_of(seen) == want
+        # A second stream of the same shape is built from fresh memos.
+        assert chunk_rows_of(self.stream()) == want
+
+    def test_pool_sees_the_stream(self, want):
+        g = complete_multipartite((2, 1, 1))
+
+        def run(workers):
+            return [(off, c.tolist(), m.tolist())
+                    for off, c, m in mask_chunks(self.stream(chunk_rows=64),
+                                                 g.n, g.edges,
+                                                 workers=workers)]
+
+        pooled = run(2)
+        assert [tuple(r) for _, c, _ in pooled for r in c] == want
+        assert pooled == run(1)
+
+
+class TestChunkErrors:
+    """grouped_chunks raises what the reference stream raises, lazily."""
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((16, (2,)), {}),
+        ((2, ()), {}),
+        ((2, (1, 2)), {}),
+        ((2, (0,)), {}),
+        ((3, (1,)), {"parts": ((0, 2), (1,))}),
+        ((3, (2, 1)), {"caps": (1, 1)}),
+        ((3, (2, 1)), {"caps": (2,)}),
+        ((-1, (1,)), {}),
+    ])
+    def test_same_errors_at_first_next(self, args, kwargs):
+        want = first_error(grouped_rows_oracle(*args, **kwargs))
+        chunks = grouped_chunks(*args, **kwargs)  # nothing raised yet
+        rows = enumerate_grouped(*args, **kwargs)
+        assert first_error(chunks) == want
+        assert first_error(rows) == want
+
+    def test_chunk_rows_must_be_positive(self):
+        with pytest.raises(ValueError):
+            next(grouped_chunks(2, (1,), chunk_rows=0))
 
 
 # ---------------------------------------------------------------- canonical_class
