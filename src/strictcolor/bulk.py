@@ -35,10 +35,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BoundExceeded
+from . import limits
 
 CHUNK_ROWS = 65536
-CHOICE_CAP = 2_000_000
 SWEEP_BYTES = 8 << 20
 FIRST_BLOCK = 64
 WORD = np.dtype("<u8")
@@ -107,8 +106,7 @@ def _conflict_planes(lists: np.ndarray,
 
 
 def colorable_mask(chunk: np.ndarray, n: int,
-                   edges: Sequence[tuple[int, int]],
-                   choice_cap: int = CHOICE_CAP) -> np.ndarray:
+                   edges: Sequence[tuple[int, int]]) -> np.ndarray:
     """Per-row verdict: does the row's assignment admit a proper coloring?
 
     Runs the bit-sliced sweep of the module docstring over the k^n
@@ -118,7 +116,7 @@ def colorable_mask(chunk: np.ndarray, n: int,
     planes are rebuilt over the rest.  Rows still undecided after the
     last vector are refused.  The result depends only on the rows, not
     on the block sizes or the vector order.  Raises BoundExceeded instead
-    of starting a hopeless sweep when k^n is over choice_cap.
+    of starting a hopeless sweep when k^n is over ``limits.CHOICE_CAP``.
     """
     rows = chunk.shape[0]
     if n == 0 or not edges:
@@ -127,9 +125,8 @@ def colorable_mask(chunk: np.ndarray, n: int,
     if chunk.shape[1] != n * k:
         raise ValueError(f"chunk width {chunk.shape[1]} does not split over "
                          f"{n} vertices")
-    if k ** n > choice_cap:
-        raise BoundExceeded(f"{k}^{n} choice vectors exceed the cap of "
-                            f"{choice_cap}")
+    limits.enforce("CHOICE_CAP", k ** n,
+                   f"the choice vector count {k}^{n} of a mask sweep")
     choices = _choice_matrix(k, n)
     if chunk.size and chunk.dtype.kind in "iu":
         # Colors compare equal in the narrowest type holding them, and
@@ -167,8 +164,7 @@ def colorable_mask(chunk: np.ndarray, n: int,
 
 
 def mask_chunks(chunks: Iterable[np.ndarray], n: int,
-                edges: Sequence[tuple[int, int]], workers: int = 1,
-                choice_cap: int = CHOICE_CAP
+                edges: Sequence[tuple[int, int]], workers: int = 1
                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (row_offset, chunk, colorable_mask) per chunk, in stream order.
 
@@ -178,8 +174,7 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
     if workers <= 1:
         offset = 0
         for chunk in chunks:
-            yield offset, chunk, colorable_mask(chunk, n, edges,
-                                                choice_cap=choice_cap)
+            yield offset, chunk, colorable_mask(chunk, n, edges)
             offset += chunk.shape[0]
         return
 
@@ -190,8 +185,7 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
         offset = 0
         for chunk in chunks:
             inflight.append((chunk,
-                             pool.submit(colorable_mask, chunk, n, edges,
-                                         choice_cap)))
+                             pool.submit(colorable_mask, chunk, n, edges)))
             if len(inflight) >= workers + 2:
                 done, fut = inflight.popleft()
                 yield offset, done, fut.result()
@@ -204,9 +198,8 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
 
 def mask_stream(rows: Iterable[tuple[int, ...]], n: int,
                 edges: Sequence[tuple[int, int]], width: int,
-                chunk_rows: int = CHUNK_ROWS, workers: int = 1,
-                choice_cap: int = CHOICE_CAP
+                chunk_rows: int = CHUNK_ROWS, workers: int = 1
                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """mask_chunks over tuple rows packed by row_chunks."""
     return mask_chunks(row_chunks(rows, width, chunk_rows=chunk_rows), n,
-                       edges, workers=workers, choice_cap=choice_cap)
+                       edges, workers=workers)

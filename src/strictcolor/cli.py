@@ -11,6 +11,9 @@ error and `--quiet` drops them.  Exit codes: 0 for yes (colorable,
 choosable, valid, strict, all claims pass), 1 for a definite no, 2 for
 undecided, 64 for unusable input, 70 for an internal fault, such as the
 bulk filter and the solver disagreeing on a row, which prints no verdict.
+When a limit of `strictcolor.limits` leaves a question undecided, the
+`undecided:` line on standard error starts with that limit's name; the
+search route of `strict check` says only `search-undecided`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Small simple graphs with bitmask adjacency, plus complete multipartite helpers.
 
-Vertices are 0..n-1 and n stays small (coloring search is capped at 16
-vertices, multipartite construction at 64) so adjacency fits in machine-sized
+Vertices are 0..n-1 and n stays small (``limits`` caps the coloring search
+and multipartite construction) so adjacency fits in machine-sized
 bitmasks.  Complete multipartite graphs carry their part structure so part
 counts and part lookups never have to be reverse-engineered from edges.
 """
@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BoundExceeded
-
-MULTIPARTITE_BOUND = 64
-CHROMATIC_BOUND = 16
+from . import limits
 
 
 @dataclass(frozen=True)
@@ -109,8 +106,7 @@ class Graph:
         return True
 
 
-def complete_multipartite(sizes: Sequence[int],
-                          bound: int = MULTIPARTITE_BOUND) -> Graph:
+def complete_multipartite(sizes: Sequence[int]) -> Graph:
     """K_{a_1,...,a_k} with parts in ascending size order as vertex ranges."""
     if not sizes:
         raise ValueError("need at least one part")
@@ -118,9 +114,8 @@ def complete_multipartite(sizes: Sequence[int],
         raise ValueError(f"part sizes must be positive integers, got {tuple(sizes)}")
     ordered = sorted(sizes)
     n = sum(ordered)
-    if n > bound:
-        raise BoundExceeded(f"complete multipartite graphs are bounded at {bound} "
-                            f"vertices, got {n}")
+    limits.enforce("MULTIPARTITE_BOUND", n,
+                   "the vertex count of a complete multipartite graph")
     parts = []
     start = 0
     for a in ordered:
@@ -168,13 +163,12 @@ def contains_parts(host_sizes: Sequence[int], pattern_sizes: Sequence[int]) -> b
     return all(p <= host[shift + i] for i, p in enumerate(pattern))
 
 
-def find_coloring(g: Graph, k: int,
-                  bound: int = CHROMATIC_BOUND) -> tuple[int, ...] | None:
+def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     """A proper coloring with colors drawn from 0..k-1, or None.
 
     Complete multipartite graphs color each part with its own index; any
     other graph goes through branch and bound seeded with a greedy clique,
-    which caps the size at ``bound`` vertices.
+    which caps the size at ``limits.CHROMATIC_BOUND`` vertices.
     """
     if k < 0:
         raise ValueError(f"color budget must be >= 0, got {k}")
@@ -188,9 +182,8 @@ def find_coloring(g: Graph, k: int,
             for v in part:
                 out[v] = i
         return tuple(out)
-    if g.n > bound:
-        raise BoundExceeded(f"coloring search is bounded at {bound} "
-                            f"vertices, got {g.n}")
+    limits.enforce("CHROMATIC_BOUND", g.n,
+                   "the vertex count of a coloring search")
     by_degree = sorted(range(g.n), key=lambda v: -g.degree(v))
     clique: list[int] = []
     for v in by_degree:
@@ -222,16 +215,13 @@ def find_coloring(g: Graph, k: int,
     return None
 
 
-def chromatic_number(g: Graph, bound: int = CHROMATIC_BOUND) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number, the least color budget find_coloring accepts."""
     if g.n == 0:
         return 0
     if g.parts is not None:
         return len(g.parts)
-    if g.n > bound:
-        raise BoundExceeded(f"chromatic number search is bounded at {bound} "
-                            f"vertices, got {g.n}")
     k = 0
-    while find_coloring(g, k, bound=bound) is None:
+    while find_coloring(g, k) is None:
         k += 1
     return k

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .bulk import CHOICE_CAP, CHUNK_ROWS
+from . import limits
 from .errors import BoundExceeded, Undetermined
 from .graphs import Graph
 from .listcolor import find_refusals, k_choosable, l_color, two_choosable_fast
@@ -39,16 +39,7 @@ from .partitions import (
     check_refinement_witness,
     near_unit_partition,
 )
-from .streams import (
-    GROUPED_BOUND,
-    enumerate_grouped,
-    group_offsets,
-    grouped_chunks,
-    row_lists,
-)
-
-PARTITION_GENERIC_BOUND = 200_000
-PROSPECT_ROWS = 200_000
+from .streams import enumerate_grouped, group_offsets, grouped_chunks, row_lists
 
 
 def descending_parts(lam: IntegerPartition) -> tuple[int, ...]:
@@ -177,8 +168,7 @@ def _stream_assignment(g: Graph, lam: IntegerPartition,
                             tuple(used), sizes=sizes)
 
 
-def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition,
-                                 bound: int = GROUPED_BOUND
+def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition
                                  ) -> Iterator[LambdaAssignment]:
     """Canonical lam-assignment stream for g.
 
@@ -189,8 +179,7 @@ def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition,
     equal-size groups, and part-preserving vertex permutations, in a
     deterministic order.  Colors are 1-based.
     """
-    for row in enumerate_grouped(g.n, descending_parts(lam), parts=g.parts,
-                                 bound=bound):
+    for row in enumerate_grouped(g.n, descending_parts(lam), parts=g.parts):
         yield _stream_assignment(g, lam, row_lists(row, g.n))
 
 
@@ -267,23 +256,24 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
     Part-aligned block candidates (whole parts mapped to blocks) are tried
     first when the graph carries parts, matching how such partitions
     actually arise for complete multipartite graphs; vertex-level
-    candidates follow while the t^n space stays within bounds.  None means
-    the whole candidate space was searched and no partition exists;
-    Undetermined means some candidate could not be settled.
+    candidates follow while the t^n space stays within
+    PARTITION_GENERIC_BOUND.  None means the whole candidate space was
+    searched and no partition exists; Undetermined means some candidate
+    could not be settled, and its reason names the limits that stopped it.
     """
     desc = descending_parts(lam)
     t = len(desc)
-    unresolved = False
+    stops: list[str] = []
 
     def try_blocks(blocks: list[tuple[int, ...]]
                    ) -> PartitionabilityWitness | None:
-        nonlocal unresolved
         evidence = []
         for verts, level in zip(blocks, desc):
             try:
                 ev = _certify_block(g, verts, level)
-            except BoundExceeded:
-                unresolved = True
+            except BoundExceeded as exc:
+                if not stops:
+                    stops.append(str(exc))
                 return None
             if ev is None:
                 return None
@@ -297,18 +287,20 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
             w = try_blocks(blocks)
             if w is not None:
                 return w
-    if t ** g.n <= PARTITION_GENERIC_BOUND:
+    try:
+        limits.enforce("PARTITION_GENERIC_BOUND", t ** g.n,
+                       "the vertex-level block candidate count")
+    except BoundExceeded as exc:
+        stops.append(str(exc))
+    else:
         for f in product(range(t), repeat=g.n):
             blocks = [tuple(v for v in range(g.n) if f[v] == j)
                       for j in range(t)]
             w = try_blocks(blocks)
             if w is not None:
                 return w
-    else:
-        unresolved = True
-    if unresolved:
-        return Undetermined("block search hit its bounds before finding "
-                            "a lambda-partition")
+    if stops:
+        return Undetermined("; ".join(stops))
     return None
 
 
@@ -406,31 +398,34 @@ def _head_rows(chunks, limit: int) -> Iterator:
             return
 
 
-def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1,
-                      budget: int = PROSPECT_ROWS) -> "LambdaVerdict | None":
+def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1
+                      ) -> "LambdaVerdict | str | None":
     """Hunt for an uncolorable assignment among small-palette rows.
 
     The full stream visits rows in lexicographic order, which buries
     color-starved assignments arbitrarily deep; walking the same stream
-    under growing palette caps surfaces them within a fixed row budget.
+    under growing palette caps surfaces them within PROSPECT_ROWS rows.
     Any hit is re-confirmed by the solver and returned as a witness;
-    coming back empty-handed proves nothing and the ladder moves on.
+    coming back empty-handed proves nothing, and the hunt returns the
+    limit that stopped it (None if none did) for the ladder's reason.
     """
     if g.n == 0:
         return None
     n, desc = g.n, descending_parts(lam)
-    if lam.weight ** n > CHOICE_CAP:
-        return None
+    budget = limits.PROSPECT_ROWS
     examined = 0
-    for caps in _caps_chain(n, desc):
-        if examined >= budget:
-            return None
-        chunks = _head_rows(grouped_chunks(n, desc, parts=g.parts, caps=caps),
-                            budget - examined)
-        found, examined = _stream_refusal(g, lam, chunks, examined,
-                                          workers=workers)
-        if found is not None:
-            return found
+    try:
+        for caps in _caps_chain(n, desc):
+            if examined >= budget:
+                return f"PROSPECT_ROWS: {budget} capped rows held no refusal"
+            chunks = _head_rows(grouped_chunks(n, desc, parts=g.parts,
+                                               caps=caps), budget - examined)
+            found, examined = _stream_refusal(g, lam, chunks, examined,
+                                              workers=workers)
+            if found is not None:
+                return found
+    except BoundExceeded as exc:
+        return str(exc)
     return None
 
 
@@ -446,19 +441,20 @@ class LambdaVerdict:
 
 def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
                      seeds: Sequence[LambdaAssignment] = (),
-                     workers: int = 1, bound: int = GROUPED_BOUND,
-                     chunk_rows: int = CHUNK_ROWS) -> LambdaVerdict:
+                     workers: int = 1) -> LambdaVerdict:
     """Decide whether every lam-assignment of g is colorable.
 
     method "auto" walks the ladder described in the module docstring;
     "exhaustive" skips every fast path and streams the full canonical
     enumeration, which keeps the two routes independently checkable.
     A bad assignment found in the stream is re-solved with l_color before
-    being reported, so the bulk filter never vouches for itself.
+    being reported, so the bulk filter never vouches for itself.  An
+    undecided reason lists the limit that stopped each rung, in order.
     """
     if method not in ("auto", "exhaustive"):
         raise ValueError(f"unknown method {method!r}")
     desc = descending_parts(lam)
+    stops: list[str] = []
     if method == "auto":
         for seed in seeds:
             if seed.lam != lam or len(seed.lists) != g.n:
@@ -482,17 +478,19 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
         part = lambda_partitionable(g, lam)
         if isinstance(part, PartitionabilityWitness):
             return LambdaVerdict(True, "partitionable", partition=part)
+        if isinstance(part, Undetermined):
+            stops.append(part.reason)
         found = _prospect_bad_row(g, lam, workers=workers)
-        if found is not None:
+        if isinstance(found, LambdaVerdict):
             return found
-    n, k = g.n, lam.weight
-    if n * k > bound:
+        if found is not None:
+            stops.append(found)
+    chunks = grouped_chunks(g.n, desc, parts=g.parts)
+    try:
+        found, checked = _stream_refusal(g, lam, chunks, workers=workers)
+    except BoundExceeded as exc:
         return LambdaVerdict(None, "undecided",
-                             reason=f"enumeration needs {n * k} total "
-                                    f"colors, bounded at {bound}")
-    chunks = grouped_chunks(n, desc, parts=g.parts, bound=bound,
-                            chunk_rows=chunk_rows)
-    found, checked = _stream_refusal(g, lam, chunks, workers=workers)
+                             reason="; ".join(stops + [str(exc)]))
     if found is not None:
         return found
     return LambdaVerdict(True, "exhaustive", classes_checked=checked)

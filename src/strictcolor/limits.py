@@ -1,0 +1,30 @@
+"""Every search and enumeration limit of the package, in one place.
+
+Each limit is checked in the one function named beside it, which reads
+``limits.NAME`` when called, so a test can move a limit with
+``monkeypatch.setattr(limits, NAME, value)``.  A stop raises BoundExceeded
+through ``enforce``, whose message starts with the limit's name, so every
+"undecided" reason built from it says which limit to raise.
+"""
+
+from __future__ import annotations
+
+from .errors import BoundExceeded
+
+MULTIPARTITE_BOUND = 64  # vertices: graphs.complete_multipartite
+CHROMATIC_BOUND = 16  # vertices without parts: graphs.find_coloring
+ENUMERATION_BOUND = 30  # weight k: partitions.enumerate_partitions
+HASSE_BOUND = 12  # weight k: partitions.refinement_hasse
+GROUPED_BOUND = 30  # colors n*k per uncapped row: streams.grouped_chunks
+KLISTS_BOUND = 24  # colors n*k per row: listcolor.k_choosable
+CHOICE_CAP = 2_000_000  # choice vectors k^n: bulk.colorable_mask
+PARTITION_GENERIC_BOUND = 200_000  # t^n: lambdacolor.lambda_partitionable
+PROSPECT_ROWS = 200_000  # capped rows read: lambdacolor._prospect_bad_row
+
+
+def enforce(name: str, size: int, what: str) -> None:
+    """Raise BoundExceeded, naming the limit, when size is over it."""
+    limit = globals()[name]
+    if size > limit:
+        raise BoundExceeded(f"{name}: {what} is bounded at {limit}, "
+                            f"got {size}")

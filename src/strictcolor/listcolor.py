@@ -23,16 +23,16 @@ own certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .bulk import CHUNK_ROWS, mask_chunks
-from .errors import Undetermined
+from . import limits
+from .bulk import mask_chunks
+from .errors import BoundExceeded, Undetermined
 from .graphs import Graph, complete_multipartite
 from .streams import grouped_chunks, row_lists
 from .streams import enumerate_k_lists  # noqa: F401  perfbench rebinds it
-
-KLISTS_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -227,19 +227,18 @@ class ChoosabilityVerdict:
     solver_nodes: int
 
 
-def k_choosable(g: Graph, k: int, chunk_rows: int = CHUNK_ROWS,
-                workers: int = 1, bound: int = KLISTS_BOUND
-                ) -> ChoosabilityVerdict:
+def k_choosable(g: Graph, k: int, workers: int = 1) -> ChoosabilityVerdict:
     """Decide k-choosability by exhausting the canonical assignment stream.
 
     On failure the earliest uncolorable row, shifted to colors 1..n*k,
     becomes bad_lists, with the node count of its confirming l_color
-    solve.  The stream raises BoundExceeded past ``bound`` total colors.
+    solve.  Raises BoundExceeded past ``limits.KLISTS_BOUND`` total colors.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    chunks = grouped_chunks(g.n, (k,), parts=g.parts, bound=bound,
-                            chunk_rows=chunk_rows)
+    limits.enforce("KLISTS_BOUND", g.n * k,
+                   "the total colors per row of a k-choosability check")
+    chunks = grouped_chunks(g.n, (k,), parts=g.parts)
     refusals, checked = find_refusals(g, chunks, workers=workers)
     if not refusals:
         return ChoosabilityVerdict(True, None, checked, 0)
@@ -250,26 +249,23 @@ def k_choosable(g: Graph, k: int, chunk_rows: int = CHUNK_ROWS,
                                checked, nodes)
 
 
-def choice_number(g: Graph, bound: int = KLISTS_BOUND,
-                  chunk_rows: int = CHUNK_ROWS,
-                  workers: int = 1) -> int | Undetermined:
+def choice_number(g: Graph, workers: int = 1) -> int | Undetermined:
     """Least k for which the graph is k-choosable.
 
     Choosability is monotone in k (restrict any larger list), so the first
-    success is the answer.  When the enumeration bound cuts the scan off
-    first, the result is Undetermined with the established lower bound.
+    success is the answer.  When a limit cuts the scan off first, the
+    result is Undetermined with the established lower bound.
     """
     if g.n == 0:
         return 0
-    k = 1
-    while g.n * k <= bound:
-        verdict = k_choosable(g, k, chunk_rows=chunk_rows, workers=workers,
-                              bound=bound)
+    for k in count(1):
+        try:
+            verdict = k_choosable(g, k, workers=workers)
+        except BoundExceeded as exc:
+            return Undetermined(f"{exc}; not ({k - 1})-choosable",
+                                lower_bound=k)
         if verdict.choosable:
             return k
-        k += 1
-    return Undetermined(f"not ({k - 1})-choosable and enumeration is capped "
-                        f"at {bound} total colors", lower_bound=k)
 
 
 def _core_vertices(g: Graph) -> set[int]:

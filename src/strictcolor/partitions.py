@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundExceeded
-
-ENUMERATION_BOUND = 30
-HASSE_BOUND = 12
+from . import limits
 
 
 class PartitionParseError(ValueError):
@@ -117,15 +114,15 @@ def format_partition(p: IntegerPartition) -> str:
     return ",".join(terms)
 
 
-def enumerate_partitions(k: int, bound: int = ENUMERATION_BOUND):
+def enumerate_partitions(k: int):
     """Yield all partitions of k in lexicographic order of the canonical tuple.
 
     For k=4: {1,1,1,1}, {1,1,2}, {1,3}, {2,2}, {4}.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > bound:
-        raise BoundExceeded(f"partition enumeration is bounded at weight {bound}, got {k}")
+    limits.enforce("ENUMERATION_BOUND", k,
+                   "the weight of a partition enumeration")
 
     def rec(prefix: tuple[int, ...], smallest: int, remaining: int):
         if remaining == 0:
@@ -252,10 +249,9 @@ def check_order_witness(lo: IntegerPartition, hi: IntegerPartition,
     return True
 
 
-def refinement_hasse(k: int, bound: int = HASSE_BOUND):
+def refinement_hasse(k: int):
     """Covering edges (coarse, fine) of the refinement order on partitions of k."""
-    if k > bound:
-        raise BoundExceeded(f"Hasse diagram is bounded at weight {bound}, got {k}")
+    limits.enforce("HASSE_BOUND", k, "the weight of a Hasse diagram")
     nodes = list(enumerate_partitions(k))
     idx = {p: i for i, p in enumerate(nodes)}
     refines = [[False] * len(nodes) for _ in nodes]
@@ -274,10 +270,10 @@ def refinement_hasse(k: int, bound: int = HASSE_BOUND):
     return edges
 
 
-def refinement_hasse_dot(k: int, bound: int = HASSE_BOUND) -> str:
+def refinement_hasse_dot(k: int) -> str:
     """Hasse diagram as Graphviz DOT; node labels are canonical text in braces."""
     nodes = list(enumerate_partitions(k))
-    edges = refinement_hasse(k, bound=bound)
+    edges = refinement_hasse(k)
     lines = ["digraph refinement {"]
     for p in nodes:
         lines.append(f'  "{{{format_partition(p)}}}";')

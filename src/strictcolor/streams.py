@@ -55,10 +55,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import limits
 from .bulk import CHUNK_ROWS
-from .errors import BoundExceeded
-
-GROUPED_BOUND = 30
 
 
 def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -73,7 +71,6 @@ def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
 
 def grouped_chunks(n: int, group_sizes: Sequence[int],
                    parts: Sequence[Sequence[int]] | None = None,
-                   bound: int = GROUPED_BOUND,
                    caps: Sequence[int] | None = None,
                    chunk_rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
     """Yield the canonical rows, in lexicographic order, as int32 chunks.
@@ -89,7 +86,7 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     the first caps[i] values of that group's window.  Assignments hostile
     to coloring reuse few colors, so small caps concentrate them; the
     filtered stream makes no completeness promise of its own and is exempt
-    from ``bound``, since the caller is expected to truncate it.
+    from GROUPED_BOUND, since the caller is expected to truncate it.
 
     Arguments are checked, and errors raised, at the first ``next()``.
     """
@@ -103,10 +100,8 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     if caps is None:
-        total = n * sum(sizes)
-        if total > bound:
-            raise BoundExceeded(f"assignment enumeration is bounded at "
-                                f"{bound} total colors per row, got {total}")
+        limits.enforce("GROUPED_BOUND", n * sum(sizes), "the total colors "
+                       "per row of an assignment enumeration")
     else:
         caps = tuple(int(c) for c in caps)
         if len(caps) != len(sizes):
@@ -282,20 +277,18 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
 
 def enumerate_grouped(n: int, group_sizes: Sequence[int],
                       parts: Sequence[Sequence[int]] | None = None,
-                      bound: int = GROUPED_BOUND,
                       caps: Sequence[int] | None = None
                       ) -> Iterator[tuple[int, ...]]:
     """The rows of grouped_chunks one at a time, as tuples of ints."""
-    for chunk in grouped_chunks(n, group_sizes, parts=parts, bound=bound,
-                                caps=caps):
+    for chunk in grouped_chunks(n, group_sizes, parts=parts, caps=caps):
         yield from map(tuple, chunk.tolist())
 
 
 def enumerate_k_lists(n: int, k: int,
-                      parts: Sequence[Sequence[int]] | None = None,
-                      bound: int = GROUPED_BOUND) -> Iterator[tuple[int, ...]]:
+                      parts: Sequence[Sequence[int]] | None = None
+                      ) -> Iterator[tuple[int, ...]]:
     """Canonical k-assignment rows: the single-group stream."""
-    return enumerate_grouped(n, (k,), parts=parts, bound=bound)
+    return enumerate_grouped(n, (k,), parts=parts)
 
 
 def row_lists(row: tuple[int, ...], n: int) -> list[tuple[int, ...]]:

@@ -11,9 +11,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from strictcolor import limits
 from strictcolor.errors import BoundExceeded
-from strictcolor.graphs import CHROMATIC_BOUND, Graph, complete_multipartite
-from strictcolor.streams import GROUPED_BOUND, group_offsets
+from strictcolor.graphs import Graph, complete_multipartite
+from strictcolor.streams import group_offsets
 
 
 def part_of(g: Graph, v: int) -> int:
@@ -26,18 +27,18 @@ def part_of(g: Graph, v: int) -> int:
     raise ValueError(f"vertex {v} not in any part")
 
 
-def find_subgraph(host: Graph, pattern: Graph,
-                  bound: int = CHROMATIC_BOUND) -> dict[int, int] | None:
+def find_subgraph(host: Graph, pattern: Graph) -> dict[int, int] | None:
     """Injective map of pattern vertices into host preserving pattern edges.
 
     Plain subgraph embedding (non-edges of the pattern may land on host
     edges).  Backtracking over pattern vertices in descending degree order
     with degree pruning; intended for oracle-scale inputs only.
     """
-    if host.n > bound or pattern.n > host.n:
+    if host.n > limits.CHROMATIC_BOUND or pattern.n > host.n:
         if pattern.n > host.n:
             return None
-        raise BoundExceeded(f"subgraph search is bounded at {bound} host vertices")
+        raise BoundExceeded(f"subgraph search is bounded at "
+                            f"{limits.CHROMATIC_BOUND} host vertices")
     order = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
     pos = {v: i for i, v in enumerate(order)}
     image = [-1] * pattern.n
@@ -89,9 +90,10 @@ def embedding_oracle(host_sizes: Sequence[int],
         raise BoundExceeded(f"embedding patterns are bounded at "
                             f"{EMBED_PATTERN_BOUND} vertices, "
                             f"got {sum(pattern_sizes)}")
-    if sum(host_sizes) > CHROMATIC_BOUND:
+    if sum(host_sizes) > limits.CHROMATIC_BOUND:
         raise BoundExceeded(f"embedding hosts are bounded at "
-                            f"{CHROMATIC_BOUND} vertices, got {sum(host_sizes)}")
+                            f"{limits.CHROMATIC_BOUND} vertices, "
+                            f"got {sum(host_sizes)}")
     host = complete_multipartite(host_sizes)
     pattern = complete_multipartite(pattern_sizes)
     return find_subgraph(host, pattern) is not None
@@ -99,7 +101,6 @@ def embedding_oracle(host_sizes: Sequence[int],
 
 def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
                         parts: Sequence[Sequence[int]] | None = None,
-                        bound: int = GROUPED_BOUND,
                         caps: Sequence[int] | None = None
                         ) -> Iterator[tuple[int, ...]]:
     """Reference canonical stream: one tuple per row, lexicographic order.
@@ -117,7 +118,8 @@ def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
     the first caps[i] values of that group's window.  Assignments hostile
     to coloring reuse few colors, so small caps concentrate them; the
     filtered stream makes no completeness promise of its own and is exempt
-    from ``bound``, since the caller is expected to truncate it.
+    from ``limits.GROUPED_BOUND``, since the caller is expected to
+    truncate it.
     """
     sizes = tuple(group_sizes)
     if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
@@ -128,9 +130,10 @@ def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
         raise ValueError("vertex count must be >= 0")
     if caps is None:
         total = n * sum(sizes)
-        if total > bound:
-            raise BoundExceeded(f"assignment enumeration is bounded at "
-                                f"{bound} total colors per row, got {total}")
+        if total > limits.GROUPED_BOUND:
+            raise BoundExceeded(f"GROUPED_BOUND: the total colors per row of "
+                                f"an assignment enumeration is bounded at "
+                                f"{limits.GROUPED_BOUND}, got {total}")
     else:
         caps = tuple(int(c) for c in caps)
         if len(caps) != len(sizes):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from strictcolor import limits
 from strictcolor.bulk import (
     _choice_matrix,
     colorable_mask,
@@ -74,10 +75,11 @@ class TestColorableMask:
         with pytest.raises(ValueError):
             colorable_mask(np.zeros((1, 5), dtype=np.int32), 2, ((0, 1),))
 
-    def test_choice_cap(self):
+    def test_choice_cap(self, monkeypatch):
+        monkeypatch.setattr(limits, "CHOICE_CAP", 100)
         chunk = np.zeros((1, 40), dtype=np.int32)
         with pytest.raises(BoundExceeded):
-            colorable_mask(chunk, 10, ((0, 1),), choice_cap=100)
+            colorable_mask(chunk, 10, ((0, 1),))
 
     def test_every_choice_vector_is_swept(self):
         # The row below is colored by exactly one choice vector.  Swapping

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from strictcolor import bulk
+from strictcolor import bulk, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite, is_proper
 from strictcolor.lambdacolor import (
@@ -208,11 +208,11 @@ class TestPartitionable:
         got = lambda_partitionable(cyc, P((3,)))
         assert isinstance(got, Undetermined)
 
-    def test_block_bound_comes_from_the_stream(self):
-        # The level-3 block's stream raises at its first chunk, inside
-        # k_choosable; lambda_partitionable catches it (test above).
+    def test_block_bound_is_raised_by_k_choosable(self):
+        # The level-3 block needs 33 colors per row, over KLISTS_BOUND;
+        # lambda_partitionable catches it (test above).
         cyc = Graph(11, tuple((i, (i + 1) % 11) for i in range(11)))
-        with pytest.raises(BoundExceeded, match="33"):
+        with pytest.raises(BoundExceeded, match="KLISTS_BOUND.*33"):
             _certify_block(cyc, tuple(range(11)), 3)
 
     def test_tampered_witness_fails(self):
@@ -349,10 +349,11 @@ class TestProspectBudget:
             return mask(chunk, *args, **kwargs)
 
         monkeypatch.setattr(bulk, "colorable_mask", counting)
-        v = _prospect_bad_row(complete_multipartite(sizes), P((1, 2)),
-                              budget=budget)
+        monkeypatch.setattr(limits, "PROSPECT_ROWS", budget)
+        v = _prospect_bad_row(complete_multipartite(sizes), P((1, 2)))
         assert seen == masked
-        assert (None if v is None else v.classes_checked) == checked
+        # Without a hit, v is the reason the hunt stopped (a str).
+        assert getattr(v, "classes_checked", None) == checked
 
 
 class TestPartitionImpliesChoosable:

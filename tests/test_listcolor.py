@@ -8,17 +8,17 @@ against classical small cases and the structural 2-choosability test.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from strictcolor import bulk
+from strictcolor import bulk, limits, listcolor
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
 from strictcolor.lambdacolor import lambda_choosable
 from strictcolor.listcolor import (
-    ChoosabilityVerdict,
     choice_number,
     k_choosable,
     l_color,
@@ -141,26 +141,31 @@ class TestKChoosable:
                 assert cur or not prev
                 prev = cur
 
-    def test_workers_same_verdict(self):
+    def test_workers_same_verdict(self, monkeypatch):
+        # 64-row chunks, so the pool has several chunks in flight.
+        monkeypatch.setattr(listcolor, "grouped_chunks",
+                            partial(listcolor.grouped_chunks, chunk_rows=64))
+        pooled = []
+        mask = bulk.colorable_mask
+
+        def counting(chunk, *args):
+            pooled.append(chunk.shape[0])
+            return mask(chunk, *args)
+
         g = complete_multipartite([2, 4])
-        a = k_choosable(g, 2, chunk_rows=64)
-        b = k_choosable(g, 2, chunk_rows=64, workers=3)
+        a = k_choosable(g, 2)
+        monkeypatch.setattr(bulk, "colorable_mask", counting)
+        b = k_choosable(g, 2, workers=3)
         assert a == b
+        assert len(pooled) > 1
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             k_choosable(complete_multipartite([5, 5]), 3)
 
-    def test_bound_above_the_stream_default_passes_through(self):
-        # One vertex with 31 colors: a single row, one past GROUPED_BOUND.
-        g = Graph(1, ())
-        assert k_choosable(g, 31, bound=31) == ChoosabilityVerdict(
-            True, None, 1, 0)
-        with pytest.raises(BoundExceeded, match="31"):
-            k_choosable(g, 31, bound=30)
 
 
-def refuse_every_row(chunk, n, edges, choice_cap=bulk.CHOICE_CAP):
+def refuse_every_row(chunk, n, edges):
     return np.zeros(chunk.shape[0], dtype=bool)
 
 
@@ -191,8 +196,9 @@ class TestChoiceNumber:
         assert choice_number(complete_multipartite([3, 3])) == 3
         assert choice_number(complete_multipartite([1, 1, 1, 1])) == 4
 
-    def test_undetermined_when_capped(self):
-        out = choice_number(cycle(5), bound=8)
+    def test_undetermined_when_capped(self, monkeypatch):
+        monkeypatch.setattr(limits, "KLISTS_BOUND", 8)
+        out = choice_number(cycle(5))
         assert isinstance(out, Undetermined)
         assert out.lower_bound == 2
         with pytest.raises(TypeError):
