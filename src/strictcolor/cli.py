@@ -12,8 +12,7 @@ choosable, valid, strict, all claims pass), 1 for a definite no, 2 for
 undecided, 64 for unusable input, 70 for an internal fault, such as the
 bulk filter and the solver disagreeing on a row, which prints no verdict.
 When a limit of `strictcolor.limits` leaves a question undecided, the
-`undecided:` line on standard error starts with that limit's name; the
-search route of `strict check` says only `search-undecided`.
+`undecided:` line on standard error starts with that limit's name.
 """
 
 from __future__ import annotations
@@ -210,12 +209,7 @@ def _claim_hj_unique(out_dir: Path | None) -> tuple[bool, str]:
         detail = str(path)
     if len(reps) != 1:
         return False, detail
-
-    def canon(lists):
-        return canonical_class(tuple(tuple(c - 1 for c in lst)
-                                     for lst in lists), parts)
-
-    if canon(reps[0]) != canon(table):
+    if canonical_class(reps[0], parts) != canonical_class(table, parts):
         return False, f"{detail}: class differs from the known table"
     return True, detail
 

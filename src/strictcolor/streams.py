@@ -50,7 +50,7 @@ Subtrees too big for a chunk are walked one vertex row at a time.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -301,44 +301,6 @@ def row_lists(row: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(row[v * k:(v + 1) * k])) for v in range(n)]
 
 
-def _min_renaming(ordered_lists: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Lexicographically least flat row over all injective color renamings.
-
-    Greedy per vertex, branching on the order in which a vertex's fresh
-    colors take the next free ids; only branches still achieving the
-    minimal prefix survive to the next vertex.
-    """
-    candidates: list[dict[int, int]] = [{}]
-    out: list[int] = []
-    for lst in ordered_lists:
-        scored = []
-        for m in candidates:
-            known = sorted(m[c] for c in lst if c in m)
-            fresh = len(lst) - len(known)
-            base = len(m)
-            row = tuple(sorted(known + list(range(base, base + fresh))))
-            scored.append((row, m))
-        best = min(row for row, _ in scored)
-        out.extend(best)
-        nxt: list[dict[int, int]] = []
-        seen = set()
-        for row, m in scored:
-            if row != best:
-                continue
-            fresh_colors = [c for c in lst if c not in m]
-            base = len(m)
-            for pm in permutations(fresh_colors):
-                m2 = dict(m)
-                for i, c in enumerate(pm):
-                    m2[c] = base + i
-                key = tuple(sorted(m2.items()))
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(m2)
-        candidates = nxt
-    return tuple(out)
-
-
 def canonical_class(lists: Sequence[Sequence[int]],
                     parts: Sequence[Sequence[int]] | None = None
                     ) -> tuple[int, ...]:
@@ -347,38 +309,67 @@ def canonical_class(lists: Sequence[Sequence[int]],
     Two single-group assignments get the same value exactly when one maps
     to the other by renaming colors, permuting vertices inside a part, and
     swapping whole parts of equal size.  With parts None every vertex is
-    fixed and only color renaming is quotiented out.  Exponential in the
-    part sizes; meant for deduplicating small witness sets, not streams.
+    fixed and only color renaming is quotiented out.
+
+    The value is the least flat row over every allowed vertex order and
+    every color renaming onto 0, 1, ..., found by one least-prefix search
+    (the pruning behind McKay's canonical forms).  A state is the vertices
+    left in the current part, the parts not yet begun, and the named
+    colors as a sequence of cells, each holding the next len(cell) ids in
+    an order still free.  A step extends every state by every vertex that
+    may come next (one left in the current part or, where a part begins,
+    one of an unbegun part of that size) and keeps the extensions whose
+    renamed row ties for the least.  That row gives the vertex's colors
+    the lowest ids of each cell and its fresh colors the ids past every
+    cell; any other choice gives a larger row, so splitting each cell into
+    used and unused colors, and appending the fresh ones as a new cell,
+    keeps exactly the renamings that tie.  The lists share one length and
+    what follows a step depends only on the state, so the least row at
+    every step is the least row overall.
     """
-    lists = [tuple(sorted(l)) for l in lists]
     n = len(lists)
-    sizes = {len(l) for l in lists}
-    if len(sizes) > 1:
+    if len({len(l) for l in lists}) > 1:
         raise ValueError("all lists must have the same length")
+    sets = [frozenset(l) for l in lists]
     if parts is None:
-        return _min_renaming(lists)
-    flat = sorted(v for part in parts for v in part)
-    if flat != list(range(n)):
+        blocks = [(v,) for v in range(n)]
+        kind = list(range(n))  # no two vertices trade places
+    elif sorted(v for part in parts for v in part) != list(range(n)):
         raise ValueError("parts must cover each vertex exactly once")
-    blocks = [tuple(p) for p in parts]
-    best: tuple[int, ...] | None = None
-    # Parts of equal size are interchangeable; order them every possible way.
-    for block_order in permutations(range(len(blocks))):
-        if [len(blocks[i]) for i in block_order] != [len(b) for b in blocks]:
-            continue
-        for pieces in _product_perms([blocks[i] for i in block_order]):
-            cand = _min_renaming([lists[v] for v in pieces])
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    else:
+        blocks = [tuple(p) for p in parts if p]
+        kind = [len(b) for b in blocks]  # equal-size parts trade places
 
-
-def _product_perms(blocks: list[tuple[int, ...]]) -> Iterator[list[int]]:
-    """Concatenated vertex orders from all within-block permutations."""
-    if not blocks:
-        yield []
-        return
-    for head in permutations(blocks[0]):
-        for tail in _product_perms(blocks[1:]):
-            yield list(head) + tail
+    states = [((), tuple(range(len(blocks))), ())]
+    out: list[int] = []
+    for _ in range(n):
+        scored = []
+        for left, unbegun, cells in states:
+            if left:
+                moves = [(left, unbegun)]
+            else:
+                want = kind[len(blocks) - len(unbegun)]
+                moves = [(blocks[b], tuple(x for x in unbegun if x != b))
+                         for b in unbegun if kind[b] == want]
+            for pool, rest in moves:
+                for i, v in enumerate(pool):
+                    colors = sets[v]
+                    row: list[int] = []
+                    split = []
+                    base = 0
+                    for cell in cells:
+                        used = cell & colors
+                        row.extend(range(base, base + len(used)))
+                        split += [c for c in (used, cell - used) if c]
+                        base += len(cell)
+                    fresh = colors.difference(*cells)
+                    row.extend(range(base, base + len(fresh)))
+                    if fresh:
+                        split.append(fresh)
+                    scored.append((tuple(row), (pool[:i] + pool[i + 1:],
+                                                rest, tuple(split))))
+        best = min(row for row, _ in scored)
+        out.extend(best)
+        states = list(dict.fromkeys(state for row, state in scored
+                                    if row == best))
+    return tuple(out)

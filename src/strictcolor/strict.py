@@ -382,7 +382,8 @@ def decide_strict_search(g: Graph, k: int) -> StrictDecision:
     mismatch is certified directly: a (k-1)-coloring becomes a partition
     witness, and a graph needing more than k colors yields the refusing
     unit assignment whose every list is 1..k.  The strict field is None
-    when the ladder runs out of room.
+    when the ladder runs out of room, and the reason then ends with the
+    ladder's own, which names the limit that stopped it.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -416,7 +417,8 @@ def decide_strict_search(g: Graph, k: int) -> StrictDecision:
                                                    out.nodes_searched))
     verdict = lambda_choosable(g, lam)
     if verdict.choosable is None:
-        return StrictDecision(sizes, k, None, "search-undecided", None)
+        return StrictDecision(sizes, k, None,
+                              f"search-undecided: {verdict.reason}", None)
     if verdict.choosable:
         return StrictDecision(sizes, k, False, "search", verdict.partition)
     return StrictDecision(sizes, k, True, "search", verdict.witness)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 
 import strictcolor
-from strictcolor import bulk
+from strictcolor import bulk, limits
 from strictcolor import serialize as ser
-from strictcolor.cli import main
+from strictcolor.cli import build_parser, main
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
 from strictcolor.lambdacolor import check_bad_witness
 from strictcolor.listcolor import l_color
@@ -27,6 +29,7 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 HJ_LISTS = ((1, 2), (3, 4), (1, 3), (1, 4), (2, 3), (2, 4))
 
@@ -204,6 +207,17 @@ class TestStrict:
                                "--method", "search")
         assert code == 1
 
+    def test_search_undecided_names_limits(self, capsys, monkeypatch):
+        monkeypatch.setattr(limits, "PROSPECT_ROWS", 1)
+        monkeypatch.setattr(limits, "GROUPED_BOUND", 10)
+        code, out, err = run_cli(capsys, "strict", "check", "--parts",
+                                 "3,3,3", "--method", "search")
+        assert code == 2
+        assert json.loads(out)["strict"] is None
+        assert err.startswith("search-undecided: ")
+        assert "PROSPECT_ROWS" in err
+        assert "GROUPED_BOUND" in err
+
     def test_quiet_leaves_stdout_alone(self, capsys):
         _, loud, _ = run_cli(capsys, "strict", "check", "--parts", "2,5,5")
         _, quiet, err = run_cli(capsys, "--quiet", "strict", "check",
@@ -231,6 +245,22 @@ class TestDeterminism:
         runs = {run_cli(capsys, "strict", "check", "--parts", "3,4,6")[1]
                 for _ in range(2)}
         assert len(runs) == 1
+
+
+class TestReadme:
+    def test_every_command_parses(self):
+        # Parsing only: a flag renamed in the parser but not in README
+        # exits 64 here.
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("strictcolor ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit as exc:
+                pytest.fail(f"README command exits {exc.code}: {line}")
 
 
 def run_module(*argv):

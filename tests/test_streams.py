@@ -427,11 +427,30 @@ class TestCanonicalClass:
     def test_matches_brute_minimum(self):
         import random
         rng = random.Random(5)
-        cases = [(3, None), (4, ((0, 1), (2, 3))), (3, ((0, 1), (2,)))]
-        for n, parts in cases:
+        singletons = ((0,), (1,), (2,))
+        # (vertices, list length, colors drawn from, parts)
+        cases = [(3, 2, 6, None), (4, 2, 6, ((0, 1), (2, 3))),
+                 (3, 2, 6, ((0, 1), (2,))),
+                 # parts that are not consecutive ranges
+                 (4, 2, 6, ((0, 2), (1, 3))), (5, 2, 5, ((3, 0), (4, 1, 2))),
+                 # three parts of equal size
+                 (6, 2, 5, ((0, 1), (2, 3), (4, 5))),
+                 (6, 2, 5, ((4, 1), (0, 5), (3, 2))),
+                 # 3-lists
+                 (3, 3, 6, None), (4, 3, 5, ((0, 1), (2, 3))),
+                 (4, 3, 5, ((1,), (0, 2, 3))),
+                 # singleton parts may be reordered, parts=None may not
+                 (3, 2, 6, singletons)]
+        for n, k, colors, parts in cases:
             for _ in range(25):
-                lists = [tuple(rng.sample(range(6), 2)) for _ in range(n)]
+                lists = [tuple(rng.sample(range(colors), k))
+                         for _ in range(n)]
                 assert canonical_class(lists, parts) == brute_class(lists, parts)
+        lists = [(0, 1), (2, 3), (0, 2)]
+        assert canonical_class(lists, singletons) == \
+            brute_class(lists, singletons) == (0, 1, 0, 2, 1, 3)
+        assert canonical_class(lists, None) == \
+            brute_class(lists, None) == (0, 1, 2, 3, 0, 2)
 
     def test_invariant_under_allowed_moves(self):
         import random

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -438,9 +439,8 @@ class TestDecideStrictSearch:
             lambda g, lam: LambdaVerdict(None, "undecided",
                                          reason="out of room"))
         d = decide_strict_search(complete_multipartite((1, 1, 1)), 3)
-        assert (d.strict, d.reason, d.certificate) == (None,
-                                                       "search-undecided",
-                                                       None)
+        assert (d.strict, d.reason, d.certificate) == (
+            None, "search-undecided: out of room", None)
 
 
 class TestHoffmanJohnson:
@@ -452,6 +452,22 @@ class TestHoffmanJohnson:
         canon = lambda lists: canonical_class(
             tuple(tuple(c - 1 for c in lst) for lst in lists), parts)
         assert canon(reps[0]) == canon(table)
+
+    def test_class_lists_pinned(self):
+        # Class counts, and a SHA-256 of the classes' repr that pins
+        # every returned tuple.
+        pins = {
+            (2, 5): (4, "14d61f22a97cbfe86be1a1e5a3f7beef"
+                        "a5c4da3cae64a4611d43dcf6c693eff3"),
+            (3, 4): (24, "376a71c1d24f18b29750d2a2e861cf58"
+                         "3c16f2ac1ea75a1a9995ed9322dad571"),
+            (2, 6): (23, "754589d549e530d5c088cfe59a3e2e72"
+                         "7ce3ee0066847ebdb9a4f4c36e385e48"),
+        }
+        for (m, n), (count, digest) in pins.items():
+            reps = hoffman_johnson_enumerate(m, n)
+            assert len(reps) == count, (m, n)
+            assert sha256(repr(reps).encode()).hexdigest() == digest, (m, n)
 
     def test_two_choosable_hosts_have_none(self):
         assert hoffman_johnson_enumerate(2, 3) == ()
