@@ -27,7 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .errors import BoundExceeded, Undetermined
@@ -249,6 +249,21 @@ def _certify_block(g: Graph, vertices: tuple[int, ...],
     return None
 
 
+def _induced_key(g: Graph, vertices: tuple[int, ...]
+                 ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Vertex count and edges of ``g.induced(vertices)``, without the Graph.
+
+    The edges come relabeled and sorted exactly as Graph.induced leaves
+    them, so two blocks share a key exactly when their induced subgraphs
+    are equal, whatever ``g.parts`` says.
+    """
+    keep = sorted(vertices)
+    adj = g.adj
+    return len(keep), tuple((i, j) for i, u in enumerate(keep)
+                            for j in range(i + 1, len(keep))
+                            if adj[u] >> keep[j] & 1)
+
+
 def lambda_partitionable(g: Graph, lam: IntegerPartition
                          ) -> PartitionabilityWitness | None | Undetermined:
     """Search for a lambda-partition of g.
@@ -257,34 +272,47 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
     first when the graph carries parts, matching how such partitions
     actually arise for complete multipartite graphs; vertex-level
     candidates follow while the t^n space stays within
-    PARTITION_GENERIC_BOUND.  None means the whole candidate space was
-    searched and no partition exists; Undetermined means some candidate
-    could not be settled, and its reason names the limits that stopped it.
+    PARTITION_GENERIC_BOUND.  Candidates share few distinct blocks, so
+    each distinct (level, induced subgraph) is certified once per call and
+    later candidates read its outcome, a stopping BoundExceeded included.
+    None means the whole candidate space was searched and no partition
+    exists; Undetermined means some candidate could not be settled, and
+    its reason names the limits that stopped it.
     """
     desc = descending_parts(lam)
     t = len(desc)
     stops: list[str] = []
+    outcomes: dict[tuple, tuple[str, int] | BoundExceeded | None] = {}
 
-    def try_blocks(blocks: list[tuple[int, ...]]
+    def try_blocks(blocks: Iterable[tuple[int, ...]]
                    ) -> PartitionabilityWitness | None:
         evidence = []
         for verts, level in zip(blocks, desc):
-            try:
-                ev = _certify_block(g, verts, level)
-            except BoundExceeded as exc:
+            key = (level, *_induced_key(g, verts))
+            if key in outcomes:
+                outcome = outcomes[key]
+            else:
+                try:
+                    ev = _certify_block(g, verts, level)
+                    outcome = (None if ev is None
+                               else (ev.method, ev.classes_checked))
+                except BoundExceeded as exc:
+                    outcome = exc
+                outcomes[key] = outcome
+            if isinstance(outcome, BoundExceeded):
                 if not stops:
-                    stops.append(str(exc))
+                    stops.append(str(outcome))
                 return None
-            if ev is None:
+            if outcome is None:
                 return None
-            evidence.append(ev)
+            evidence.append(BlockEvidence(verts, level, *outcome))
         return PartitionabilityWitness(lam, tuple(evidence))
 
     if g.parts is not None:
         for f in product(range(t), repeat=len(g.parts)):
-            blocks = [tuple(v for pi, part in enumerate(g.parts)
-                            if f[pi] == j for v in part) for j in range(t)]
-            w = try_blocks(blocks)
+            w = try_blocks(tuple(v for pi, part in enumerate(g.parts)
+                                 if f[pi] == j for v in part)
+                           for j in range(t))
             if w is not None:
                 return w
     try:
@@ -294,9 +322,8 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
         stops.append(str(exc))
     else:
         for f in product(range(t), repeat=g.n):
-            blocks = [tuple(v for v in range(g.n) if f[v] == j)
-                      for j in range(t)]
-            w = try_blocks(blocks)
+            w = try_blocks(tuple(v for v in range(g.n) if f[v] == j)
+                           for j in range(t))
             if w is not None:
                 return w
     if stops:

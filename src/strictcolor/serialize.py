@@ -3,7 +3,9 @@
 Every emitter returns plain dict/list/int structures; `dump` renders them
 with sorted keys and a fixed layout so identical inputs always produce
 identical bytes.  Readers raise ValueError on structural problems, which
-the command line maps to its usage exit code.
+the command line maps to its usage exit code; they take every value as the
+JSON type it must be, so 2.7, "2" and true are refused as integers, and
+null as a string, instead of being cast.
 
 Colorings and per-vertex lists travel as objects keyed by the vertex
 index written in decimal ("0", "1", ...), matching the certificate files
@@ -58,16 +60,47 @@ def _vertex_map(values: Sequence[int]) -> dict[str, int]:
     return {str(v): int(c) for v, c in enumerate(values)}
 
 
+def _int(value: Any, what: str) -> int:
+    """A JSON integer, refusing booleans, floats and strings."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _str(value: Any, what: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r:.40}")
+    return value
+
+
+def _list(values: Any, what: str) -> Sequence[Any]:
+    """A JSON array."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be an array, got {values!r:.40}")
+    return values
+
+
+def _ints(values: Any, what: str) -> tuple[int, ...]:
+    """A JSON array of integers."""
+    return tuple(_int(v, f"each entry of {what}")
+                 for v in _list(values, what))
+
+
+def _need(obj: Any, keys: Sequence[str], message: str) -> None:
+    """Refuse anything but an object holding every required key."""
+    if not isinstance(obj, Mapping) or any(k not in obj for k in keys):
+        raise ValueError(message)
+
+
 def _from_vertex_map(obj: Mapping[str, Any], what: str) -> tuple[Any, ...]:
     if not isinstance(obj, Mapping):
         raise ValueError(f"{what} must be an object keyed by vertex")
-    try:
-        keys = sorted(int(k) for k in obj)
-    except ValueError:
-        raise ValueError(f"{what} keys must be vertex numbers") from None
-    if keys != list(range(len(keys))):
-        raise ValueError(f"{what} keys must be 0..n-1 without gaps")
-    return tuple(obj[str(k)] for k in keys)
+    keys = [str(v) for v in range(len(obj))]
+    if set(obj) != set(keys):
+        raise ValueError(f"{what} keys must be the vertex numbers 0..n-1 "
+                         "without gaps")
+    return tuple(obj[k] for k in keys)
 
 
 def graph_to_json(g: Graph) -> dict[str, Any]:
@@ -78,15 +111,16 @@ def graph_to_json(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_json(obj: Mapping[str, Any]) -> Graph:
-    if not isinstance(obj, Mapping) or "n" not in obj or "edges" not in obj:
-        raise ValueError("a graph object needs \"n\" and \"edges\"")
+    _need(obj, ("n", "edges"), "a graph object needs \"n\" and \"edges\"")
     parts = obj.get("parts")
     try:
-        return Graph(int(obj["n"]),
-                     tuple((int(u), int(v)) for u, v in obj["edges"]),
+        edges = [_ints(e, "an edge") for e in _list(obj["edges"], "edges")]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("every edge must be a pair of vertices")
+        return Graph(_int(obj["n"], "n"), tuple(edges),
                      parts=None if parts is None else
-                     tuple(tuple(int(v) for v in p) for p in parts))
-    except (TypeError, ValueError) as exc:
+                     tuple(_ints(p, "a part") for p in _list(parts, "parts")))
+    except ValueError as exc:
         raise ValueError(f"bad graph object: {exc}") from None
 
 
@@ -96,13 +130,9 @@ def lists_to_json(lists: Sequence[Sequence[int]]) -> dict[str, Any]:
 
 
 def lists_from_json(obj: Mapping[str, Any]) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(obj, Mapping) or "lists" not in obj:
-        raise ValueError("a list assignment object needs \"lists\"")
+    _need(obj, ("lists",), "a list assignment object needs \"lists\"")
     rows = _from_vertex_map(obj["lists"], "lists")
-    try:
-        return tuple(tuple(sorted(int(c) for c in row)) for row in rows)
-    except (TypeError, ValueError):
-        raise ValueError("every list must be an array of colors") from None
+    return tuple(tuple(sorted(_ints(row, "a list of colors"))) for row in rows)
 
 
 def outcome_to_json(out: ColoringOutcome) -> dict[str, Any]:
@@ -134,19 +164,18 @@ def assignment_to_json(a: LambdaAssignment) -> dict[str, Any]:
 
 
 def assignment_from_json(obj: Mapping[str, Any]) -> LambdaAssignment:
-    if not isinstance(obj, Mapping) or "lambda" not in obj:
-        raise ValueError("an assignment object needs \"lambda\", \"lists\" "
-                         "and \"groups\"")
+    _need(obj, ("lambda", "lists", "groups"),
+          "an assignment object needs \"lambda\", \"lists\" and \"groups\"")
     try:
-        lam = IntegerPartition(tuple(int(p) for p in obj["lambda"]))
-        groups = tuple(frozenset(int(c) for c in grp)
-                       for grp in obj["groups"])
-    except (KeyError, TypeError, ValueError) as exc:
+        lam = IntegerPartition(_ints(obj["lambda"], "lambda"))
+        groups = tuple(frozenset(_ints(grp, "a group"))
+                       for grp in _list(obj["groups"], "groups"))
+    except ValueError as exc:
         raise ValueError(f"bad assignment object: {exc}") from None
     sizes = obj.get("sizes")
     return LambdaAssignment(
         lam, lists_from_json(obj), groups,
-        sizes=None if sizes is None else tuple(int(s) for s in sizes))
+        sizes=None if sizes is None else _ints(sizes, "sizes"))
 
 
 def lambda_verdict_to_json(v: LambdaVerdict) -> dict[str, Any]:
@@ -168,10 +197,10 @@ def bad_witness_to_json(w: BadAssignmentWitness) -> dict[str, Any]:
 
 
 def bad_witness_from_json(obj: Mapping[str, Any]) -> BadAssignmentWitness:
-    if not isinstance(obj, Mapping) or "assignment" not in obj:
-        raise ValueError("a refusal witness needs \"assignment\"")
+    _need(obj, ("assignment",), "a refusal witness needs \"assignment\"")
     return BadAssignmentWitness(assignment_from_json(obj["assignment"]),
-                                int(obj.get("nodes_searched", 0)))
+                                _int(obj.get("nodes_searched", 0),
+                                     "nodes_searched"))
 
 
 def partition_witness_to_json(w: PartitionabilityWitness) -> dict[str, Any]:
@@ -184,19 +213,21 @@ def partition_witness_to_json(w: PartitionabilityWitness) -> dict[str, Any]:
 
 def partition_witness_from_json(obj: Mapping[str, Any]
                                 ) -> PartitionabilityWitness:
-    if not isinstance(obj, Mapping) or "blocks" not in obj:
-        raise ValueError("a partition witness needs \"lambda\" and "
-                         "\"blocks\"")
+    _need(obj, ("lambda", "blocks"),
+          "a partition witness needs \"lambda\" and \"blocks\"")
     try:
-        lam = IntegerPartition(tuple(int(p) for p in obj["lambda"]))
-        blocks = tuple(
-            BlockEvidence(tuple(int(v) for v in b["vertices"]),
-                          int(b["level"]), str(b["method"]),
-                          int(b.get("classes_checked", 0)))
-            for b in obj["blocks"])
-    except (KeyError, TypeError, ValueError) as exc:
+        lam = IntegerPartition(_ints(obj["lambda"], "lambda"))
+        blocks = []
+        for b in _list(obj["blocks"], "blocks"):
+            _need(b, ("vertices", "level", "method"), "a block needs "
+                  "\"vertices\", \"level\" and \"method\"")
+            blocks.append(BlockEvidence(
+                _ints(b["vertices"], "vertices"), _int(b["level"], "level"),
+                _str(b["method"], "method"),
+                _int(b.get("classes_checked", 0), "classes_checked")))
+    except ValueError as exc:
         raise ValueError(f"bad partition witness: {exc}") from None
-    return PartitionabilityWitness(lam, blocks)
+    return PartitionabilityWitness(lam, tuple(blocks))
 
 
 def transcript_to_json(t: Case2Transcript) -> dict[str, Any]:
@@ -206,13 +237,12 @@ def transcript_to_json(t: Case2Transcript) -> dict[str, Any]:
 
 
 def transcript_from_json(obj: Mapping[str, Any]) -> Case2Transcript:
-    if not isinstance(obj, Mapping) or "rounds" not in obj:
-        raise ValueError("a coloring transcript needs \"assignment\", "
-                         "\"rounds\" and \"final\"")
+    _need(obj, ("assignment", "rounds", "final"), "a coloring transcript "
+          "needs \"assignment\", \"rounds\" and \"final\"")
+    rounds = tuple(_str(r, "a round") for r in _list(obj["rounds"], "rounds"))
     final = _from_vertex_map(obj["final"], "final")
-    return Case2Transcript(assignment_from_json(obj["assignment"]),
-                           tuple(str(r) for r in obj["rounds"]),
-                           tuple(int(c) for c in final))
+    return Case2Transcript(assignment_from_json(obj["assignment"]), rounds,
+                           tuple(_int(c, "a final color") for c in final))
 
 
 def _certificate_to_json(cert: object) -> Any:
@@ -254,14 +284,16 @@ def strict_to_json(d: StrictDecision) -> dict[str, Any]:
 
 
 def strict_from_json(obj: Mapping[str, Any]) -> StrictDecision:
-    if not isinstance(obj, Mapping) or "reason" not in obj:
-        raise ValueError("a strictness decision needs \"k\", \"strict\" "
-                         "and \"reason\"")
+    _need(obj, ("k", "reason"), "a strictness decision needs "
+          "\"k\", \"strict\" and \"reason\"")
     sizes = obj.get("sizes")
     strict = obj.get("strict")
+    if strict is not None and not isinstance(strict, bool):
+        raise ValueError(f"strict must be true, false or null, "
+                         f"got {strict!r:.40}")
     return StrictDecision(
-        None if sizes is None else tuple(int(s) for s in sizes),
-        int(obj["k"]),
-        None if strict is None else bool(strict),
-        str(obj["reason"]),
+        None if sizes is None else _ints(sizes, "sizes"),
+        _int(obj["k"], "k"),
+        strict,
+        _str(obj["reason"], "reason"),
         _certificate_from_json(obj.get("certificate")))

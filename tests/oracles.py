@@ -1,19 +1,26 @@
 """Brute-force oracles used only by the tests.
 
 They answer questions the package answers another way (part lookup,
-subgraph embedding, the canonical assignment stream) by the slow direct
-route, so agreement between the two is testable.
+subgraph embedding, the canonical assignment stream, the lambda-partition
+search) by the slow direct route, so agreement between the two is
+testable.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from strictcolor import limits
-from strictcolor.errors import BoundExceeded
+from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite
+from strictcolor.lambdacolor import (
+    PartitionabilityWitness,
+    _certify_block,
+    descending_parts,
+)
+from strictcolor.partitions import IntegerPartition
 from strictcolor.streams import group_offsets
 
 
@@ -210,3 +217,55 @@ def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
                 yield from vrec(v + 1, nseen, nr3, rels, prefix + abs_row)
 
     yield from vrec(0, (0,) * t, eqpair, None, ())
+
+
+def partitionable_oracle(g: Graph, lam: IntegerPartition
+                         ) -> PartitionabilityWitness | None | Undetermined:
+    """Reference lambda-partition search: every block certified afresh.
+
+    The candidate loop that ``lambdacolor.lambda_partitionable`` memoises,
+    kept without the memo: the same candidates in the same order, each
+    block rebuilt and certified by ``_certify_block``, so the memoised
+    search must return exactly this result.
+    """
+    desc = descending_parts(lam)
+    t = len(desc)
+    stops: list[str] = []
+
+    def try_blocks(blocks: list[tuple[int, ...]]
+                   ) -> PartitionabilityWitness | None:
+        evidence = []
+        for verts, level in zip(blocks, desc):
+            try:
+                ev = _certify_block(g, verts, level)
+            except BoundExceeded as exc:
+                if not stops:
+                    stops.append(str(exc))
+                return None
+            if ev is None:
+                return None
+            evidence.append(ev)
+        return PartitionabilityWitness(lam, tuple(evidence))
+
+    if g.parts is not None:
+        for f in product(range(t), repeat=len(g.parts)):
+            blocks = [tuple(v for pi, part in enumerate(g.parts)
+                            if f[pi] == j for v in part) for j in range(t)]
+            w = try_blocks(blocks)
+            if w is not None:
+                return w
+    try:
+        limits.enforce("PARTITION_GENERIC_BOUND", t ** g.n,
+                       "the vertex-level block candidate count")
+    except BoundExceeded as exc:
+        stops.append(str(exc))
+    else:
+        for f in product(range(t), repeat=g.n):
+            blocks = [tuple(v for v in range(g.n) if f[v] == j)
+                      for j in range(t)]
+            w = try_blocks(blocks)
+            if w is not None:
+                return w
+    if stops:
+        return Undetermined("; ".join(stops))
+    return None

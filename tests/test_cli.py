@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -167,6 +168,19 @@ class TestCheck:
         code, _, err = run_cli(capsys, "not-a-command")
         assert code == 64
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2.7, "edges": []}',
+        '{"n": 2, "edges": [[0, 1.9]]}',
+        '{"n": Infinity, "edges": []}',
+    ])
+    def test_non_integer_graph_is_a_usage_error(self, capsys, tmp_path, text):
+        gf = tmp_path / "g.json"
+        gf.write_text(text)
+        code, out, err = run_cli(capsys, "check", "lambda-choosable",
+                                 "--graph", str(gf), "--lambda", "1,1")
+        assert (code, out) == (64, "")
+        assert err.startswith("error: bad graph object: ")
+
     def test_internal_fault(self, capsys, monkeypatch):
         # A bulk mask that refuses a colorable row is a fault of the
         # program: exit 70 with a one-line diagnostic and no verdict.
@@ -285,6 +299,26 @@ class TestEntryPoint:
         proc = run_module("partitions", "order", "1,1,2", "2,2")
         assert proc.returncode == 1
         assert proc.stdout.strip() == "NLE"
+
+    @pytest.mark.skipif(tomllib is None, reason="tomllib is stdlib from "
+                        "Python 3.11")
+    def test_test_imports_are_declared(self):
+        with PYPROJECT.open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+        declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                    for req in (project["dependencies"]
+                                + project["optional-dependencies"]["test"])}
+        imported = set()
+        for path in PYPROJECT.parent.glob("tests/*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported |= {a.name.split(".")[0] for a in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = (imported - set(sys.stdlib_module_names)
+                       - {"strictcolor", "oracles"})
+        assert "pytest" in third_party  # the scan sees the imports
+        assert third_party <= declared
 
     @pytest.mark.skipif(shutil.which("strictcolor") is None,
                         reason="strictcolor console script not installed")

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from strictcolor import bulk, limits
+import oracles
+from oracles import partitionable_oracle
+from strictcolor import bulk, lambdacolor, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite, is_proper
 from strictcolor.lambdacolor import (
@@ -31,6 +37,7 @@ from strictcolor.partitions import (
     GroupingWitness,
     IntegerPartition,
     enumerate_partitions,
+    near_unit_partition,
     unit_partition,
 )
 
@@ -48,7 +55,6 @@ K333_ASSIGNMENT = LambdaAssignment(
 
 
 def graphs_on(n):
-    from itertools import combinations
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
@@ -221,6 +227,91 @@ class TestPartitionable:
         swapped = PartitionabilityWitness(
             w.lam, (w.blocks[1], w.blocks[0]))
         assert not check_partitionability_witness(g, P((1, 2)), swapped)
+
+
+# SHA-256 of the joined reprs of lambda_partitionable over pin_corpus(),
+# recorded before the search memoised its block certificates.
+PIN_SHA256 = "e4307cb4e08e39bc8f2107cb2f452a2f8ec1a6b012ad4512f13893b67e3ec66e"
+C5_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+
+
+def pin_corpus():
+    """Every K(a,b,c) up to 11 vertices with {1,2}, then every labelled
+    graph on 1..5 vertices with the unit partitions of 1..3, in the order
+    of the unit-equivalence claim."""
+    for a in range(1, 12):
+        for b in range(a, 12):
+            for c in range(b, 12 - a - b):
+                yield complete_multipartite((a, b, c)), near_unit_partition(3)
+    for n in range(1, 6):
+        for g in graphs_on(n):
+            for k in range(1, 4):
+                yield g, unit_partition(k)
+
+
+@st.composite
+def partition_cases(draw):
+    """A graph on at most 6 vertices, with parts that need not match its
+    edges, and a partition of weight at most 3."""
+    n = draw(st.integers(0, 6))
+    pairs = list(combinations(range(n), 2))
+    edges = tuple(e for e in pairs if draw(st.booleans()))
+    parts = None
+    if n and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        ends = [0] + cuts + [n]
+        parts = tuple(tuple(order[a:b]) for a, b in zip(ends, ends[1:]))
+    lam = draw(st.sampled_from(
+        [p for w in (1, 2, 3) for p in enumerate_partitions(w)]))
+    return Graph(n, edges, parts=parts), lam
+
+
+class TestPartitionMemo:
+    def test_witnesses_pinned(self):
+        text = "\n".join(repr(lambda_partitionable(g, lam))
+                         for g, lam in pin_corpus())
+        assert hashlib.sha256(text.encode()).hexdigest() == PIN_SHA256
+
+    @settings(max_examples=80, deadline=None)
+    @given(partition_cases())
+    @example((Graph(6, complete_multipartite([3, 3]).edges,
+                    parts=((0, 1, 2), (3, 4, 5))), P((3,))))
+    @example((Graph(5, C5_EDGES), P((3,))))
+    @example((Graph(5, C5_EDGES, parts=((4, 0), (1, 2, 3))), P((1, 2))))
+    def test_matches_unmemoised_oracle(self, case):
+        g, lam = case
+        # A 6-vertex level-3 block then stops at KLISTS_BOUND, which
+        # exercises a stored BoundExceeded; 5 vertices still certify.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "KLISTS_BOUND", 15)
+            assert lambda_partitionable(g, lam) == partitionable_oracle(g, lam)
+
+    def test_each_induced_block_certified_once_per_call(self, monkeypatch):
+        g = complete_multipartite([3, 3, 5])
+        lam = P((1, 2))
+        certify = lambdacolor._certify_block
+        seen: list[tuple] = []
+
+        def counting(graph, vertices, level):
+            h = graph.induced(vertices)
+            seen.append((level, h.n, h.edges))
+            return certify(graph, vertices, level)
+
+        monkeypatch.setattr(oracles, "_certify_block", counting)
+        partitionable_oracle(g, lam)
+        every = list(seen)
+        seen.clear()
+        monkeypatch.setattr(lambdacolor, "_certify_block", counting)
+        first = lambda_partitionable(g, lam)
+        once = len(seen)
+        # The oracle's blocks, each certified once: nothing is skipped
+        # and nothing is merged that the induced subgraph tells apart.
+        assert len(every) > once == len(set(seen))
+        assert set(seen) == set(every)
+        seen.clear()
+        assert lambda_partitionable(g, lam) == first
+        assert len(seen) == once
 
 
 class TestChoosable:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strictcolor import serialize as ser
 from strictcolor.graphs import Graph, complete_multipartite
@@ -45,6 +47,23 @@ class TestGraph:
                     {"n": "x", "edges": []}):
             with pytest.raises(ValueError):
                 ser.graph_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 2.7, "edges": []},
+        {"n": True, "edges": []},
+        {"n": float("inf"), "edges": []},
+        {"n": 2, "edges": [[0, 1.9]]},
+        {"n": 2, "edges": [["0", True]]},
+        {"n": 2, "edges": [[0, 1, 1]]},
+        {"n": 2, "edges": ["01"]},
+        {"n": 3, "edges": [], "parts": [[0, "1"], [2]]},
+        {"n": 3, "edges": [], "parts": [[0, 1], [2.0]]},
+        {"n": 3, "edges": [], "parts": "012"},
+    ])
+    def test_refuses_non_integers(self, obj):
+        # Each of these used to be cast, truncated or crashed on.
+        with pytest.raises(ValueError, match="bad graph object"):
+            ser.graph_from_json(obj)
 
 
 class TestLists:
@@ -136,11 +155,98 @@ class TestCertificates:
         for d in decisions:
             assert ser.strict_from_json(ser.strict_to_json(d)) == d
 
+    @pytest.mark.parametrize("field, value", [
+        ("strict", "yes"), ("strict", 1), ("reason", None), ("k", 3.0)])
+    def test_strict_fields_are_not_cast(self, field, value):
+        obj = ser.strict_to_json(decide_strict_cmp((2, 5, 5)))
+        obj[field] = value
+        with pytest.raises(ValueError, match=field):
+            ser.strict_from_json(obj)
+
     def test_unknown_certificate_shape_rejected(self):
         obj = ser.strict_to_json(decide_strict_cmp((2, 5, 5)))
         obj["certificate"] = {"surprise": 1}
         with pytest.raises(ValueError):
             ser.strict_from_json(obj)
+
+
+# Valid documents of every reader, for the fuzz below to break.
+JSON_DOCS = (
+    ser.graph_to_json(complete_multipartite((1, 2))),
+    ser.graph_to_json(Graph(3, [(0, 2)])),
+    ser.lists_to_json(((1, 2), (2, 3), (1, 3))),
+    ser.assignment_to_json(
+        random_lambda_assignment(3, IntegerPartition((1, 2)), 0,
+                                 sizes=(1, 2))),
+    ser.bad_witness_to_json(BadAssignmentWitness(witness_k3k(3), 9)),
+    ser.partition_witness_to_json(case1_partition((1, 2, 5))),
+    ser.strict_to_json(decide_strict_cmp((2, 4, 5))),
+    ser.strict_to_json(decide_strict_cmp((2, 5, 5))),
+    ser.strict_to_json(decide_strict_cmp((1, 2, 5))),
+)
+READERS = (ser.graph_from_json, ser.lists_from_json, ser.assignment_from_json,
+           ser.bad_witness_from_json, ser.partition_witness_from_json,
+           ser.transcript_from_json, ser.strict_from_json)
+DOC_KEYS = sorted({k for doc in JSON_DOCS for k in doc}
+                  | {"vertices", "level", "method", "0", "1"})
+# Integers stay at most 64, because a graph allocates per vertex.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(max_value=64) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(DOC_KEYS)
+                                     | st.text(max_size=2),
+                                     inner, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def broken_docs(draw):
+    """A valid document with one subtree replaced or one key dropped."""
+    def mutate(doc):
+        if isinstance(doc, dict) and doc and draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(doc)))
+            rest = {k: v for k, v in doc.items() if k != key}
+            if draw(st.integers(0, 3)) == 0:
+                return rest
+            return {**rest, key: mutate(doc[key])}
+        if isinstance(doc, list) and doc and draw(st.booleans()):
+            i = draw(st.integers(0, len(doc) - 1))
+            return doc[:i] + [mutate(doc[i])] + doc[i + 1:]
+        return draw(json_values)
+    return mutate(draw(st.sampled_from(JSON_DOCS)))
+
+
+def read_all(obj):
+    """Every reader must return a value or raise ValueError."""
+    for read in READERS:
+        try:
+            read(obj)
+        except ValueError:
+            pass
+
+
+class TestReaderFuzz:
+    def test_every_document_is_valid(self):
+        def reads(read, doc):
+            try:
+                read(doc)
+            except ValueError:
+                return False
+            return True
+
+        for doc in JSON_DOCS:
+            assert any(reads(read, doc) for read in READERS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_arbitrary_json(self, obj):
+        read_all(obj)
+
+    @settings(max_examples=500, deadline=None)
+    @given(broken_docs())
+    def test_broken_documents(self, obj):
+        read_all(obj)
 
 
 class TestDump:
