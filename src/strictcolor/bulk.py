@@ -23,6 +23,11 @@ start at ``FIRST_BLOCK`` vectors and double, and the planes are rebuilt
 from the surviving rows whenever the undecided set halves, so the rare
 hard rows face the long tail of the sweep in a few words.  Everything is
 exact integer comparison; numpy only supplies the bulk loops.
+
+Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
+never reach the sweep: ``leaf_candidates`` settles them per prefix, by a
+short bit-sliced sweep over the prefix alone, and ``mask_prefixes``
+masks only the leaves it keeps.
 """
 
 from __future__ import annotations
@@ -163,6 +168,125 @@ def colorable_mask(chunk: np.ndarray, n: int,
     return colorable
 
 
+@lru_cache(maxsize=8)
+def _filter_vectors(k: int, n: int) -> np.ndarray:
+    """FIRST_BLOCK fixed pseudo-random choice vectors, as a read-only (n, B).
+
+    They are drawn on their own rather than taken from _choice_matrix,
+    which builds all k^n vectors before colorable_mask can refuse a sweep
+    over CHOICE_CAP.
+    """
+    picks = np.random.default_rng(0).integers(0, k, size=(n, FIRST_BLOCK))
+    picks.flags.writeable = False
+    return picks
+
+
+def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per prefix G as a color bitmask, and the bit of every color value.
+
+    The bits belong to a compact palette of the colors the last-vertex
+    lists use, since G matters only inside them; other colors have no
+    bit.  None when the lists use more than 64 colors.
+    """
+    lists = chunk.lasts.flat()[0]
+    m, k = chunk.ids.shape[0], lists.shape[1]
+    palette = chunk.lasts.colors()
+    if palette.size > 64:
+        return None
+    prefixes = chunk.rows.reshape(m, n - 1, k)
+    top = max(int(palette[-1]), int(prefixes.max()) if prefixes.size else 0)
+    slot = np.full(top + 1, palette.size, dtype=np.intp)
+    slot[palette] = np.arange(palette.size)
+    bit = np.zeros(top + 1, dtype=WORD)
+    bit[palette] = np.left_shift(np.uint64(1),
+                                 np.arange(palette.size, dtype=np.uint64))
+
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    inner = ends[ends[:, 1] < n - 1]
+    around = ends[ends[:, 1] == n - 1, 0]
+    picks = _filter_vectors(k, n)
+    # Per prefix: the conflict planes, the neighbor color bytes and their
+    # planes, and a few copies of every vector's gathered color planes.
+    per_row = (around.size * k * (palette.size + 1)
+               + (len(inner) * (k * k + FIRST_BLOCK)
+                  + (around.size + 2) * FIRST_BLOCK * palette.size) / 8
+               + k * k + palette.size)
+    step = max(64, int(SWEEP_BYTES // per_row) // 64 * 64)
+    inside = np.empty(m, dtype=WORD)
+    tags = np.arange(palette.size)[None, None, :, None]
+    shifts = np.arange(palette.size, dtype=WORD)[:, None]
+    for at in range(0, m, step):
+        part = prefixes[at:at + step]
+        rows, words = part.shape[0], -(-part.shape[0] // 64)
+        # covered[b, c]: the prefixes where vector b is improper or puts
+        # color c on a neighbor of the last vertex.  G is their AND over b.
+        covered = np.zeros((FIRST_BLOCK, palette.size, words), dtype=WORD)
+        if around.size:
+            # seen[w, i, c]: the prefixes whose neighbor w has color c in
+            # slot i, padded to whole words with a color off the palette.
+            colors = np.full((around.size, k, words * 64), palette.size,
+                             dtype=np.intp)
+            colors[:, :, :rows] = slot[part[:, around, :]].transpose(1, 2, 0)
+            seen = np.packbits((colors[:, :, None, :] == tags).reshape(
+                -1, words * 64), axis=1, bitorder="little").view(
+                WORD).reshape(around.size, k, palette.size, words)
+            covered |= np.bitwise_or.reduce(
+                seen[np.arange(around.size)[:, None], picks[around]], axis=0)
+        if len(inner):
+            planes = _conflict_planes(part, inner)
+            covered |= np.bitwise_or.reduce(planes[
+                np.arange(len(inner))[:, None],
+                picks[inner[:, 0]] * k + picks[inner[:, 1]]], axis=0)[:, None]
+        fits = np.unpackbits(np.bitwise_and.reduce(covered, axis=0).view(
+            np.uint8), axis=1, count=rows, bitorder="little")
+        inside[at:at + rows] = np.bitwise_or.reduce(fits.astype(WORD) << shifts,
+                                                  axis=0)
+    return inside, bit
+
+
+def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
+                    ) -> np.ndarray:
+    """Positions, within a prefix chunk, of leaves the prefix filter keeps.
+
+    The filter sweeps FIRST_BLOCK fixed choice vectors over the edges
+    among each prefix's vertices 0..n-2, bit-sliced like colorable_mask,
+    and keeps G, the AND over the proper vectors of the colors they put
+    on the last vertex's neighbors; with no proper vector, G is every
+    color.  A leaf whose last list L is not inside G is colorable: a
+    proper vector leaves a color of L free for the last vertex.  Only the
+    leaves with L inside G are kept, in stream order; a prefix whose G
+    has fewer than k colors keeps none, and its leaves are not looked at.
+    A chunk with no more leaves than prefixes keeps every leaf.
+    """
+    if n == 0 or not edges:
+        return np.zeros(0, dtype=np.intp)
+    if chunk.leaves <= chunk.ids.shape[0]:
+        # One leaf per prefix: the sweep over the prefixes would cost what
+        # the mask's sweep over the leaves costs.
+        return np.arange(chunk.leaves)
+    found = _prefix_colors(chunk, n, edges)
+    if found is None:
+        return np.arange(chunk.leaves)
+    inside, bit = found
+    lists, start, count = chunk.lasts.flat()
+    ids = chunk.ids
+    per = count[ids]
+    sel = np.flatnonzero(np.bitwise_count(inside) >= lists.shape[1])
+    if not sel.size:
+        return np.zeros(0, dtype=np.intp)
+    lens = per[sel]
+    within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens,
+                                                    lens)
+    where = np.repeat((np.cumsum(per) - per)[sel], lens) + within
+    last = lists[np.repeat(start[ids[sel]], lens) + within]
+    outside = ~np.repeat(inside[sel], lens)
+    keep = where < chunk.leaves
+    for c in range(lists.shape[1]):
+        keep &= (bit[last[:, c]] & outside) == 0
+    return where[keep]
+
+
 def mask_chunks(chunks: Iterable[np.ndarray], n: int,
                 edges: Sequence[tuple[int, int]], workers: int = 1
                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -194,6 +318,36 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
             done, fut = inflight.popleft()
             yield offset, done, fut.result()
             offset += done.shape[0]
+
+
+def mask_prefixes(chunks: Iterable, n: int,
+                  edges: Sequence[tuple[int, int]], workers: int = 1
+                  ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray,
+                                      np.ndarray]]:
+    """Filter, then mask, a stream of prefix chunks, in stream order.
+
+    Yields ``(leaf_offset, leaves, positions, rows, mask)`` per chunk:
+    the leaves before it and in it, the positions of the leaves that
+    leaf_candidates kept, their int32 rows and colorable_mask's verdict
+    on them.  Every other leaf is colorable.  colorable_mask runs once
+    per chunk, on no rows if the filter settled them all, so its
+    CHOICE_CAP stops a decision whatever the filter does.
+    """
+    held: deque[tuple[int, int, np.ndarray]] = deque()
+
+    def candidates() -> Iterator[np.ndarray]:
+        offset = 0
+        for chunk in chunks:
+            positions = leaf_candidates(chunk, n, edges)
+            held.append((offset, chunk.leaves, positions))
+            offset += chunk.leaves
+            rows = chunk.leaf_rows(positions)
+            del chunk  # the prefix rows are not needed while the mask runs
+            yield rows
+
+    for _, rows, mask in mask_chunks(candidates(), n, edges, workers=workers):
+        offset, leaves, positions = held.popleft()
+        yield offset, leaves, positions, rows, mask
 
 
 def mask_stream(rows: Iterable[tuple[int, ...]], n: int,

@@ -19,8 +19,12 @@ class Graph:
     """Undirected simple graph.  Edges are normalized to sorted (u, v) pairs.
 
     ``parts`` is optional structure metadata set by complete_multipartite:
-    a tuple of vertex tuples, one per part, covering every vertex exactly
-    once.  It is not recomputed from the edges.
+    a tuple of non-empty vertex tuples, one per part, covering every vertex
+    exactly once.  Parts are only accepted when they are the graph's
+    complete multipartite structure, that is when the edges are exactly
+    the pairs of vertices in different parts: the chromatic number, the
+    coloring shortcut and the canonical stream's vertex symmetries all
+    read it as such.  ValueError otherwise.
     """
 
     n: int
@@ -43,6 +47,18 @@ class Graph:
             if sorted(flat) != list(range(self.n)):
                 raise ValueError("parts must cover each vertex exactly once")
             object.__setattr__(self, "parts", tuple(tuple(p) for p in self.parts))
+            if any(not p for p in self.parts):
+                raise ValueError("parts must not be empty")
+            side = [0] * self.n
+            for i, part in enumerate(self.parts):
+                for v in part:
+                    side[v] = i
+            cross = (self.n ** 2 - sum(len(p) ** 2 for p in self.parts)) // 2
+            if (len(self.edges) != cross
+                    or any(side[u] == side[v] for u, v in self.edges)):
+                raise ValueError("parts must be the complete multipartite "
+                                 "structure of the edges: every pair in "
+                                 "different parts, and no other, an edge")
         adj = [0] * self.n
         for u, v in self.edges:
             adj[u] |= 1 << v

@@ -255,7 +255,7 @@ def _induced_key(g: Graph, vertices: tuple[int, ...]
 
     The edges come relabeled and sorted exactly as Graph.induced leaves
     them, so two blocks share a key exactly when their induced subgraphs
-    are equal, whatever ``g.parts`` says.
+    are equal; the key never reads ``g.parts``.
     """
     keep = sorted(vertices)
     adj = g.adj
@@ -398,15 +398,15 @@ def _caps_chain(n: int, desc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _stream_refusal(g: Graph, lam: IntegerPartition, chunks,
+def _stream_refusal(g: Graph, lam: IntegerPartition, prefixes,
                     before: int = 0, workers: int = 1
                     ) -> tuple["LambdaVerdict | None", int]:
-    """The first confirmed refusal in a chunked lam-assignment stream.
+    """The first confirmed refusal in a lam-assignment prefix stream.
 
     Returns the exhaustive-provenance negative verdict (or None) and the
     running row count, which starts from ``before`` rows already examined.
     """
-    refusals, examined = find_refusals(g, chunks, workers=workers)
+    refusals, examined = find_refusals(g, prefixes, workers=workers)
     checked = before + examined
     if not refusals:
         return None, checked
@@ -416,12 +416,21 @@ def _stream_refusal(g: Graph, lam: IntegerPartition, chunks,
                          witness=witness), checked
 
 
-def _head_rows(chunks, limit: int) -> Iterator:
-    """The first ``limit`` rows of a chunk stream; the last chunk is cut."""
-    for chunk in chunks:
-        yield chunk[:limit]
-        limit -= chunk.shape[0]
-        if limit <= 0:
+def _head_rows(prefixes, limit: int) -> Iterator:
+    """The prefix chunks of a stream's first ``limit`` leaf rows.
+
+    The chunk that reaches the limit is cut to stand for only the leaves
+    before it.
+    """
+    for chunk in prefixes:
+        last = chunk.leaves >= limit
+        held = [chunk.cut(limit) if last else chunk]
+        limit -= chunk.leaves
+        # Hold no reference while suspended, so the caller can free the
+        # chunk's prefix rows before the mask sweeps its candidates.
+        del chunk
+        yield held.pop()
+        if last:
             return
 
 
@@ -445,9 +454,9 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1
         for caps in _caps_chain(n, desc):
             if examined >= budget:
                 return f"PROSPECT_ROWS: {budget} capped rows held no refusal"
-            chunks = _head_rows(grouped_chunks(n, desc, parts=g.parts,
-                                               caps=caps), budget - examined)
-            found, examined = _stream_refusal(g, lam, chunks, examined,
+            stream = grouped_chunks(n, desc, parts=g.parts, caps=caps)
+            prefixes = _head_rows(stream.prefixes, budget - examined)
+            found, examined = _stream_refusal(g, lam, prefixes, examined,
                                               workers=workers)
             if found is not None:
                 return found
@@ -494,7 +503,7 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
                                      witness=BadAssignmentWitness(
                                          seed, outcome.nodes_searched))
         if g.parts is not None:
-            sizes = tuple(len(p) for p in g.parts)
+            sizes = tuple(sorted(len(p) for p in g.parts))
             k = len(sizes)
             if (k >= 3 and lam == near_unit_partition(k) and sizes[0] == 2
                     and sizes[1] == 4 and sizes[2] <= 5):
@@ -512,9 +521,10 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
             return found
         if found is not None:
             stops.append(found)
-    chunks = grouped_chunks(g.n, desc, parts=g.parts)
+    stream = grouped_chunks(g.n, desc, parts=g.parts)
     try:
-        found, checked = _stream_refusal(g, lam, chunks, workers=workers)
+        found, checked = _stream_refusal(g, lam, stream.prefixes,
+                                         workers=workers)
     except BoundExceeded as exc:
         return LambdaVerdict(None, "undecided",
                              reason="; ".join(stops + [str(exc)]))

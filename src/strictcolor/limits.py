@@ -20,6 +20,7 @@ KLISTS_BOUND = 24  # colors n*k per row: listcolor.k_choosable
 CHOICE_CAP = 2_000_000  # choice vectors k^n: bulk.colorable_mask
 PARTITION_GENERIC_BOUND = 200_000  # t^n: lambdacolor.lambda_partitionable
 PROSPECT_ROWS = 200_000  # capped rows read: lambdacolor._prospect_bad_row
+READ_VERTEX_BOUND = 1024  # vertices of a graph file: serialize.graph_from_json
 
 
 def enforce(name: str, size: int, what: str) -> None:

@@ -13,11 +13,16 @@ stream covers every assignment class, so the bulk verdict decides the
 property exactly.
 
 Every negative verdict drawn from an assignment stream rests on
-``find_refusals``, the one stream -> mask -> confirm skeleton: the bulk
-mask refuses a row, the row is decoded and ``l_color`` refuses it again
-before it is reported.  The disagreement guard lives there and nowhere
-else; callers only build the stream and decode the refusals into their
-own certificates.
+``find_refusals``, the one prefix -> filter -> mask -> confirm skeleton.
+The stream comes as prefix rows (vertices 0..n-2), each standing for its
+leaves.  The prefix filter finds, per prefix, G: the colors that every
+proper filter vector puts on the last vertex's neighbors.  A leaf whose
+last list L is not inside G is colorable, because a proper coloring of
+the prefix leaves a color of L free for the last vertex; only the leaves
+with L inside G go on.  The bulk mask refuses some of them, and each is
+decoded and refused again by ``l_color`` before it is reported.  The
+disagreement guard lives there and nowhere else; callers only build the
+stream and decode the refusals into their own certificates.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from itertools import count
 import numpy as np
 
 from . import limits
-from .bulk import mask_chunks
+from .bulk import mask_prefixes
 from .errors import BoundExceeded, Undetermined
 from .graphs import Graph, complete_multipartite
 from .streams import grouped_chunks, row_lists
@@ -190,32 +195,39 @@ def _bits(mask: int):
         mask ^= low
 
 
-def find_refusals(g: Graph, chunks, first_only: bool = True,
+def find_refusals(g: Graph, prefixes, first_only: bool = True,
                   workers: int = 1):
-    """Rows of a chunked assignment stream that no proper coloring satisfies.
+    """Rows of a canonical stream that no proper coloring satisfies.
 
-    The bulk mask sweeps the chunks; each refused row is decoded with
-    row_lists and re-solved with l_color, so the mask never vouches for
-    itself, and a row the solver colors raises RuntimeError.  Returns
-    ``(refusals, rows_examined)``: refusals are ``(index, lists,
-    nodes_searched)`` with the stream's own 0-based colors, only the first
-    one when first_only, and rows_examined is index + 1 after that early
-    stop, the stream length otherwise.
+    ``prefixes`` is the stream's PrefixChunks (``grouped_chunks(...)
+    .prefixes``).  Per chunk, the prefix filter (``leaf_candidates``)
+    clears every leaf whose last list is not inside its prefix's G, the
+    colors that every proper filter vector puts on the last vertex's
+    neighbors; a proper vector leaves such a leaf's last vertex a free
+    color.  The bulk mask sweeps the rest, and each row it refuses is
+    decoded with row_lists and re-solved with l_color, so neither the
+    filter nor the mask vouches for itself, and a row the solver colors
+    raises RuntimeError.  Returns ``(refusals, rows_examined)``: refusals
+    are ``(index, lists, nodes_searched)`` with the stream's own 0-based
+    colors and leaf indices, only the first one when first_only, and
+    rows_examined is index + 1 after that early stop, the stream's leaf
+    count otherwise.
     """
     refusals = []
     examined = 0
-    for offset, chunk, mask in mask_chunks(chunks, g.n, g.edges,
-                                           workers=workers):
+    for offset, leaves, positions, rows, mask in mask_prefixes(
+            prefixes, g.n, g.edges, workers=workers):
         for i in np.flatnonzero(~mask):
-            lists = tuple(row_lists(tuple(int(x) for x in chunk[i]), g.n))
+            lists = tuple(row_lists(tuple(int(x) for x in rows[i]), g.n))
             confirm = l_color(g, lists)
             if confirm.colorable:
                 raise RuntimeError("bulk filter and solver disagree on a row; "
                                    "refusing to report either verdict")
-            refusals.append((offset + int(i), lists, confirm.nodes_searched))
+            index = offset + int(positions[i])
+            refusals.append((index, lists, confirm.nodes_searched))
             if first_only:
-                return refusals, offset + int(i) + 1
-        examined = offset + mask.shape[0]
+                return refusals, index + 1
+        examined = offset + leaves
     return refusals, examined
 
 
@@ -238,8 +250,8 @@ def k_choosable(g: Graph, k: int, workers: int = 1) -> ChoosabilityVerdict:
         raise ValueError("k must be >= 1")
     limits.enforce("KLISTS_BOUND", g.n * k,
                    "the total colors per row of a k-choosability check")
-    chunks = grouped_chunks(g.n, (k,), parts=g.parts)
-    refusals, checked = find_refusals(g, chunks, workers=workers)
+    stream = grouped_chunks(g.n, (k,), parts=g.parts)
+    refusals, checked = find_refusals(g, stream.prefixes, workers=workers)
     if not refusals:
         return ChoosabilityVerdict(True, None, checked, 0)
     _, lists, nodes = refusals[0]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Sequence
 
+from . import limits
 from .graphs import Graph
 from .lambdacolor import (
     BadAssignmentWitness,
@@ -114,10 +115,13 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
     _need(obj, ("n", "edges"), "a graph object needs \"n\" and \"edges\"")
     parts = obj.get("parts")
     try:
+        n = _int(obj["n"], "n")
+        limits.enforce("READ_VERTEX_BOUND", n, "the vertex count of a "
+                       "graph object")
         edges = [_ints(e, "an edge") for e in _list(obj["edges"], "edges")]
         if any(len(e) != 2 for e in edges):
             raise ValueError("every edge must be a pair of vertices")
-        return Graph(_int(obj["n"], "n"), tuple(edges),
+        return Graph(n, tuple(edges),
                      parts=None if parts is None else
                      tuple(_ints(p, "a part") for p in _list(parts, "parts")))
     except ValueError as exc:

@@ -34,24 +34,36 @@ exhaustive verification and is counted rather than hidden.
 
 Ordinary k-assignments are the single-group case: group_sizes = (k,).
 
-The stream comes out as int32 chunks (``grouped_chunks``).  The rows below
-a vertex depend only on its state: the vertex index, the colors each group
-has used so far, which equal-size groups are still tied under (3), and
-the previous vertex's choice when both share a part (2).  Each state's
-vertex rows and row count are computed once.  A subtree that fits in a
-chunk is emitted whole: it is assembled from its children's blocks, which
-are built once and kept read-only in the narrowest integer type, and
-copied into the chunk with the prefix columns broadcast.  The emitted
-block itself is not kept, so the memo holds only the small sub-blocks.
-Subtrees too big for a chunk are walked one vertex row at a time.
-``enumerate_grouped``, the tuple stream, is the chunk stream flattened.
+``grouped_chunks`` walks the stream once, over its prefixes: the columns
+of vertices 0..n-2.  The rows below a vertex depend only on its state:
+the vertex index, the colors each group has used so far, which equal-size
+groups are still tied under (3), and the previous vertex's choice when
+both share a part (2).  Each state's vertex rows and leaf count are
+computed once.  A state of the last vertex is a prefix state: its vertex
+rows are the last columns of the leaves below every prefix in it, so they
+go once into a read-only table (``LastLists``), and the walk emits each
+prefix row with its state's id instead of its leaves.  A prefix's leaves
+are its row followed by each of its state's lists, in order, so a leaf's
+index in the stream is the leaves before its prefix plus its position in
+the list.  A subtree whose leaves fit in a chunk is emitted whole: its
+prefix rows are assembled from its children's blocks, built once and kept
+read-only in the narrowest integer type, and copied into the chunk with
+the prefix columns above them broadcast.  Subtrees too big for a chunk
+are walked one vertex row at a time.
+
+The decision skeleton reads the prefix chunks (``.prefixes``): the prefix
+filter of ``bulk`` clears, per prefix, every leaf whose last list holds a
+color that one of its proper colorings of the prefix leaves free for the
+last vertex, and only the rest are masked and confirmed.  Iterating the stream instead expands the
+same prefix chunks into leaf-row chunks; ``enumerate_grouped``, the tuple
+stream, is those chunks flattened.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,18 +81,158 @@ def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(offs)
 
 
+class LastLists:
+    """The last vertex's lists below each prefix state, in stream order.
+
+    A prefix state gets the next id when the walk first meets it, and its
+    entry is the state's vertex rows, one row per leaf below any prefix in
+    that state.  The table only grows, so an id keeps its meaning for the
+    whole stream.
+    """
+
+    def __init__(self) -> None:
+        self._rows = np.empty((0, 0), dtype=np.int32)
+        self._start: list[int] = []
+        self._count: list[int] = []
+        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._colors: set[int] = set()
+        self._palette: np.ndarray | None = None
+
+    def add(self, lists: np.ndarray) -> int:
+        used = self._start[-1] + self._count[-1] if self._start else 0
+        if used + len(lists) > len(self._rows):
+            grown = np.empty((2 * (used + len(lists)), lists.shape[1]),
+                             dtype=np.int32)
+            if used:
+                grown[:used] = self._rows[:used]
+            self._rows = grown
+        self._rows[used:used + len(lists)] = lists
+        self._start.append(used)
+        self._count.append(len(lists))
+        self._flat = None
+        colors = lists.ravel().tolist()
+        if not self._colors.issuperset(colors):
+            self._colors.update(colors)
+            self._palette = None
+        return len(self._start) - 1
+
+    def colors(self) -> np.ndarray:
+        """The colors the entries use, sorted, until the next add."""
+        if self._palette is None:
+            self._palette = np.array(sorted(self._colors), dtype=np.intp)
+            self._palette.flags.writeable = False
+        return self._palette
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, start, count): every entry stacked, and where each sits.
+
+        The arrays are read-only; an entry never changes, so they stay
+        right for the ids they cover after later adds.
+        """
+        if self._flat is None:
+            start = np.array(self._start, dtype=np.intp)
+            count = np.array(self._count, dtype=np.intp)
+            rows = self._rows[:start[-1] + count[-1]]
+            for a in (rows, start, count):
+                a.flags.writeable = False
+            self._flat = (rows, start, count)
+        return self._flat
+
+
+class PrefixChunk(NamedTuple):
+    """Prefix rows of the canonical stream, standing for their leaf rows.
+
+    ``rows`` holds the columns of vertices 0..n-2 (int32, one prefix per
+    row) and ``ids[i]`` the last-vertex state of prefix i in ``lasts``.
+    Prefix i's leaves are its row followed by each of its state's lists,
+    in order.  The chunk stands for its first ``leaves`` leaves: all of
+    them, unless the last prefix was cut short.
+    """
+
+    rows: np.ndarray
+    ids: np.ndarray
+    lasts: LastLists
+    leaves: int
+
+    def leaf_sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per leaf, in order: its prefix's index and its row in lasts.flat()."""
+        _, start, count = self.lasts.flat()
+        per = count[self.ids]
+        prefix = np.repeat(np.arange(len(per)), per)[:self.leaves]
+        first = np.cumsum(per) - per
+        return prefix, (start[self.ids] - first)[prefix] + np.arange(
+            self.leaves)
+
+    def leaf_rows(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """Fresh int32 leaf rows, of every leaf or of those at positions."""
+        prefix, table = self.leaf_sources()
+        if positions is not None:
+            prefix, table = prefix[positions], table[positions]
+        lists = self.lasts.flat()[0]
+        split = self.rows.shape[1]
+        out = np.empty((len(prefix), split + lists.shape[1]), dtype=np.int32)
+        out[:, :split] = self.rows[prefix]
+        out[:, split:] = lists[table]
+        return out
+
+    def cut(self, leaves: int) -> "PrefixChunk":
+        """The chunk standing for only its first ``leaves`` leaves."""
+        count = self.lasts.flat()[2]
+        keep = int(np.searchsorted(np.cumsum(count[self.ids]), leaves)) + 1
+        return self._replace(rows=self.rows[:keep], ids=self.ids[:keep],
+                             leaves=min(leaves, self.leaves))
+
+
+class CanonicalStream(Iterator[np.ndarray]):
+    """One canonical stream, read as leaf chunks or as prefix chunks.
+
+    Iterating yields the leaf rows, in order, as fresh, writable (m, n*k)
+    int32 chunks with m == chunk_rows except in the last one.
+    ``prefixes`` yields the walk's own PrefixChunks, each standing for at
+    most chunk_rows leaves unless it holds a single prefix.  Both views
+    draw on one walk, so a caller reads one of them.
+    """
+
+    def __init__(self, prefixes: Iterator[PrefixChunk], chunk_rows: int):
+        self.prefixes = prefixes
+        self._leaves = _leaf_chunks(prefixes, chunk_rows)
+
+    def __next__(self) -> np.ndarray:
+        return next(self._leaves)
+
+
+def _leaf_chunks(prefixes: Iterator[PrefixChunk],
+                 chunk_rows: int) -> Iterator[np.ndarray]:
+    """The prefix chunks' leaf rows, regrouped into chunk_rows-row chunks."""
+    pending: list[np.ndarray] = []
+    held = 0
+    for chunk in prefixes:
+        rows = chunk.leaf_rows()
+        while rows.shape[0]:
+            take = min(rows.shape[0], chunk_rows - held)
+            pending.append(rows[:take])
+            rows = rows[take:]
+            held += take
+            if held == chunk_rows:
+                # A piece that shares its memory with the next chunk is
+                # copied, so every chunk owns its rows.
+                yield (pending[0] if len(pending) == 1 and not rows.shape[0]
+                       else np.concatenate(pending))
+                pending, held = [], 0
+    if held:
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
 def grouped_chunks(n: int, group_sizes: Sequence[int],
                    parts: Sequence[Sequence[int]] | None = None,
                    caps: Sequence[int] | None = None,
-                   chunk_rows: int = CHUNK_ROWS) -> Iterator[np.ndarray]:
-    """Yield the canonical rows, in lexicographic order, as int32 chunks.
+                   chunk_rows: int = CHUNK_ROWS) -> CanonicalStream:
+    """The canonical rows, in lexicographic order, as a CanonicalStream.
 
-    Every chunk is a fresh, writable (m, n*k) array with m == chunk_rows
-    except in the last one.  ``parts`` marks runs of interchangeable
-    vertices (consecutive vertex ranges, as produced by complete
-    multipartite construction); constraint 2 applies inside each part.
-    Without it every vertex is its own part and only constraints 1 and 3
-    apply.
+    ``parts`` marks runs of interchangeable vertices (consecutive vertex
+    ranges, as produced by complete multipartite construction);
+    constraint 2 applies inside each part.  Without it every vertex is
+    its own part and only constraints 1 and 3 apply.
 
     ``caps`` filters the stream to rows whose group-i colors stay within
     the first caps[i] values of that group's window.  Assignments hostile
@@ -88,32 +240,52 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     filtered stream makes no completeness promise of its own and is exempt
     from GROUPED_BOUND, since the caller is expected to truncate it.
 
-    Arguments are checked, and errors raised, at the first ``next()``.
+    Arguments are checked, and errors raised, at the first ``next()`` of
+    either view.
     """
-    sizes = tuple(group_sizes)
-    if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
-        raise ValueError(f"group sizes must be positive integers, got {sizes}")
-    if list(sizes) != sorted(sizes, reverse=True):
-        raise ValueError(f"group sizes must be non-increasing, got {sizes}")
-    if n < 0:
-        raise ValueError("vertex count must be >= 0")
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    if caps is None:
-        limits.enforce("GROUPED_BOUND", n * sum(sizes), "the total colors "
-                       "per row of an assignment enumeration")
-    else:
-        caps = tuple(int(c) for c in caps)
-        if len(caps) != len(sizes):
-            raise ValueError("caps must give one limit per group")
-        if any(c < s for c, s in zip(caps, sizes)):
-            raise ValueError(f"caps {caps} leave some vertex short of its "
-                             f"group size {sizes}")
-        caps = tuple(min(c, n * s) for c, s in zip(caps, sizes))
-    if n == 0:
-        yield np.zeros((1, 0), dtype=np.int32)
-        return
 
+    def walk_prefixes() -> Iterator[PrefixChunk]:
+        sizes = tuple(group_sizes)
+        if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
+            raise ValueError(f"group sizes must be positive integers, "
+                             f"got {sizes}")
+        if list(sizes) != sorted(sizes, reverse=True):
+            raise ValueError(f"group sizes must be non-increasing, "
+                             f"got {sizes}")
+        if n < 0:
+            raise ValueError("vertex count must be >= 0")
+        if chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        if caps is None:
+            bounded = None
+            limits.enforce("GROUPED_BOUND", n * sum(sizes), "the total "
+                           "colors per row of an assignment enumeration")
+        else:
+            bounded = tuple(int(c) for c in caps)
+            if len(bounded) != len(sizes):
+                raise ValueError("caps must give one limit per group")
+            if any(c < s for c, s in zip(bounded, sizes)):
+                raise ValueError(f"caps {bounded} leave some vertex short "
+                                 f"of its group size {sizes}")
+            bounded = tuple(min(c, n * s) for c, s in zip(bounded, sizes))
+        table = LastLists()
+        if n == 0:
+            # No last vertex: the one empty row is one empty prefix with
+            # one empty leaf.
+            table.add(np.zeros((1, 0), dtype=np.int32))
+            yield PrefixChunk(np.zeros((1, 0), dtype=np.int32),
+                              np.zeros(1, dtype=np.intp), table, 1)
+            return
+        yield from _walk(n, sizes, parts, bounded, chunk_rows, table)
+
+    return CanonicalStream(walk_prefixes(), chunk_rows)
+
+
+def _walk(n: int, sizes: tuple[int, ...],
+          parts: Sequence[Sequence[int]] | None,
+          caps: tuple[int, ...] | None, chunk_rows: int,
+          table: LastLists) -> Iterator[PrefixChunk]:
+    """The memoised walk of grouped_chunks, over checked arguments, n >= 1."""
     if parts is None:
         samepart = [False] * n
     else:
@@ -174,7 +346,8 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     # A vertex state is (v, seen, r3eq, previous vertex's choice if v
     # shares its part, else None): everything the rows of vertices v..
     # depend on.  Past the last vertex there is one state, with one empty
-    # row.
+    # row.  A state of the last vertex is a prefix state: its vertex rows
+    # are the last columns of the leaves below every prefix in it.
     end = (n,)
     kids_of: dict[tuple, tuple[np.ndarray, list[tuple]]] = {}
     states: dict[tuple, tuple] = {end: end}
@@ -198,7 +371,7 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
             kids_of[state] = got
         return got
 
-    # Subtree row counts, capped at chunk_rows + 1 ("too big for a block").
+    # Subtree leaf counts, capped at chunk_rows + 1 ("too big for a block").
     counts: dict[tuple, int] = {end: 1}
 
     def count(state) -> int:
@@ -213,65 +386,104 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
             counts[state] = got
         return got
 
-    # Read-only rows of the subtrees that emitted blocks are built from.
-    blocks: dict[tuple, np.ndarray] = {end: np.zeros((1, 0), dtype=narrow)}
+    # Each prefix state's id in the table, given when the walk meets it.
+    last_ids: dict[tuple, int] = {}
 
-    def block(state, keep: bool = True) -> np.ndarray:
-        """The subtree's rows over vertices v.., as a narrow-dtype array."""
+    def last_id(state) -> int:
+        got = last_ids.get(state)
+        if got is None:
+            got = last_ids[state] = table.add(children(state)[0])
+        return got
+
+    # Read-only blocks of the subtrees that emitted blocks: the prefix
+    # rows over vertices v..n-2, each prefix's state id and leaf count.
+    blocks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def block(state, keep: bool = True):
         got = blocks.get(state)
         if got is not None:
             return got
         heads, nexts = children(state)
         if state[0] == n - 1:
-            got = heads
+            got = (np.zeros((1, 0), dtype=narrow),
+                   np.array([last_id(state)], dtype=np.intp),
+                   np.array([heads.shape[0]], dtype=np.intp))
+        elif state[0] == n - 2:
+            got = (heads, np.array([last_id(c) for c in nexts], dtype=np.intp),
+                   np.array([children(c)[0].shape[0] for c in nexts],
+                            dtype=np.intp))
         else:
             subs = [block(child) for child in nexts]
-            lens = [sub.shape[0] for sub in subs]
-            got = np.empty((sum(lens), (n - state[0]) * k), dtype=narrow)
-            got[:, :k] = np.repeat(heads, lens, axis=0)
-            np.concatenate(subs, out=got[:, k:])
+            lens = [sub[1].shape[0] for sub in subs]
+            rows = np.empty((sum(lens), (n - 1 - state[0]) * k), dtype=narrow)
+            rows[:, :k] = np.repeat(heads, lens, axis=0)
+            np.concatenate([sub[0] for sub in subs], out=rows[:, k:])
+            got = (rows, np.concatenate([sub[1] for sub in subs]),
+                   np.concatenate([sub[2] for sub in subs]))
         if keep:
-            got.flags.writeable = False
+            for part in got:
+                part.flags.writeable = False
             blocks[state] = got
         return got
 
     root = (0, (0,) * t, eqpair, None)
-    width = n * k
-    buf = np.empty((min(chunk_rows, count(root)), width), dtype=np.int32)
-    pos = 0
+    width = (n - 1) * k
+    cap = min(chunk_rows, count(root))
+    buf = ids = None
+    pos = held = 0
 
-    def walk(state, prefix: list[int]) -> Iterator[np.ndarray]:
-        """Emit the subtree below prefix: whole if it fits a chunk."""
-        nonlocal buf, pos
-        if count(state) > chunk_rows:
+    def flush() -> PrefixChunk:
+        nonlocal buf, ids, pos, held
+        out = PrefixChunk(buf[:pos], ids[:pos], table, held)
+        buf = ids = None
+        pos = held = 0
+        return out
+
+    def walk(state, prefix: list[int]) -> Iterator[PrefixChunk]:
+        """Emit the prefixes below prefix: whole if they fit a chunk."""
+        nonlocal buf, ids, pos, held
+        if state[0] < n - 1 and count(state) > chunk_rows:
             heads, nexts = children(state)
             for head, child in zip(heads.tolist(), nexts):
                 yield from walk(child, prefix + head)
             return
-        rows = block(state, keep=False)
-        done, split = 0, len(prefix)
+        rows, sids, per = block(state, keep=False)
+        ends = np.cumsum(per)
+        done = base = 0
+        split = len(prefix)
         while done < rows.shape[0]:
-            take = min(rows.shape[0] - done, chunk_rows - pos)
-            out = buf[pos:pos + take]
-            out[:, :split] = prefix
-            out[:, split:] = rows[done:done + take]
+            # As many whole prefixes as the chunk has leaves left for; a
+            # prefix with more leaves than a chunk goes alone.
+            take = int(np.searchsorted(ends, base + chunk_rows - held,
+                                       side="right")) - done
+            if take <= 0:
+                if pos:
+                    yield flush()
+                    continue
+                take = 1
+            if buf is None:
+                buf = np.empty((cap, width), dtype=np.int32)
+                ids = np.empty(cap, dtype=np.intp)
+            buf[pos:pos + take, :split] = prefix
+            buf[pos:pos + take, split:] = rows[done:done + take]
+            ids[pos:pos + take] = sids[done:done + take]
             pos += take
             done += take
-            if pos == chunk_rows:
-                yield buf
-                buf = np.empty((chunk_rows, width), dtype=np.int32)
-                pos = 0
+            held += int(ends[done - 1]) - base
+            base = int(ends[done - 1])
+            if held >= chunk_rows:
+                yield flush()
 
     try:
         yield from walk(root, [])
         if pos:
-            yield buf[:pos]
+            yield flush()
     finally:
         # walk, count and block call themselves, so only the cycle
         # collector would free them and what they hold: let go of it now.
-        buf = None
+        buf = ids = table = None
         options.cache_clear()
-        for memo in (kids_of, counts, blocks, states):
+        for memo in (kids_of, counts, blocks, states, last_ids):
             memo.clear()
 
 

@@ -2,7 +2,7 @@
 
 They answer questions the package answers another way (part lookup,
 subgraph embedding, the canonical assignment stream, the lambda-partition
-search) by the slow direct route, so agreement between the two is
+search, the refusals of a stream) by the slow direct route, so agreement between the two is
 testable.
 """
 
@@ -12,7 +12,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from strictcolor import limits
+from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite
 from strictcolor.lambdacolor import (
@@ -20,8 +23,9 @@ from strictcolor.lambdacolor import (
     _certify_block,
     descending_parts,
 )
+from strictcolor.listcolor import l_color
 from strictcolor.partitions import IntegerPartition
-from strictcolor.streams import group_offsets
+from strictcolor.streams import group_offsets, row_lists
 
 
 def part_of(g: Graph, v: int) -> int:
@@ -269,3 +273,25 @@ def partitionable_oracle(g: Graph, lam: IntegerPartition
     if stops:
         return Undetermined("; ".join(stops))
     return None
+
+
+def leaf_refusals_oracle(g: Graph, chunks, first_only: bool = True):
+    """find_refusals the leaf way: mask every leaf row, confirm refusals.
+
+    The bulk mask sweeps every leaf chunk of the stream, with no prefix
+    filter, and each refused row is re-solved with l_color.  Returns the
+    same ``(refusals, rows_examined)`` as find_refusals.
+    """
+    refusals = []
+    examined = 0
+    for offset, chunk, mask in mask_chunks(chunks, g.n, g.edges):
+        for i in np.flatnonzero(~mask):
+            lists = tuple(row_lists(tuple(int(x) for x in chunk[i]), g.n))
+            confirm = l_color(g, lists)
+            if confirm.colorable:
+                raise RuntimeError("bulk filter and solver disagree on a row")
+            refusals.append((offset + int(i), lists, confirm.nodes_searched))
+            if first_only:
+                return refusals, offset + int(i) + 1
+        examined = offset + mask.shape[0]
+    return refusals, examined

@@ -11,17 +11,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import leaf_refusals_oracle
 from strictcolor import limits
 from strictcolor.bulk import (
     _choice_matrix,
     colorable_mask,
+    leaf_candidates,
     mask_stream,
     row_chunks,
 )
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import Graph, complete_multipartite
-from strictcolor.listcolor import find_refusals, l_color_multipartite
+from strictcolor.lambdacolor import _head_rows
+from strictcolor.listcolor import find_refusals, l_color, l_color_multipartite
 from strictcolor.streams import (
+    LastLists,
+    PrefixChunk,
     enumerate_grouped,
     enumerate_k_lists,
     grouped_chunks,
@@ -239,7 +244,7 @@ class TestMaskStream:
         # A single edge with 1-lists: the only uncolorable rows give both
         # endpoints the same singleton list.
         refusals, examined = find_refusals(Graph(2, ((0, 1),)),
-                                           grouped_chunks(2, (1,)))
+                                           grouped_chunks(2, (1,)).prefixes)
         [(index, lists, _nodes)] = refusals
         assert index == 0 and examined == 1
         assert lists == ((0,), (0,))
@@ -247,4 +252,108 @@ class TestMaskStream:
     def test_first_uncolorable_none(self):
         rows = list(enumerate_k_lists(2, 2))
         assert find_refusals(Graph(2, ((0, 1),)),
-                             row_chunks(iter(rows), 4)) == ([], len(rows))
+                             grouped_chunks(2, (2,)).prefixes) == ([],
+                                                                  len(rows))
+
+
+# ---------------------------------------------------------------- prefix filter
+
+def head_leaves(chunks, limit):
+    """The first ``limit`` rows of a leaf chunk stream; the last is cut."""
+    for chunk in chunks:
+        yield chunk[:limit]
+        limit -= chunk.shape[0]
+        if limit <= 0:
+            return
+
+
+@st.composite
+def refusal_cases(draw):
+    """(graph, group sizes, caps, budget, first_only, chunk_rows).
+
+    The graph has at most 6 vertices: complete multipartite with its
+    parts, or random edges and no parts.  Group sizes have weight at most
+    3; a large uncapped stream always gets a budget.
+    """
+    if draw(st.booleans()):
+        g = complete_multipartite(draw(
+            st.lists(st.integers(1, 6), min_size=1, max_size=6)
+            .filter(lambda s: sum(s) <= 6)))
+    else:
+        n = draw(st.integers(0, 6))
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, tuple(e for e in pairs if draw(st.booleans())))
+    sizes = draw(st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1),
+                                  (1, 1, 1)]))
+    caps = None
+    if draw(st.booleans()):
+        caps = tuple(draw(st.integers(s, s + 3)) for s in sizes)
+    budget = draw(st.one_of(st.none(), st.integers(1, 3000)))
+    if budget is None and caps is None and g.n * sum(sizes) > 12:
+        budget = 20000
+    return (g, sizes, caps, budget, draw(st.booleans()),
+            draw(st.sampled_from((1, 7, 64, 65536))))
+
+
+class TestPrefixFilter:
+    """find_refusals against the leaf path it replaces, which masks every
+    leaf row of the stream (oracles.leaf_refusals_oracle)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(refusal_cases())
+    @example((Graph(0, ()), (2,), None, None, True, 64))
+    @example((Graph(1, ()), (1,), None, None, False, 1))
+    @example((Graph(5, ()), (2, 1), (3, 1), None, False, 7))
+    @example((complete_multipartite((2, 4)), (2,), None, None, False, 64))
+    @example((complete_multipartite((2, 4)), (2,), None, 3581, True, 65536))
+    @example((complete_multipartite((1, 1, 1)), (1, 1, 1), (1, 1, 2), 2,
+              False, 1))
+    def test_matches_leaf_path(self, case):
+        g, sizes, caps, budget, first_only, chunk_rows = case
+
+        def stream():
+            return grouped_chunks(g.n, sizes, parts=g.parts, caps=caps,
+                                  chunk_rows=chunk_rows)
+
+        prefixes, leaves = stream().prefixes, stream()
+        if budget is not None:
+            prefixes = _head_rows(prefixes, budget)
+            leaves = head_leaves(leaves, budget)
+        assert (find_refusals(g, prefixes, first_only=first_only)
+                == leaf_refusals_oracle(g, leaves, first_only=first_only))
+
+    def test_clears_only_colorable_leaves_past_color_63(self):
+        # Group 1's window starts at 22 * 3 = 66, so the colors need the
+        # compact palette; a 4^22 mask sweep is out of reach, so each
+        # cleared leaf is checked by the solver instead.
+        g = Graph(22, tuple((v, (v + 1) % 22) for v in range(22)))
+        stream = grouped_chunks(22, (3, 1), caps=(4, 1), chunk_rows=500)
+        chunk = next(stream.prefixes)
+        rows = chunk.leaf_rows()
+        assert rows.max() >= 64
+        kept = set(leaf_candidates(chunk, g.n, g.edges).tolist())
+        cleared = [i for i in range(chunk.leaves) if i not in kept]
+        assert cleared
+        for i in cleared:
+            assert l_color(g, row_lists(tuple(rows[i].tolist()), g.n)).colorable
+
+    def test_more_than_64_colors_keep_every_leaf(self):
+        # A hand-made chunk over 3 vertices whose last lists use 90
+        # colors: the filter keeps every leaf, and the mask decides them
+        # as the leaf path does.
+        rng = np.random.default_rng(5)
+        g = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        lasts = LastLists()
+        for entry in np.arange(90, dtype=np.int32).reshape(9, 5, 2):
+            lasts.add(entry)
+        rows = np.sort(rng.choice(90, size=(40, 2, 2)), axis=2).reshape(
+            40, 4).astype(np.int32)
+        rows[:, :2] = 0, 1  # vertex 0 always lists (0, 1): refusals happen
+        ids = rng.integers(0, 9, size=40)
+        chunk = PrefixChunk(rows, ids, lasts, 5 * 40)
+        assert lasts.colors().size == 90
+        assert leaf_candidates(chunk, g.n, g.edges).tolist() == list(
+            range(chunk.leaves))
+        got = find_refusals(g, [chunk], first_only=False)
+        assert got == leaf_refusals_oracle(g, [chunk.leaf_rows()],
+                                           first_only=False)

@@ -181,9 +181,53 @@ class TestCheck:
         assert (code, out) == (64, "")
         assert err.startswith("error: bad graph object: ")
 
+    def test_false_parts_are_a_usage_error(self, capsys, tmp_path):
+        # The K(2,4) edges under one part: K(2,4) is not 2-choosable, and
+        # one part would let the stream skip orbits that are no symmetry.
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps({
+            "n": 6, "edges": [list(e) for e in
+                              complete_multipartite((2, 4)).edges],
+            "parts": [[0, 1, 2, 3, 4, 5]]}))
+        code, out, err = run_cli(capsys, "check", "k-choosable",
+                                 "--graph", str(gf), "--k", "2")
+        assert (code, out) == (64, "")
+        assert err.startswith("error: bad graph object: parts must be the "
+                              "complete multipartite structure")
+
+    def test_huge_vertex_count_is_a_usage_error(self, capsys, tmp_path):
+        gf = tmp_path / "g.json"
+        gf.write_text('{"n": 1000000000, "edges": []}')
+        code, out, err = run_cli(capsys, "check", "k-choosable",
+                                 "--graph", str(gf), "--k", "2")
+        assert (code, out) == (64, "")
+        assert err.startswith("error: bad graph object: READ_VERTEX_BOUND: "
+                              "the vertex count of a graph object is "
+                              "bounded at 1024, got 1000000000")
+
+    def test_unsorted_json_parts_reach_case2(self, capsys, tmp_path):
+        # K(2,4,4) listed as parts of sizes 4, 2, 4: the case-2 rung reads
+        # the sizes sorted, as it does for --parts.
+        parts = [[0, 1, 2, 3], [4, 5], [6, 7, 8, 9]]
+        edges = [[u, v] for i, p in enumerate(parts) for q in parts[i + 1:]
+                 for u in p for v in q]
+        gf = tmp_path / "g.json"
+        gf.write_text(json.dumps({"n": 10, "edges": edges, "parts": parts}))
+        code, out, _ = run_cli(capsys, "check", "lambda-choosable",
+                               "--graph", str(gf), "--lambda", "1,2")
+        assert code == 0
+        assert json.loads(out)["provenance"] == "case2"
+        code, sorted_out, _ = run_cli(capsys, "check", "lambda-choosable",
+                                      "--parts", "2,4,4", "--lambda", "1,2")
+        assert code == 0 and out == sorted_out
+
     def test_internal_fault(self, capsys, monkeypatch):
         # A bulk mask that refuses a colorable row is a fault of the
-        # program: exit 70 with a one-line diagnostic and no verdict.
+        # program: exit 70 with a one-line diagnostic and no verdict.  The
+        # prefix filter keeps every leaf, so the mask sees them all.
+        monkeypatch.setattr(
+            bulk, "leaf_candidates",
+            lambda chunk, *_args, **_kw: np.arange(chunk.leaves))
         monkeypatch.setattr(
             bulk, "colorable_mask",
             lambda chunk, *_args, **_kw: np.zeros(chunk.shape[0], dtype=bool))

@@ -6,6 +6,8 @@ import random
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import embedding_oracle, find_subgraph, part_of
 from strictcolor.errors import BoundExceeded
@@ -17,6 +19,7 @@ from strictcolor.graphs import (
     find_coloring,
     is_proper,
 )
+from strictcolor.listcolor import k_choosable
 
 
 # ---------------------------------------------------------------- oracles
@@ -90,6 +93,50 @@ class TestGraph:
 
 
 # ---------------------------------------------------------------- multipartite
+
+class TestParts:
+    """Parts are accepted only as the edges' complete multipartite shape."""
+
+    @pytest.mark.parametrize("g", [
+        lambda: Graph(6, complete_multipartite([2, 4]).edges,
+                      parts=((0, 1, 2, 3, 4, 5),)),
+        lambda: Graph(10, tuple(combinations(range(10), 2)),
+                      parts=((0, 1), (2, 3, 4, 5), (6, 7, 8, 9))),
+        lambda: Graph(3, ((0, 1), (0, 2), (1, 2)), parts=((0, 1), (2,))),
+        lambda: Graph(4, ((0, 2), (0, 3), (1, 2)), parts=((0, 1), (2, 3))),
+        lambda: Graph(2, ((0, 1),), parts=((0,), (1,), ())),
+    ], ids=["one-part-k24", "k10-as-k244", "triangle-as-k21",
+            "missing-cross-edge", "empty-part"])
+    def test_false_parts_refused(self, g):
+        with pytest.raises(ValueError, match="parts must"):
+            g()
+
+    def test_true_parts_accepted_in_any_order(self):
+        g = complete_multipartite([1, 2, 3])
+        shuffled = Graph(g.n, g.edges, parts=((3, 5, 4), (0,), (2, 1)))
+        assert shuffled.parts == ((3, 5, 4), (0,), (2, 1))
+        assert Graph(0, (), parts=()).parts == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(list(combinations(range(n), 2)) or [(0, 1)])),
+        st.sets(st.integers(1, max(n - 1, 1))))))
+    def test_random_parts_refused_or_same_verdicts(self, case):
+        n, edges, cuts = case
+        edges = tuple(e for e in edges if e[1] < n)
+        ends = [0] + sorted(c for c in cuts if c < n) + [n]
+        parts = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+        plain = Graph(n, edges)
+        try:
+            g = Graph(n, edges, parts=parts if n else ())
+        except ValueError:
+            return
+        assert chromatic_number(g) == chromatic_number(plain)
+        assert (find_coloring(g, chromatic_number(g)) is not None
+                and is_proper(g, find_coloring(g, chromatic_number(g))))
+        assert k_choosable(g, 2).choosable == k_choosable(plain, 2).choosable
+
 
 class TestCompleteMultipartite:
     def test_small_instance(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import partitionable_oracle
-from strictcolor import bulk, lambdacolor, limits
+from strictcolor import lambdacolor, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite, is_proper
 from strictcolor.lambdacolor import (
@@ -251,20 +251,21 @@ def pin_corpus():
 
 @st.composite
 def partition_cases(draw):
-    """A graph on at most 6 vertices, with parts that need not match its
-    edges, and a partition of weight at most 3."""
+    """A graph on at most 6 vertices and a partition of weight at most 3.
+
+    The graph is complete multipartite, with its parts, or has random
+    edges and no parts: a Graph refuses parts that do not match its
+    edges."""
+    lam = draw(st.sampled_from(
+        [p for w in (1, 2, 3) for p in enumerate_partitions(w)]))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6)
+                     .filter(lambda s: sum(s) <= 6))
+        return complete_multipartite(sizes), lam
     n = draw(st.integers(0, 6))
     pairs = list(combinations(range(n), 2))
     edges = tuple(e for e in pairs if draw(st.booleans()))
-    parts = None
-    if n and draw(st.booleans()):
-        order = draw(st.permutations(range(n)))
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-        ends = [0] + cuts + [n]
-        parts = tuple(tuple(order[a:b]) for a, b in zip(ends, ends[1:]))
-    lam = draw(st.sampled_from(
-        [p for w in (1, 2, 3) for p in enumerate_partitions(w)]))
-    return Graph(n, edges, parts=parts), lam
+    return Graph(n, edges), lam
 
 
 class TestPartitionMemo:
@@ -275,10 +276,9 @@ class TestPartitionMemo:
 
     @settings(max_examples=80, deadline=None)
     @given(partition_cases())
-    @example((Graph(6, complete_multipartite([3, 3]).edges,
-                    parts=((0, 1, 2), (3, 4, 5))), P((3,))))
+    @example((complete_multipartite([3, 3]), P((3,))))
     @example((Graph(5, C5_EDGES), P((3,))))
-    @example((Graph(5, C5_EDGES, parts=((4, 0), (1, 2, 3))), P((1, 2))))
+    @example((Graph(5, C5_EDGES), P((1, 2))))
     def test_matches_unmemoised_oracle(self, case):
         g, lam = case
         # A 6-vertex level-3 block then stops at KLISTS_BOUND, which
@@ -420,7 +420,7 @@ class TestProspectBudget:
                                 v.witness.nodes_searched)
         assert found == PROSPECT_REFUSALS
 
-    # (rows of each chunk the mask saw, classes_checked or None if no hit)
+    # (rows each caps stream examined, classes_checked or None if no hit)
     @pytest.mark.parametrize("sizes,budget,masked,checked", [
         ((3, 3, 3), 445, [1, 444], None),
         ((3, 3, 3), 446, [1, 445], 446),
@@ -428,18 +428,19 @@ class TestProspectBudget:
         ((3, 3, 5), 930, [1, 929], 930),
         ((2, 2, 2), 600, [1, 108, 491], None),
         ((2, 2, 2), 70000, [1, 108, 2646, 43812, 23433], None),
-        ((2, 2, 2), 200000, [1, 108, 2646, 43812, 65536, 65536, 22361], None),
+        ((2, 2, 2), 200000, [1, 108, 2646, 43812, 153433], None),
     ])
     def test_budget_is_cut_exactly(self, monkeypatch, sizes, budget, masked,
                                    checked):
         seen = []
-        mask = bulk.colorable_mask
+        find = lambdacolor.find_refusals
 
-        def counting(chunk, *args, **kwargs):
-            seen.append(chunk.shape[0])
-            return mask(chunk, *args, **kwargs)
+        def counting(*args, **kwargs):
+            refusals, examined = find(*args, **kwargs)
+            seen.append(examined)
+            return refusals, examined
 
-        monkeypatch.setattr(bulk, "colorable_mask", counting)
+        monkeypatch.setattr(lambdacolor, "find_refusals", counting)
         monkeypatch.setattr(limits, "PROSPECT_ROWS", budget)
         v = _prospect_bad_row(complete_multipartite(sizes), P((1, 2)))
         assert seen == masked

@@ -28,6 +28,7 @@ from strictcolor.partitions import (
     enumerate_partitions,
     refinement_hasse,
 )
+from strictcolor.serialize import graph_from_json
 from strictcolor.streams import grouped_chunks
 
 LIMITS = {
@@ -40,6 +41,7 @@ LIMITS = {
     "CHOICE_CAP": 2_000_000,
     "PARTITION_GENERIC_BOUND": 200_000,
     "PROSPECT_ROWS": 200_000,
+    "READ_VERTEX_BOUND": 1024,
 }
 
 SRC = Path(strictcolor.__file__).resolve().parent
@@ -103,6 +105,20 @@ def test_every_stop_names_its_limit(monkeypatch, limit, fragment, decide,
     text = stop_text(decide)
     assert f"{limit}: " in text
     assert fragment in text
+
+
+def test_graph_reader_bounds_the_vertex_count_first(monkeypatch):
+    # Checked before any allocation, and a usage error (ValueError), not
+    # an undecided verdict: the CLI exits 64.
+    with pytest.raises(ValueError, match="READ_VERTEX_BOUND: the vertex "
+                       "count of a graph object is bounded at 1024, got "
+                       "1000000000") as info:
+        graph_from_json({"n": 10**9, "edges": []})
+    assert not isinstance(info.value, BoundExceeded)
+    monkeypatch.setattr(limits, "READ_VERTEX_BOUND", 3)
+    assert graph_from_json({"n": 3, "edges": []}).n == 3
+    with pytest.raises(ValueError, match="bounded at 3, got 4"):
+        graph_from_json({"n": 4, "edges": []})
 
 
 def test_lambda_choosable_names_every_rung_that_stopped(monkeypatch):
@@ -201,4 +217,5 @@ def test_each_limit_is_checked_in_one_function():
         "CHOICE_CAP": {"bulk.colorable_mask"},
         "PARTITION_GENERIC_BOUND": {"lambdacolor.lambda_partitionable"},
         "PROSPECT_ROWS": {"lambdacolor._prospect_bad_row"},
+        "READ_VERTEX_BOUND": {"serialize.graph_from_json"},
     }

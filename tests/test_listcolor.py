@@ -169,6 +169,10 @@ def refuse_every_row(chunk, n, edges):
     return np.zeros(chunk.shape[0], dtype=bool)
 
 
+def keep_every_leaf(chunk, n, edges):
+    return np.arange(chunk.leaves)
+
+
 @pytest.mark.parametrize("decide", [
     lambda: k_choosable(complete_multipartite([2, 2]), 2),
     lambda: lambda_choosable(complete_multipartite([1, 1, 1]),
@@ -180,7 +184,9 @@ def refuse_every_row(chunk, n, edges):
         "hoffman-johnson"])
 def test_bulk_solver_disagreement_raises(monkeypatch, decide):
     # A mask that refuses colorable rows must stop every decision loop
-    # before it reports a verdict.
+    # before it reports a verdict.  The prefix filter keeps every leaf,
+    # so no loop can settle a leaf before the mask refuses it.
+    monkeypatch.setattr(bulk, "leaf_candidates", keep_every_leaf)
     monkeypatch.setattr(bulk, "colorable_mask", refuse_every_row)
     with pytest.raises(RuntimeError, match="bulk filter and solver disagree"):
         decide()
