@@ -26,8 +26,8 @@ exact integer comparison; numpy only supplies the bulk loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
 never reach the sweep: ``leaf_candidates`` settles them per prefix, by a
-short bit-sliced sweep over the prefix alone, and ``mask_prefixes``
-masks only the leaves it keeps.
+short bit-sliced sweep over the prefix alone, and the decision skeleton
+(``listcolor.find_refusals``) masks only the leaves it keeps.
 """
 
 from __future__ import annotations
@@ -294,6 +294,8 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
 
     With workers > 1 the chunks are solved by a thread pool; results are
     merged back in order, so the output is identical for any worker count.
+    No decision uses the pool; it is kept only for perfbench's pool probe
+    (ROADMAP item 6).
     """
     if workers <= 1:
         offset = 0
@@ -318,36 +320,6 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
             done, fut = inflight.popleft()
             yield offset, done, fut.result()
             offset += done.shape[0]
-
-
-def mask_prefixes(chunks: Iterable, n: int,
-                  edges: Sequence[tuple[int, int]], workers: int = 1
-                  ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray,
-                                      np.ndarray]]:
-    """Filter, then mask, a stream of prefix chunks, in stream order.
-
-    Yields ``(leaf_offset, leaves, positions, rows, mask)`` per chunk:
-    the leaves before it and in it, the positions of the leaves that
-    leaf_candidates kept, their int32 rows and colorable_mask's verdict
-    on them.  Every other leaf is colorable.  colorable_mask runs once
-    per chunk, on no rows if the filter settled them all, so its
-    CHOICE_CAP stops a decision whatever the filter does.
-    """
-    held: deque[tuple[int, int, np.ndarray]] = deque()
-
-    def candidates() -> Iterator[np.ndarray]:
-        offset = 0
-        for chunk in chunks:
-            positions = leaf_candidates(chunk, n, edges)
-            held.append((offset, chunk.leaves, positions))
-            offset += chunk.leaves
-            rows = chunk.leaf_rows(positions)
-            del chunk  # the prefix rows are not needed while the mask runs
-            yield rows
-
-    for _, rows, mask in mask_chunks(candidates(), n, edges, workers=workers):
-        offset, leaves, positions = held.popleft()
-        yield offset, leaves, positions, rows, mask
 
 
 def mask_stream(rows: Iterable[tuple[int, ...]], n: int,

@@ -130,15 +130,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.question == "lambda-choosable":
         g = _load_graph(args)
         lam = parse_partition(getattr(args, "lambda"))
-        verdict = lambda_choosable(g, lam, method=args.method,
-                                   workers=args.workers)
+        verdict = lambda_choosable(g, lam, method=args.method)
         _emit(ser.lambda_verdict_to_json(verdict))
         if verdict.choosable is None:
             _say(args, f"undecided: {verdict.reason}")
             return UNDECIDED
         return OK if verdict.choosable else NO
     g = _load_graph(args)
-    verdict = k_choosable(g, args.k, workers=args.workers)
+    verdict = k_choosable(g, args.k)
     _emit(ser.choosability_to_json(verdict))
     return OK if verdict.choosable else NO
 
@@ -214,11 +213,9 @@ def _claim_hj_unique(out_dir: Path | None) -> tuple[bool, str]:
     return True, detail
 
 
-def _claim_exhaustive(sizes: tuple[int, ...],
-                      workers: int) -> tuple[bool, str]:
+def _claim_exhaustive(sizes: tuple[int, ...]) -> tuple[bool, str]:
     g = complete_multipartite(sizes)
-    v = lambda_choosable(g, IntegerPartition((1, 2)), method="exhaustive",
-                         workers=workers)
+    v = lambda_choosable(g, IntegerPartition((1, 2)), method="exhaustive")
     if v.choosable is not True:
         return False, f"verdict {v.choosable} ({v.provenance})"
     return True, f"{v.classes_checked} classes"
@@ -259,9 +256,9 @@ def cmd_verify_claims(args: argparse.Namespace) -> int:
                    lambda: (hoffman_johnson_enumerate(2, 3) == (),
                             "no refusing class")))
     claims.append(("exhaustive-k3",
-                   lambda: _claim_exhaustive((1, 1, 1), args.workers)))
+                   lambda: _claim_exhaustive((1, 1, 1))))
     claims.append(("exhaustive-k222",
-                   lambda: _claim_exhaustive((2, 2, 2), args.workers)))
+                   lambda: _claim_exhaustive((2, 2, 2))))
     claims.append(("unit-equivalence", _claim_unit_equivalence))
 
     entries = []
@@ -330,12 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="integer partition, e.g. 1,2 or 1*2,2")
     c_ch.add_argument("--method", choices=("auto", "exhaustive"),
                       default="auto")
-    c_ch.add_argument("--workers", type=int, default=1)
     c_kc = csub.add_parser("k-choosable",
                            help="decide plain k-choosability")
     graph_source(c_kc)
     c_kc.add_argument("--k", type=int, required=True)
-    c_kc.add_argument("--workers", type=int, default=1)
     check.set_defaults(func=cmd_check)
 
     strict = sub.add_parser("strict", help="strict colorability decisions")
@@ -356,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "report.json")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the random host extensions")
-    verify.add_argument("--workers", type=int, default=1)
     verify.set_defaults(func=cmd_verify_claims)
     return parser
 

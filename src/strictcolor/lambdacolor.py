@@ -398,15 +398,14 @@ def _caps_chain(n: int, desc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _stream_refusal(g: Graph, lam: IntegerPartition, prefixes,
-                    before: int = 0, workers: int = 1
-                    ) -> tuple["LambdaVerdict | None", int]:
+def _stream_refusal(g: Graph, lam: IntegerPartition, chunks,
+                    before: int = 0) -> tuple["LambdaVerdict | None", int]:
     """The first confirmed refusal in a lam-assignment prefix stream.
 
     Returns the exhaustive-provenance negative verdict (or None) and the
     running row count, which starts from ``before`` rows already examined.
     """
-    refusals, examined = find_refusals(g, prefixes, workers=workers)
+    refusals, examined = find_refusals(g, chunks)
     checked = before + examined
     if not refusals:
         return None, checked
@@ -416,13 +415,13 @@ def _stream_refusal(g: Graph, lam: IntegerPartition, prefixes,
                          witness=witness), checked
 
 
-def _head_rows(prefixes, limit: int) -> Iterator:
+def _head_rows(chunks, limit: int) -> Iterator:
     """The prefix chunks of a stream's first ``limit`` leaf rows.
 
     The chunk that reaches the limit is cut to stand for only the leaves
     before it.
     """
-    for chunk in prefixes:
+    for chunk in chunks:
         last = chunk.leaves >= limit
         held = [chunk.cut(limit) if last else chunk]
         limit -= chunk.leaves
@@ -434,7 +433,7 @@ def _head_rows(prefixes, limit: int) -> Iterator:
             return
 
 
-def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1
+def _prospect_bad_row(g: Graph, lam: IntegerPartition
                       ) -> "LambdaVerdict | str | None":
     """Hunt for an uncolorable assignment among small-palette rows.
 
@@ -455,9 +454,8 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition, workers: int = 1
             if examined >= budget:
                 return f"PROSPECT_ROWS: {budget} capped rows held no refusal"
             stream = grouped_chunks(n, desc, parts=g.parts, caps=caps)
-            prefixes = _head_rows(stream.prefixes, budget - examined)
-            found, examined = _stream_refusal(g, lam, prefixes, examined,
-                                              workers=workers)
+            found, examined = _stream_refusal(
+                g, lam, _head_rows(stream, budget - examined), examined)
             if found is not None:
                 return found
     except BoundExceeded as exc:
@@ -476,8 +474,8 @@ class LambdaVerdict:
 
 
 def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
-                     seeds: Sequence[LambdaAssignment] = (),
-                     workers: int = 1) -> LambdaVerdict:
+                     seeds: Sequence[LambdaAssignment] = ()
+                     ) -> LambdaVerdict:
     """Decide whether every lam-assignment of g is colorable.
 
     method "auto" walks the ladder described in the module docstring;
@@ -516,15 +514,14 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
             return LambdaVerdict(True, "partitionable", partition=part)
         if isinstance(part, Undetermined):
             stops.append(part.reason)
-        found = _prospect_bad_row(g, lam, workers=workers)
+        found = _prospect_bad_row(g, lam)
         if isinstance(found, LambdaVerdict):
             return found
         if found is not None:
             stops.append(found)
     stream = grouped_chunks(g.n, desc, parts=g.parts)
     try:
-        found, checked = _stream_refusal(g, lam, stream.prefixes,
-                                         workers=workers)
+        found, checked = _stream_refusal(g, lam, stream)
     except BoundExceeded as exc:
         return LambdaVerdict(None, "undecided",
                              reason="; ".join(stops + [str(exc)]))

@@ -13,16 +13,17 @@ stream covers every assignment class, so the bulk verdict decides the
 property exactly.
 
 Every negative verdict drawn from an assignment stream rests on
-``find_refusals``, the one prefix -> filter -> mask -> confirm skeleton.
-The stream comes as prefix rows (vertices 0..n-2), each standing for its
-leaves.  The prefix filter finds, per prefix, G: the colors that every
-proper filter vector puts on the last vertex's neighbors.  A leaf whose
-last list L is not inside G is colorable, because a proper coloring of
-the prefix leaves a color of L free for the last vertex; only the leaves
-with L inside G go on.  The bulk mask refuses some of them, and each is
-decoded and refused again by ``l_color`` before it is reported.  The
-disagreement guard lives there and nowhere else; callers only build the
-stream and decode the refusals into their own certificates.
+``find_refusals``, the one prefix -> filter -> mask -> confirm skeleton,
+a plain loop over the stream's prefix chunks.  A prefix row (vertices
+0..n-2) stands for its leaves.  The prefix filter finds, per prefix, G:
+the colors that every proper filter vector puts on the last vertex's
+neighbors.  A leaf whose last list L is not inside G is colorable,
+because a proper coloring of the prefix leaves a color of L free for the
+last vertex; only the leaves with L inside G go on.  The bulk mask
+refuses some of them, and each is decoded and refused again by
+``l_color`` before it is reported.  The disagreement guard lives there
+and nowhere else; callers only build the stream and decode the refusals
+into their own certificates.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from itertools import count
 
 import numpy as np
 
-from . import limits
-from .bulk import mask_prefixes
+from . import bulk, limits
 from .errors import BoundExceeded, Undetermined
 from .graphs import Graph, complete_multipartite
 from .streams import grouped_chunks, row_lists
@@ -195,28 +195,32 @@ def _bits(mask: int):
         mask ^= low
 
 
-def find_refusals(g: Graph, prefixes, first_only: bool = True,
-                  workers: int = 1):
+def find_refusals(g: Graph, chunks, first_only: bool = True):
     """Rows of a canonical stream that no proper coloring satisfies.
 
-    ``prefixes`` is the stream's PrefixChunks (``grouped_chunks(...)
-    .prefixes``).  Per chunk, the prefix filter (``leaf_candidates``)
-    clears every leaf whose last list is not inside its prefix's G, the
-    colors that every proper filter vector puts on the last vertex's
-    neighbors; a proper vector leaves such a leaf's last vertex a free
-    color.  The bulk mask sweeps the rest, and each row it refuses is
-    decoded with row_lists and re-solved with l_color, so neither the
-    filter nor the mask vouches for itself, and a row the solver colors
-    raises RuntimeError.  Returns ``(refusals, rows_examined)``: refusals
-    are ``(index, lists, nodes_searched)`` with the stream's own 0-based
-    colors and leaf indices, only the first one when first_only, and
-    rows_examined is index + 1 after that early stop, the stream's leaf
-    count otherwise.
+    ``chunks`` is the stream's PrefixChunks (``grouped_chunks(...)``).
+    Per chunk, the prefix filter (``bulk.leaf_candidates``) clears every
+    leaf whose last list is not inside its prefix's G, the colors that
+    every proper filter vector puts on the last vertex's neighbors; a
+    proper vector leaves such a leaf's last vertex a free color.  The
+    bulk mask sweeps the rest, once per chunk even on no rows, so its
+    CHOICE_CAP stops a decision whatever the filter does.  Each row it
+    refuses is decoded with row_lists and re-solved with l_color, so
+    neither the filter nor the mask vouches for itself, and a row the
+    solver colors raises RuntimeError.  Returns ``(refusals,
+    rows_examined)``: refusals are ``(index, lists, nodes_searched)`` with
+    the stream's own 0-based colors and leaf indices, only the first one
+    when first_only, and rows_examined is index + 1 after that early
+    stop, the stream's leaf count otherwise.
     """
     refusals = []
-    examined = 0
-    for offset, leaves, positions, rows, mask in mask_prefixes(
-            prefixes, g.n, g.edges, workers=workers):
+    offset = 0
+    for chunk in chunks:
+        positions = bulk.leaf_candidates(chunk, g.n, g.edges)
+        leaves = chunk.leaves
+        rows = chunk.leaf_rows(positions)
+        del chunk  # the prefix rows are not needed while the mask runs
+        mask = bulk.colorable_mask(rows, g.n, g.edges)
         for i in np.flatnonzero(~mask):
             lists = tuple(row_lists(tuple(int(x) for x in rows[i]), g.n))
             confirm = l_color(g, lists)
@@ -227,8 +231,8 @@ def find_refusals(g: Graph, prefixes, first_only: bool = True,
             refusals.append((index, lists, confirm.nodes_searched))
             if first_only:
                 return refusals, index + 1
-        examined = offset + leaves
-    return refusals, examined
+        offset += leaves
+    return refusals, offset
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,7 @@ class ChoosabilityVerdict:
     solver_nodes: int
 
 
-def k_choosable(g: Graph, k: int, workers: int = 1) -> ChoosabilityVerdict:
+def k_choosable(g: Graph, k: int) -> ChoosabilityVerdict:
     """Decide k-choosability by exhausting the canonical assignment stream.
 
     On failure the earliest uncolorable row, shifted to colors 1..n*k,
@@ -251,7 +255,7 @@ def k_choosable(g: Graph, k: int, workers: int = 1) -> ChoosabilityVerdict:
     limits.enforce("KLISTS_BOUND", g.n * k,
                    "the total colors per row of a k-choosability check")
     stream = grouped_chunks(g.n, (k,), parts=g.parts)
-    refusals, checked = find_refusals(g, stream.prefixes, workers=workers)
+    refusals, checked = find_refusals(g, stream)
     if not refusals:
         return ChoosabilityVerdict(True, None, checked, 0)
     _, lists, nodes = refusals[0]
@@ -261,7 +265,7 @@ def k_choosable(g: Graph, k: int, workers: int = 1) -> ChoosabilityVerdict:
                                checked, nodes)
 
 
-def choice_number(g: Graph, workers: int = 1) -> int | Undetermined:
+def choice_number(g: Graph) -> int | Undetermined:
     """Least k for which the graph is k-choosable.
 
     Choosability is monotone in k (restrict any larger list), so the first
@@ -272,7 +276,7 @@ def choice_number(g: Graph, workers: int = 1) -> int | Undetermined:
         return 0
     for k in count(1):
         try:
-            verdict = k_choosable(g, k, workers=workers)
+            verdict = k_choosable(g, k)
         except BoundExceeded as exc:
             return Undetermined(f"{exc}; not ({k - 1})-choosable",
                                 lower_bound=k)

@@ -51,12 +51,11 @@ read-only in the narrowest integer type, and copied into the chunk with
 the prefix columns above them broadcast.  Subtrees too big for a chunk
 are walked one vertex row at a time.
 
-The decision skeleton reads the prefix chunks (``.prefixes``): the prefix
-filter of ``bulk`` clears, per prefix, every leaf whose last list holds a
-color that one of its proper colorings of the prefix leaves free for the
-last vertex, and only the rest are masked and confirmed.  Iterating the stream instead expands the
-same prefix chunks into leaf-row chunks; ``enumerate_grouped``, the tuple
-stream, is those chunks flattened.
+The decision skeleton reads these prefix chunks: the prefix filter of
+``bulk`` clears, per prefix, every leaf whose last list holds a color that
+one of its proper colorings of the prefix leaves free for the last
+vertex, and only the rest are masked and confirmed.  ``enumerate_grouped``,
+the tuple stream, is each chunk's ``leaf_rows()`` flattened.
 """
 
 from __future__ import annotations
@@ -183,51 +182,14 @@ class PrefixChunk(NamedTuple):
                              leaves=min(leaves, self.leaves))
 
 
-class CanonicalStream(Iterator[np.ndarray]):
-    """One canonical stream, read as leaf chunks or as prefix chunks.
-
-    Iterating yields the leaf rows, in order, as fresh, writable (m, n*k)
-    int32 chunks with m == chunk_rows except in the last one.
-    ``prefixes`` yields the walk's own PrefixChunks, each standing for at
-    most chunk_rows leaves unless it holds a single prefix.  Both views
-    draw on one walk, so a caller reads one of them.
-    """
-
-    def __init__(self, prefixes: Iterator[PrefixChunk], chunk_rows: int):
-        self.prefixes = prefixes
-        self._leaves = _leaf_chunks(prefixes, chunk_rows)
-
-    def __next__(self) -> np.ndarray:
-        return next(self._leaves)
-
-
-def _leaf_chunks(prefixes: Iterator[PrefixChunk],
-                 chunk_rows: int) -> Iterator[np.ndarray]:
-    """The prefix chunks' leaf rows, regrouped into chunk_rows-row chunks."""
-    pending: list[np.ndarray] = []
-    held = 0
-    for chunk in prefixes:
-        rows = chunk.leaf_rows()
-        while rows.shape[0]:
-            take = min(rows.shape[0], chunk_rows - held)
-            pending.append(rows[:take])
-            rows = rows[take:]
-            held += take
-            if held == chunk_rows:
-                # A piece that shares its memory with the next chunk is
-                # copied, so every chunk owns its rows.
-                yield (pending[0] if len(pending) == 1 and not rows.shape[0]
-                       else np.concatenate(pending))
-                pending, held = [], 0
-    if held:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-
-
 def grouped_chunks(n: int, group_sizes: Sequence[int],
                    parts: Sequence[Sequence[int]] | None = None,
                    caps: Sequence[int] | None = None,
-                   chunk_rows: int = CHUNK_ROWS) -> CanonicalStream:
-    """The canonical rows, in lexicographic order, as a CanonicalStream.
+                   chunk_rows: int = CHUNK_ROWS) -> Iterator[PrefixChunk]:
+    """The canonical rows, in lexicographic order, as PrefixChunks.
+
+    Each chunk stands for at most chunk_rows leaves unless it holds a
+    single prefix.
 
     ``parts`` marks runs of interchangeable vertices (consecutive vertex
     ranges, as produced by complete multipartite construction);
@@ -240,8 +202,7 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     filtered stream makes no completeness promise of its own and is exempt
     from GROUPED_BOUND, since the caller is expected to truncate it.
 
-    Arguments are checked, and errors raised, at the first ``next()`` of
-    either view.
+    Arguments are checked, and errors raised, at the first ``next()``.
     """
 
     def walk_prefixes() -> Iterator[PrefixChunk]:
@@ -278,7 +239,7 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
             return
         yield from _walk(n, sizes, parts, bounded, chunk_rows, table)
 
-    return CanonicalStream(walk_prefixes(), chunk_rows)
+    return walk_prefixes()
 
 
 def _walk(n: int, sizes: tuple[int, ...],
@@ -491,9 +452,9 @@ def enumerate_grouped(n: int, group_sizes: Sequence[int],
                       parts: Sequence[Sequence[int]] | None = None,
                       caps: Sequence[int] | None = None
                       ) -> Iterator[tuple[int, ...]]:
-    """The rows of grouped_chunks one at a time, as tuples of ints."""
+    """The leaf rows of grouped_chunks one at a time, as tuples of ints."""
     for chunk in grouped_chunks(n, group_sizes, parts=parts, caps=caps):
-        yield from map(tuple, chunk.tolist())
+        yield from map(tuple, chunk.leaf_rows().tolist())
 
 
 def enumerate_k_lists(n: int, k: int,

@@ -436,7 +436,7 @@ def hoffman_johnson_enumerate(m: int, n: int) -> tuple[tuple[tuple[int, ...],
     g = complete_multipartite([m, n])
     assert g.parts is not None
     stream = grouped_chunks(g.n, (2,), parts=g.parts)
-    refusals, _ = find_refusals(g, stream.prefixes, first_only=False)
+    refusals, _ = find_refusals(g, stream, first_only=False)
     classes = {canonical_class(lists, g.parts) for _, lists, _ in refusals}
     return tuple(
         tuple(tuple(c + 1 for c in lst) for lst in row_lists(row, g.n))

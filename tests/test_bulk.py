@@ -244,7 +244,7 @@ class TestMaskStream:
         # A single edge with 1-lists: the only uncolorable rows give both
         # endpoints the same singleton list.
         refusals, examined = find_refusals(Graph(2, ((0, 1),)),
-                                           grouped_chunks(2, (1,)).prefixes)
+                                           grouped_chunks(2, (1,)))
         [(index, lists, _nodes)] = refusals
         assert index == 0 and examined == 1
         assert lists == ((0,), (0,))
@@ -252,8 +252,7 @@ class TestMaskStream:
     def test_first_uncolorable_none(self):
         rows = list(enumerate_k_lists(2, 2))
         assert find_refusals(Graph(2, ((0, 1),)),
-                             grouped_chunks(2, (2,)).prefixes) == ([],
-                                                                  len(rows))
+                             grouped_chunks(2, (2,))) == ([], len(rows))
 
 
 # ---------------------------------------------------------------- prefix filter
@@ -315,7 +314,8 @@ class TestPrefixFilter:
             return grouped_chunks(g.n, sizes, parts=g.parts, caps=caps,
                                   chunk_rows=chunk_rows)
 
-        prefixes, leaves = stream().prefixes, stream()
+        prefixes = stream()
+        leaves = (chunk.leaf_rows() for chunk in stream())
         if budget is not None:
             prefixes = _head_rows(prefixes, budget)
             leaves = head_leaves(leaves, budget)
@@ -328,7 +328,7 @@ class TestPrefixFilter:
         # cleared leaf is checked by the solver instead.
         g = Graph(22, tuple((v, (v + 1) % 22) for v in range(22)))
         stream = grouped_chunks(22, (3, 1), caps=(4, 1), chunk_rows=500)
-        chunk = next(stream.prefixes)
+        chunk = next(stream)
         rows = chunk.leaf_rows()
         assert rows.max() >= 64
         kept = set(leaf_candidates(chunk, g.n, g.edges).tolist())

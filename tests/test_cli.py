@@ -168,6 +168,19 @@ class TestCheck:
         code, _, err = run_cli(capsys, "not-a-command")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "lambda-choosable", "--parts", "2,2", "--lambda", "1,1"),
+        ("check", "k-choosable", "--parts", "2,2", "--k", "2"),
+        ("verify-claims", "--k-max", "3"),
+    ], ids=["lambda-choosable", "k-choosable", "verify-claims"])
+    def test_workers_flag_is_a_usage_error(self, capsys, argv):
+        # Decisions run on one thread: there is no --workers to pass.
+        code, out, err = run_cli(capsys, *argv, "--workers", "2")
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: strictcolor ")
+        assert "unrecognized arguments: --workers 2" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text", [
         '{"n": 2.7, "edges": []}',
         '{"n": 2, "edges": [[0, 1.9]]}',
@@ -285,15 +298,14 @@ class TestStrict:
 
 
 class TestDeterminism:
-    def test_workers_do_not_change_bytes(self, capsys, tmp_path):
+    def test_exhaustive_bytes_repeat(self, capsys, tmp_path):
         cyc = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
         gf = write_graph(tmp_path / "c5.json", cyc)
         outs = []
-        for workers in ("1", "3"):
+        for _ in range(2):
             code, out, _ = run_cli(capsys, "check", "lambda-choosable",
                                    "--graph", gf, "--lambda", "1,2",
-                                   "--method", "exhaustive",
-                                   "--workers", workers)
+                                   "--method", "exhaustive")
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]

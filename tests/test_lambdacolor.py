@@ -361,12 +361,6 @@ class TestChoosable:
         assert v.choosable is None and v.provenance == "undecided"
         assert "bounded" in v.reason
 
-    def test_workers_do_not_change_the_verdict(self):
-        g = complete_multipartite([2, 2])
-        a = lambda_choosable(g, P((1, 1)), method="exhaustive", workers=1)
-        b = lambda_choosable(g, P((1, 1)), method="exhaustive", workers=3)
-        assert a == b
-
     def test_unit_partition_matches_chromatic_number_small(self):
         for n in (1, 2, 3):
             for g in graphs_on(n):

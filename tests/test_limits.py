@@ -133,7 +133,9 @@ def test_limits_are_read_at_call_time(monkeypatch):
     with pytest.raises(BoundExceeded, match="MULTIPARTITE_BOUND.* 3, got 4"):
         complete_multipartite([2, 2])
     monkeypatch.setattr(limits, "GROUPED_BOUND", 40)
-    assert next(grouped_chunks(16, (2,), chunk_rows=1)).shape == (1, 32)
+    chunk = next(grouped_chunks(16, (2,), chunk_rows=1))
+    assert chunk.rows.shape == (1, 30)  # one prefix: vertices 0..14
+    assert chunk.leaf_rows().shape == (chunk.leaves, 32)
 
 
 @pytest.mark.parametrize("argv,limit", [

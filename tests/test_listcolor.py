@@ -8,13 +8,12 @@ against classical small cases and the structural 2-choosability test.
 from __future__ import annotations
 
 import random
-from functools import partial
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from strictcolor import bulk, limits, listcolor
+from strictcolor import bulk, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
 from strictcolor.lambdacolor import lambda_choosable
@@ -140,24 +139,6 @@ class TestKChoosable:
                 cur = k_choosable(g, k).choosable
                 assert cur or not prev
                 prev = cur
-
-    def test_workers_same_verdict(self, monkeypatch):
-        # 64-row chunks, so the pool has several chunks in flight.
-        monkeypatch.setattr(listcolor, "grouped_chunks",
-                            partial(listcolor.grouped_chunks, chunk_rows=64))
-        pooled = []
-        mask = bulk.colorable_mask
-
-        def counting(chunk, *args):
-            pooled.append(chunk.shape[0])
-            return mask(chunk, *args)
-
-        g = complete_multipartite([2, 4])
-        a = k_choosable(g, 2)
-        monkeypatch.setattr(bulk, "colorable_mask", counting)
-        b = k_choosable(g, 2, workers=3)
-        assert a == b
-        assert len(pooled) > 1
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):

@@ -237,7 +237,8 @@ ORACLE_ROWS = 3000
 
 
 def chunk_rows_of(chunks):
-    return [tuple(r) for c in chunks for r in c.tolist()]
+    """Every leaf row of a prefix chunk stream, as tuples."""
+    return [tuple(r) for c in chunks for r in c.leaf_rows().tolist()]
 
 
 def first_error(stream):
@@ -286,24 +287,27 @@ class TestGroupedChunks:
         chunks, taken = [], 0
         for chunk in grouped_chunks(n, sizes, parts=parts, caps=caps,
                                     chunk_rows=chunk_rows):
-            assert chunk.dtype == np.int32
-            assert chunk.shape[1] == n * sum(sizes)
+            rows = chunk.leaf_rows()
+            assert rows.dtype == np.int32
+            assert rows.shape == (chunk.leaves, n * sum(sizes))
+            # At most chunk_rows leaves, unless the chunk is one prefix.
+            assert chunk.leaves > 0
+            assert chunk.leaves <= chunk_rows or chunk.rows.shape[0] == 1
             chunks.append(chunk)
-            taken += chunk.shape[0]
+            taken += chunk.leaves
             if taken > ORACLE_ROWS:
                 break
         got = chunk_rows_of(chunks)
-        assert all(c.shape[0] == chunk_rows for c in chunks[:-1])
         if len(want) <= ORACLE_ROWS:
-            # The whole stream: same rows, and a short last chunk only.
             assert got == want
-            assert 0 < chunks[-1].shape[0] <= chunk_rows
         else:
             assert got[:len(want)] == want
 
     def test_empty_graph_is_one_empty_row(self):
         [chunk] = list(grouped_chunks(0, (2,)))
-        assert chunk.shape == (1, 0) and chunk.dtype == np.int32
+        rows = chunk.leaf_rows()
+        assert chunk.leaves == 1
+        assert rows.shape == (1, 0) and rows.dtype == np.int32
 
     @pytest.mark.parametrize("sizes,n,lam,count", [
         ((2, 2, 2), 6, (2, 1), 5_618_352),  # K(2,2,2), lambda = {1,2}
@@ -311,10 +315,14 @@ class TestGroupedChunks:
     ])
     def test_pinned_counts(self, sizes, n, lam, count):
         g = complete_multipartite(sizes)
-        shapes = [c.shape for c in grouped_chunks(n, lam, parts=g.parts)]
-        assert sum(m for m, _ in shapes) == count
-        assert all(m == 65536 for m, _ in shapes[:-1])
-        assert {w for _, w in shapes} == {n * sum(lam)}
+        k = sum(lam)
+        leaves = 0
+        for chunk in grouped_chunks(n, lam, parts=g.parts):
+            assert chunk.leaves <= 65536 or chunk.rows.shape[0] == 1
+            assert chunk.rows.shape[1] == (n - 1) * k
+            assert chunk.lasts.flat()[0].shape[1] == k
+            leaves += chunk.leaves
+        assert leaves == count
 
     def test_tuple_stream_is_the_flattened_chunks(self):
         g = complete_multipartite((1, 2, 2))
@@ -325,7 +333,7 @@ class TestGroupedChunks:
 
 
 class TestChunkOwnership:
-    """Chunks are fresh arrays; memoised subtree blocks never leak out."""
+    """Leaf rows are fresh arrays; memoised subtree blocks never leak out."""
 
     N, SIZES = 4, (2, 1)
     PARTS = ((0, 1), (2,), (3,))  # K(2,1,1), 4,815 rows
@@ -342,16 +350,20 @@ class TestChunkOwnership:
         chunks = list(self.stream())
         assert len(chunks) > 2
         assert chunk_rows_of(chunks) == want
-        for a, b in zip(chunks, chunks[1:]):
-            assert not np.shares_memory(a, b)
+        rows = [c.leaf_rows() for c in chunks]
+        for i, a in enumerate(rows):
+            for b in rows[i + 1:] + [chunks[i].leaf_rows()]:
+                assert not np.shares_memory(a, b)
 
     def test_zeroing_a_chunk_changes_nothing_else(self, want):
         seen = []
         for chunk in self.stream():
-            assert chunk.flags.writeable
-            seen.append(chunk.copy())
-            chunk[...] = 0
-        assert chunk_rows_of(seen) == want
+            rows = chunk.leaf_rows()
+            assert rows.flags.writeable
+            seen.extend(map(tuple, rows.tolist()))
+            rows[...] = 0
+            assert chunk_rows_of([chunk]) == seen[-chunk.leaves:]
+        assert seen == want
         # A second stream of the same shape is built from fresh memos.
         assert chunk_rows_of(self.stream()) == want
 
@@ -360,9 +372,10 @@ class TestChunkOwnership:
 
         def run(workers):
             return [(off, c.tolist(), m.tolist())
-                    for off, c, m in mask_chunks(self.stream(chunk_rows=64),
-                                                 g.n, g.edges,
-                                                 workers=workers)]
+                    for off, c, m in mask_chunks(
+                        (chunk.leaf_rows()
+                         for chunk in self.stream(chunk_rows=64)),
+                        g.n, g.edges, workers=workers)]
 
         pooled = run(2)
         assert [tuple(r) for _, c, _ in pooled for r in c] == want
