@@ -189,9 +189,8 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
     lists use, since G matters only inside them; other colors have no
     bit.  None when the lists use more than 64 colors.
     """
-    lists = chunk.lasts.flat()[0]
-    m, k = chunk.ids.shape[0], lists.shape[1]
-    palette = chunk.lasts.colors()
+    m, k = chunk.rows.shape[0], chunk.lists.shape[1]
+    palette = chunk.palette
     if palette.size > 64:
         return None
     prefixes = chunk.rows.reshape(m, n - 1, k)
@@ -261,7 +260,7 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
     """
     if n == 0 or not edges:
         return np.zeros(0, dtype=np.intp)
-    if chunk.leaves <= chunk.ids.shape[0]:
+    if chunk.leaves <= chunk.rows.shape[0]:
         # One leaf per prefix: the sweep over the prefixes would cost what
         # the mask's sweep over the leaves costs.
         return np.arange(chunk.leaves)
@@ -269,20 +268,13 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
     if found is None:
         return np.arange(chunk.leaves)
     inside, bit = found
-    lists, start, count = chunk.lasts.flat()
-    ids = chunk.ids
-    per = count[ids]
-    sel = np.flatnonzero(np.bitwise_count(inside) >= lists.shape[1])
-    if not sel.size:
-        return np.zeros(0, dtype=np.intp)
-    lens = per[sel]
-    within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens,
-                                                    lens)
-    where = np.repeat((np.cumsum(per) - per)[sel], lens) + within
-    last = lists[np.repeat(start[ids[sel]], lens) + within]
-    outside = ~np.repeat(inside[sel], lens)
-    keep = where < chunk.leaves
-    for c in range(lists.shape[1]):
+    k = chunk.lists.shape[1]
+    sel = np.flatnonzero(np.bitwise_count(inside) >= k)
+    where, table = chunk.leaves_of(sel)
+    last = chunk.lists[table]
+    outside = ~np.repeat(inside[sel], chunk.count[sel])
+    keep = np.ones(where.size, dtype=bool)
+    for c in range(k):
         keep &= (bit[last[:, c]] & outside) == 0
     return where[keep]
 

@@ -12,13 +12,14 @@ The largest group constrains enumeration the most, which is why the
 canonical stream is built in that order, and certificates read naturally
 ("the size-2 group first").
 
-Choosability is decided on a ladder.  Known bad seeds are tried first,
-then the constructive fast paths (the Case-2 colorer for its exact part
-shapes, then a lambda-partition, which colors each block from its own
-group), and only then full enumeration of the canonical assignment
-stream.  When every rung is out of bounds the verdict is an explicit
-"undecided"; the module never reports choosability it did not prove, and
-each positive verdict records which rung proved it in ``provenance``.
+Choosability is decided on a ladder.  The constructive fast paths come
+first (the Case-2 colorer for its exact part shapes, then a
+lambda-partition, which colors each block from its own group), then a
+hunt for a refusal among color-starved rows, and only then full
+enumeration of the canonical assignment stream.  When every rung is out
+of bounds the verdict is an explicit "undecided"; the module never
+reports choosability it did not prove, and each positive verdict records
+which rung proved it in ``provenance``.
 """
 
 from __future__ import annotations
@@ -466,15 +467,14 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition
 @dataclass(frozen=True)
 class LambdaVerdict:
     choosable: bool | None
-    provenance: str  # "exhaustive"|"partitionable"|"case2"|"seeded-witness"|"undecided"
+    provenance: str  # "exhaustive"|"partitionable"|"case2"|"undecided"
     classes_checked: int = 0
     witness: BadAssignmentWitness | None = None
     partition: PartitionabilityWitness | None = None
     reason: str | None = None
 
 
-def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
-                     seeds: Sequence[LambdaAssignment] = ()
+def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto"
                      ) -> LambdaVerdict:
     """Decide whether every lam-assignment of g is colorable.
 
@@ -490,16 +490,6 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto",
     desc = descending_parts(lam)
     stops: list[str] = []
     if method == "auto":
-        for seed in seeds:
-            if seed.lam != lam or len(seed.lists) != g.n:
-                raise ValueError("seed does not match the graph and lambda")
-            if not validate_lambda(seed).ok:
-                raise ValueError("seed assignment fails validation")
-            outcome = l_color(g, seed.lists)
-            if not outcome.colorable:
-                return LambdaVerdict(False, "seeded-witness",
-                                     witness=BadAssignmentWitness(
-                                         seed, outcome.nodes_searched))
         if g.parts is not None:
             sizes = tuple(sorted(len(p) for p in g.parts))
             k = len(sizes)

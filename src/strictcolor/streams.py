@@ -40,16 +40,18 @@ the vertex index, the colors each group has used so far, which equal-size
 groups are still tied under (3), and the previous vertex's choice when
 both share a part (2).  Each state's vertex rows and leaf count are
 computed once.  A state of the last vertex is a prefix state: its vertex
-rows are the last columns of the leaves below every prefix in it, so they
-go once into a read-only table (``LastLists``), and the walk emits each
-prefix row with its state's id instead of its leaves.  A prefix's leaves
-are its row followed by each of its state's lists, in order, so a leaf's
-index in the stream is the leaves before its prefix plus its position in
-the list.  A subtree whose leaves fit in a chunk is emitted whole: its
-prefix rows are assembled from its children's blocks, built once and kept
-read-only in the narrowest integer type, and copied into the chunk with
-the prefix columns above them broadcast.  Subtrees too big for a chunk
-are walked one vertex row at a time.
+rows are the last columns of the leaves below every prefix in it, so the
+walk appends them once to a table of lists and emits each prefix row with
+the span of its state's lists there instead of its leaves.  A prefix's
+leaves are its row followed by each list of its span, in order, so a
+leaf's index in the stream is the leaves before its prefix plus its
+position in the span.  The table only grows, and each chunk holds a
+read-only view of it, so the spans of one chunk stay valid after the walk
+moves on.  A subtree whose leaves fit in a chunk is emitted whole: its
+prefix rows are assembled from its children's blocks, built once and
+kept read-only in the narrowest integer type, and copied into the chunk
+with the prefix columns above them broadcast.  Subtrees too big for a
+chunk are walked one vertex row at a time.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -80,106 +82,60 @@ def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(offs)
 
 
-class LastLists:
-    """The last vertex's lists below each prefix state, in stream order.
-
-    A prefix state gets the next id when the walk first meets it, and its
-    entry is the state's vertex rows, one row per leaf below any prefix in
-    that state.  The table only grows, so an id keeps its meaning for the
-    whole stream.
-    """
-
-    def __init__(self) -> None:
-        self._rows = np.empty((0, 0), dtype=np.int32)
-        self._start: list[int] = []
-        self._count: list[int] = []
-        self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._colors: set[int] = set()
-        self._palette: np.ndarray | None = None
-
-    def add(self, lists: np.ndarray) -> int:
-        used = self._start[-1] + self._count[-1] if self._start else 0
-        if used + len(lists) > len(self._rows):
-            grown = np.empty((2 * (used + len(lists)), lists.shape[1]),
-                             dtype=np.int32)
-            if used:
-                grown[:used] = self._rows[:used]
-            self._rows = grown
-        self._rows[used:used + len(lists)] = lists
-        self._start.append(used)
-        self._count.append(len(lists))
-        self._flat = None
-        colors = lists.ravel().tolist()
-        if not self._colors.issuperset(colors):
-            self._colors.update(colors)
-            self._palette = None
-        return len(self._start) - 1
-
-    def colors(self) -> np.ndarray:
-        """The colors the entries use, sorted, until the next add."""
-        if self._palette is None:
-            self._palette = np.array(sorted(self._colors), dtype=np.intp)
-            self._palette.flags.writeable = False
-        return self._palette
-
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, start, count): every entry stacked, and where each sits.
-
-        The arrays are read-only; an entry never changes, so they stay
-        right for the ids they cover after later adds.
-        """
-        if self._flat is None:
-            start = np.array(self._start, dtype=np.intp)
-            count = np.array(self._count, dtype=np.intp)
-            rows = self._rows[:start[-1] + count[-1]]
-            for a in (rows, start, count):
-                a.flags.writeable = False
-            self._flat = (rows, start, count)
-        return self._flat
-
-
 class PrefixChunk(NamedTuple):
     """Prefix rows of the canonical stream, standing for their leaf rows.
 
     ``rows`` holds the columns of vertices 0..n-2 (int32, one prefix per
-    row) and ``ids[i]`` the last-vertex state of prefix i in ``lasts``.
-    Prefix i's leaves are its row followed by each of its state's lists,
-    in order.  The chunk stands for its first ``leaves`` leaves: all of
-    them, unless the last prefix was cut short.
+    row).  Prefix i's leaves are its row followed by each of
+    ``lists[start[i]:start[i] + count[i]]``, in order, and the chunk's
+    ``leaves`` are those of all its prefixes, ``count.sum()`` of them.
+    ``lists`` is a read-only int32 table of last-vertex lists that later
+    chunks may extend but never change, and ``palette`` the colors it
+    uses, sorted.
     """
 
     rows: np.ndarray
-    ids: np.ndarray
-    lasts: LastLists
+    start: np.ndarray
+    count: np.ndarray
+    lists: np.ndarray
+    palette: np.ndarray
     leaves: int
 
-    def leaf_sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per leaf, in order: its prefix's index and its row in lasts.flat()."""
-        _, start, count = self.lasts.flat()
-        per = count[self.ids]
-        prefix = np.repeat(np.arange(len(per)), per)[:self.leaves]
-        first = np.cumsum(per) - per
-        return prefix, (start[self.ids] - first)[prefix] + np.arange(
-            self.leaves)
+    def leaves_of(self, prefixes: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in the chunk, and rows in lists, of the leaves of the
+        given prefixes: prefix by prefix, each in stream order."""
+        lens = self.count[prefixes]
+        within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens,
+                                                        lens)
+        first = np.cumsum(self.count) - self.count
+        return (np.repeat(first[prefixes], lens) + within,
+                np.repeat(self.start[prefixes], lens) + within)
 
     def leaf_rows(self, positions: np.ndarray | None = None) -> np.ndarray:
         """Fresh int32 leaf rows, of every leaf or of those at positions."""
-        prefix, table = self.leaf_sources()
-        if positions is not None:
-            prefix, table = prefix[positions], table[positions]
-        lists = self.lasts.flat()[0]
+        if positions is None:
+            prefix = np.repeat(np.arange(len(self.count)), self.count)
+            table = self.leaves_of(np.arange(len(self.count)))[1]
+        else:
+            ends = np.cumsum(self.count)
+            prefix = np.searchsorted(ends, positions, side="right")
+            table = (self.start - ends + self.count)[prefix] + positions
         split = self.rows.shape[1]
-        out = np.empty((len(prefix), split + lists.shape[1]), dtype=np.int32)
+        out = np.empty((len(prefix), split + self.lists.shape[1]),
+                       dtype=np.int32)
         out[:, :split] = self.rows[prefix]
-        out[:, split:] = lists[table]
+        out[:, split:] = self.lists[table]
         return out
 
     def cut(self, leaves: int) -> "PrefixChunk":
-        """The chunk standing for only its first ``leaves`` leaves."""
-        count = self.lasts.flat()[2]
-        keep = int(np.searchsorted(np.cumsum(count[self.ids]), leaves)) + 1
-        return self._replace(rows=self.rows[:keep], ids=self.ids[:keep],
-                             leaves=min(leaves, self.leaves))
+        """The chunk of only its first ``leaves`` leaves (at most all)."""
+        ends = np.cumsum(self.count)
+        keep = int(np.searchsorted(ends, leaves)) + 1
+        count = self.count[:keep].copy()
+        count[-1] -= ends[keep - 1] - leaves
+        return self._replace(rows=self.rows[:keep], start=self.start[:keep],
+                             count=count, leaves=leaves)
 
 
 def grouped_chunks(n: int, group_sizes: Sequence[int],
@@ -204,48 +160,46 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
 
     Arguments are checked, and errors raised, at the first ``next()``.
     """
-
-    def walk_prefixes() -> Iterator[PrefixChunk]:
-        sizes = tuple(group_sizes)
-        if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
-            raise ValueError(f"group sizes must be positive integers, "
-                             f"got {sizes}")
-        if list(sizes) != sorted(sizes, reverse=True):
-            raise ValueError(f"group sizes must be non-increasing, "
-                             f"got {sizes}")
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        if caps is None:
-            bounded = None
-            limits.enforce("GROUPED_BOUND", n * sum(sizes), "the total "
-                           "colors per row of an assignment enumeration")
-        else:
-            bounded = tuple(int(c) for c in caps)
-            if len(bounded) != len(sizes):
-                raise ValueError("caps must give one limit per group")
-            if any(c < s for c, s in zip(bounded, sizes)):
-                raise ValueError(f"caps {bounded} leave some vertex short "
-                                 f"of its group size {sizes}")
-            bounded = tuple(min(c, n * s) for c, s in zip(bounded, sizes))
-        table = LastLists()
-        if n == 0:
-            # No last vertex: the one empty row is one empty prefix with
-            # one empty leaf.
-            table.add(np.zeros((1, 0), dtype=np.int32))
-            yield PrefixChunk(np.zeros((1, 0), dtype=np.int32),
-                              np.zeros(1, dtype=np.intp), table, 1)
-            return
-        yield from _walk(n, sizes, parts, bounded, chunk_rows, table)
-
-    return walk_prefixes()
+    sizes = tuple(group_sizes)
+    if any(not isinstance(s, int) or s < 1 for s in sizes) or not sizes:
+        raise ValueError(f"group sizes must be positive integers, "
+                         f"got {sizes}")
+    if list(sizes) != sorted(sizes, reverse=True):
+        raise ValueError(f"group sizes must be non-increasing, "
+                         f"got {sizes}")
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    if caps is None:
+        bounded = None
+        limits.enforce("GROUPED_BOUND", n * sum(sizes), "the total "
+                       "colors per row of an assignment enumeration")
+    else:
+        bounded = tuple(int(c) for c in caps)
+        if len(bounded) != len(sizes):
+            raise ValueError("caps must give one limit per group")
+        if any(c < s for c, s in zip(bounded, sizes)):
+            raise ValueError(f"caps {bounded} leave some vertex short "
+                             f"of its group size {sizes}")
+        bounded = tuple(min(c, n * s) for c, s in zip(bounded, sizes))
+    if n == 0:
+        # No last vertex: the one empty row is one empty prefix with one
+        # empty leaf.
+        lists = np.zeros((1, 0), dtype=np.int32)
+        lists.flags.writeable = False
+        yield PrefixChunk(np.zeros((1, 0), dtype=np.int32),
+                          np.zeros(1, dtype=np.int32),
+                          np.ones(1, dtype=np.int32), lists,
+                          np.zeros(0, dtype=np.intp), 1)
+        return
+    yield from _walk(n, sizes, parts, bounded, chunk_rows)
 
 
 def _walk(n: int, sizes: tuple[int, ...],
           parts: Sequence[Sequence[int]] | None,
-          caps: tuple[int, ...] | None, chunk_rows: int,
-          table: LastLists) -> Iterator[PrefixChunk]:
+          caps: tuple[int, ...] | None, chunk_rows: int
+          ) -> Iterator[PrefixChunk]:
     """The memoised walk of grouped_chunks, over checked arguments, n >= 1."""
     if parts is None:
         samepart = [False] * n
@@ -347,17 +301,32 @@ def _walk(n: int, sizes: tuple[int, ...],
             counts[state] = got
         return got
 
-    # Each prefix state's id in the table, given when the walk meets it.
-    last_ids: dict[tuple, int] = {}
+    # The last-vertex lists of every prefix state the walk has met, in
+    # order, table[:used]; each state's start there; the colors they use.
+    # Rows are only appended, so a view of table[:used] never changes.
+    table = np.empty((0, k), dtype=np.int32)
+    used = 0
+    starts: dict[tuple, int] = {}
+    present = np.zeros(n * k, dtype=bool)
 
-    def last_id(state) -> int:
-        got = last_ids.get(state)
+    def last_start(state) -> int:
+        nonlocal table, used
+        got = starts.get(state)
         if got is None:
-            got = last_ids[state] = table.add(children(state)[0])
+            lists = children(state)[0]
+            if used + len(lists) > len(table):
+                grown = np.empty((2 * (used + len(lists)), k), dtype=np.int32)
+                grown[:used] = table[:used]
+                table = grown
+            got = starts[state] = used
+            used += len(lists)
+            table[got:used] = lists
+            present[lists] = True
         return got
 
     # Read-only blocks of the subtrees that emitted blocks: the prefix
-    # rows over vertices v..n-2, each prefix's state id and leaf count.
+    # rows over vertices v..n-2, each prefix's start in table and leaf
+    # count.
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def block(state, keep: bool = True):
@@ -367,10 +336,11 @@ def _walk(n: int, sizes: tuple[int, ...],
         heads, nexts = children(state)
         if state[0] == n - 1:
             got = (np.zeros((1, 0), dtype=narrow),
-                   np.array([last_id(state)], dtype=np.intp),
+                   np.array([last_start(state)], dtype=np.intp),
                    np.array([heads.shape[0]], dtype=np.intp))
         elif state[0] == n - 2:
-            got = (heads, np.array([last_id(c) for c in nexts], dtype=np.intp),
+            got = (heads,
+                   np.array([last_start(c) for c in nexts], dtype=np.intp),
                    np.array([children(c)[0].shape[0] for c in nexts],
                             dtype=np.intp))
         else:
@@ -390,26 +360,29 @@ def _walk(n: int, sizes: tuple[int, ...],
     root = (0, (0,) * t, eqpair, None)
     width = (n - 1) * k
     cap = min(chunk_rows, count(root))
-    buf = ids = None
+    buf = first = per = None
     pos = held = 0
 
     def flush() -> PrefixChunk:
-        nonlocal buf, ids, pos, held
-        out = PrefixChunk(buf[:pos], ids[:pos], table, held)
-        buf = ids = None
+        nonlocal buf, first, per, pos, held
+        lists = table[:used]
+        lists.flags.writeable = False
+        out = PrefixChunk(buf[:pos], first[:pos], per[:pos], lists,
+                          np.flatnonzero(present), held)
+        buf = first = per = None
         pos = held = 0
         return out
 
     def walk(state, prefix: list[int]) -> Iterator[PrefixChunk]:
         """Emit the prefixes below prefix: whole if they fit a chunk."""
-        nonlocal buf, ids, pos, held
+        nonlocal buf, first, per, pos, held
         if state[0] < n - 1 and count(state) > chunk_rows:
             heads, nexts = children(state)
             for head, child in zip(heads.tolist(), nexts):
                 yield from walk(child, prefix + head)
             return
-        rows, sids, per = block(state, keep=False)
-        ends = np.cumsum(per)
+        rows, sub_first, sub_per = block(state, keep=False)
+        ends = np.cumsum(sub_per)
         done = base = 0
         split = len(prefix)
         while done < rows.shape[0]:
@@ -423,11 +396,14 @@ def _walk(n: int, sizes: tuple[int, ...],
                     continue
                 take = 1
             if buf is None:
+                # int32 spans: a table of 2^31 lists would not fit in memory.
                 buf = np.empty((cap, width), dtype=np.int32)
-                ids = np.empty(cap, dtype=np.intp)
+                first = np.empty(cap, dtype=np.int32)
+                per = np.empty(cap, dtype=np.int32)
             buf[pos:pos + take, :split] = prefix
             buf[pos:pos + take, split:] = rows[done:done + take]
-            ids[pos:pos + take] = sids[done:done + take]
+            first[pos:pos + take] = sub_first[done:done + take]
+            per[pos:pos + take] = sub_per[done:done + take]
             pos += take
             done += take
             held += int(ends[done - 1]) - base
@@ -442,9 +418,9 @@ def _walk(n: int, sizes: tuple[int, ...],
     finally:
         # walk, count and block call themselves, so only the cycle
         # collector would free them and what they hold: let go of it now.
-        buf = ids = table = None
+        buf = first = per = table = None
         options.cache_clear()
-        for memo in (kids_of, counts, blocks, states, last_ids):
+        for memo in (kids_of, counts, blocks, states, starts):
             memo.clear()
 
 

@@ -378,10 +378,10 @@ def decide_strict_search(g: Graph, k: int) -> StrictDecision:
 
     Independent of the comparison route: the chromatic number is computed
     first, and when it equals k the near-unit choosability question goes
-    to the generic ladder without any seeded witnesses.  A chromatic
-    mismatch is certified directly: a (k-1)-coloring becomes a partition
-    witness, and a graph needing more than k colors yields the refusing
-    unit assignment whose every list is 1..k.  The strict field is None
+    to the generic ladder.  A chromatic mismatch is certified directly: a
+    (k-1)-coloring becomes a partition witness, and a graph needing more
+    than k colors yields the refusing unit assignment whose every list is
+    1..k.  The strict field is None
     when the ladder runs out of room, and the reason then ends with the
     ladder's own, which names the limit that stopped it.
     """

@@ -25,7 +25,6 @@ from strictcolor.graphs import Graph, complete_multipartite
 from strictcolor.lambdacolor import _head_rows
 from strictcolor.listcolor import find_refusals, l_color, l_color_multipartite
 from strictcolor.streams import (
-    LastLists,
     PrefixChunk,
     enumerate_grouped,
     enumerate_k_lists,
@@ -343,15 +342,16 @@ class TestPrefixFilter:
         # as the leaf path does.
         rng = np.random.default_rng(5)
         g = Graph(3, ((0, 1), (0, 2), (1, 2)))
-        lasts = LastLists()
-        for entry in np.arange(90, dtype=np.int32).reshape(9, 5, 2):
-            lasts.add(entry)
+        lists = np.arange(90, dtype=np.int32).reshape(45, 2)
+        lists.flags.writeable = False
         rows = np.sort(rng.choice(90, size=(40, 2, 2)), axis=2).reshape(
             40, 4).astype(np.int32)
         rows[:, :2] = 0, 1  # vertex 0 always lists (0, 1): refusals happen
-        ids = rng.integers(0, 9, size=40)
-        chunk = PrefixChunk(rows, ids, lasts, 5 * 40)
-        assert lasts.colors().size == 90
+        # Each prefix spans one of 9 runs of 5 lists.
+        start = 5 * rng.integers(0, 9, size=40)
+        chunk = PrefixChunk(rows, start, np.full(40, 5), lists,
+                            np.unique(lists), 5 * 40)
+        assert chunk.palette.size == 90
         assert leaf_candidates(chunk, g.n, g.edges).tolist() == list(
             range(chunk.leaves))
         got = find_refusals(g, [chunk], first_only=False)

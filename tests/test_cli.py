@@ -376,6 +376,17 @@ class TestEntryPoint:
         assert "pytest" in third_party  # the scan sees the imports
         assert third_party <= declared
 
+    @pytest.mark.skipif(tomllib is None, reason="tomllib is stdlib from "
+                        "Python 3.11")
+    def test_numpy_floor_has_bitwise_count(self):
+        # bulk.leaf_candidates calls np.bitwise_count, new in NumPy 2.0.
+        with PYPROJECT.open("rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        [floor] = [re.fullmatch(r"numpy>=(\d+)(?:\.(\d+))?", d)
+                   for d in deps if d.startswith("numpy")]
+        assert floor is not None
+        assert (int(floor[1]), int(floor[2] or 0)) >= (2, 0)
+
     @pytest.mark.skipif(shutil.which("strictcolor") is None,
                         reason="strictcolor console script not installed")
     def test_installed_console_script(self):

@@ -336,25 +336,6 @@ class TestChoosable:
         assert check_bad_witness(g, v.witness)
         assert v.classes_checked >= 1
 
-    def test_seed_path(self):
-        g = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
-        seed = LambdaAssignment(P((1, 1)), (((1, 2),) * 4), ({1}, {2}))
-        v = lambda_choosable(g, P((1, 1)), seeds=[seed])
-        assert v.choosable is False and v.provenance == "seeded-witness"
-        assert check_bad_witness(g, v.witness)
-
-    def test_colorable_seed_is_skipped(self):
-        g = complete_multipartite([2, 2])
-        seed = LambdaAssignment(P((1, 1)), (((1, 2),) * 4), ({1}, {2}))
-        v = lambda_choosable(g, P((1, 1)), seeds=[seed])
-        assert v.choosable is True
-
-    def test_invalid_seed_rejected(self):
-        g = Graph(2, ((0, 1),))
-        broken = LambdaAssignment(P((1, 1)), ((1, 2), (1, 3)), ({1}, {2}))
-        with pytest.raises(ValueError):
-            lambda_choosable(g, P((1, 1)), seeds=[broken])
-
     def test_undecided_when_everything_is_out_of_bounds(self):
         cyc = Graph(11, tuple((i, (i + 1) % 11) for i in range(11)))
         v = lambda_choosable(cyc, P((3,)))

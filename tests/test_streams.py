@@ -20,6 +20,7 @@ from oracles import grouped_rows_oracle
 from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import complete_multipartite
+from strictcolor.lambdacolor import _head_rows
 from strictcolor.streams import (
     canonical_class,
     enumerate_grouped,
@@ -320,7 +321,8 @@ class TestGroupedChunks:
         for chunk in grouped_chunks(n, lam, parts=g.parts):
             assert chunk.leaves <= 65536 or chunk.rows.shape[0] == 1
             assert chunk.rows.shape[1] == (n - 1) * k
-            assert chunk.lasts.flat()[0].shape[1] == k
+            assert chunk.lists.shape[1] == k
+            assert chunk.count.sum() == chunk.leaves
             leaves += chunk.leaves
         assert leaves == count
 
@@ -330,6 +332,47 @@ class TestGroupedChunks:
         assert rows == chunk_rows_of(grouped_chunks(5, (2, 1), parts=g.parts,
                                                     chunk_rows=7))
         assert all(type(x) is int for x in rows[-1])
+
+
+class TestSpans:
+    """Each prefix's leaves are its row and a span of the lists table."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream_cases(), st.integers(1, ORACLE_ROWS), st.integers(0, 2**32))
+    @example((0, (2,), None, None, 1), 1, 0)
+    @example((4, (1, 1), None, (2, 2), 3), 5, 1)  # cut inside a prefix
+    @example((6, (2, 1), ((0, 1), (2, 3), (4, 5)), None, 64), 1000, 2)
+    def test_spans_index_the_leaves(self, case, budget, seed):
+        n, sizes, parts, caps, chunk_rows = case
+        rng = np.random.default_rng(seed)
+        stream = grouped_chunks(n, sizes, parts=parts, caps=caps,
+                                chunk_rows=chunk_rows)
+        try:
+            want = list(islice(grouped_rows_oracle(n, sizes, parts=parts,
+                                                   caps=caps), budget))
+        except BoundExceeded:
+            return
+        held, got = [], []
+        for chunk in _head_rows(stream, budget):
+            rows = chunk.leaf_rows()
+            got.extend(map(tuple, rows.tolist()))
+            assert chunk.count.sum() == chunk.leaves == len(rows)
+            assert (chunk.start >= 0).all()
+            assert (chunk.start + chunk.count <= len(chunk.lists)).all()
+            assert not chunk.lists.flags.writeable
+            assert np.array_equal(chunk.palette, np.unique(chunk.lists))
+            at = rng.integers(0, chunk.leaves, size=rng.integers(0, 9))
+            assert np.array_equal(chunk.leaf_rows(at), rows[at])
+            sel = np.flatnonzero(rng.random(len(chunk.count)) < 0.5)
+            where, table = chunk.leaves_of(sel)
+            split = chunk.rows.shape[1]
+            assert np.array_equal(rows[where, :split], np.repeat(
+                chunk.rows[sel], chunk.count[sel], axis=0))
+            assert np.array_equal(rows[where, split:], chunk.lists[table])
+            held.append((chunk, chunk.lists.copy()))
+        assert got == want
+        for chunk, lists in held:  # the walk went on past every chunk
+            assert np.array_equal(chunk.lists, lists)
 
 
 class TestChunkOwnership:
