@@ -7,22 +7,28 @@ rows into an integer matrix lets one sweep over all k^n choice vectors
 settle every row at once.
 
 The sweep is bit-sliced, one bit per row.  For each edge e and slot pair
-(i, j), a conflict plane is a bitset over the still-undecided rows, in
-little-endian uint64 words: bit r says row r's i-th color at one end of e
-equals its j-th color at the other.  A choice vector is improper on row r
-iff bit r is set in one of the planes its slots select, so OR-ing those
-planes over the edges and AND-ing the result over a block of vectors
-leaves exactly the rows that no vector of the block colors.  A row whose
-bit survives all k^n vectors is refused.
+(i, j), a conflict plane is a bitset over the rows, in little-endian
+uint64 words: bit r says row r's i-th color at one end of e equals its
+j-th color at the other.  A choice vector is improper on row r iff bit r
+is set in one of the planes its slots select, so OR-ing those planes over
+the edges and AND-ing the result over a block of vectors leaves exactly
+the rows that no vector of the block colors.
 
-Memory is bounded: the planes take edges × k² bits per row, and a block
-of vectors is sized so that its working set (picks, plane indices, the
-OR accumulator and one gathered plane per vector) stays under
-``SWEEP_BYTES``, so nothing grows with rows × vectors × n.  Blocks
-start at ``FIRST_BLOCK`` vectors and double, and the planes are rebuilt
-from the surviving rows whenever the undecided set halves, so the rare
-hard rows face the long tail of the sweep in a few words.  Everything is
-exact integer comparison; numpy only supplies the bulk loops.
+The sweep reads shuffled vectors only until half of the rows are colored.
+The few rows left, which are mostly refusals, go to a depth-first search
+of the choice tree over planes rebuilt for them alone: a partial vector
+is dropped as soon as it is improper on every open row, so a row is
+refused without reading all k^n vectors.  ``limits.CHOICE_CAP`` bounds
+k^n, which is both the leaf count of that tree and the width of the
+sweep's vector matrix.
+
+Memory is bounded: the planes take edges × k² bits per row, a block of
+vectors is sized so that its working set (picks, plane indices, the OR
+accumulator and one gathered plane per vector) stays under
+``SWEEP_BYTES``, and the search holds at most one block of children per
+depth.  Blocks of vectors start at ``FIRST_BLOCK`` and double; the
+search expands ``FIRST_BLOCK`` nodes at a time.  Everything is exact
+integer comparison; numpy only supplies the bulk loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
 never reach the sweep: ``leaf_candidates`` settles them per prefix, by a
@@ -110,18 +116,72 @@ def _conflict_planes(lists: np.ndarray,
     return planes.view(WORD)
 
 
+def _search_choice_tree(lists: np.ndarray,
+                        edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Per row of an (m, n, k) array: does some choice vector color it?
+
+    A depth-first search over the choice tree, bit-sliced over the rows
+    like the sweep.  A node is a choice vector for vertices 0..d-1 with
+    the bitset of open rows on which it is proper; expanding vertex d
+    clears the rows where a slot of d conflicts with an earlier vertex,
+    and a node with no row left is dropped.  A leaf's rows are colorable,
+    and leave the open set, so every pending node loses them too.  A
+    vector proper on row r is proper on r at every prefix, so its path
+    is never pruned while r is open: the rows still open at the end are
+    exactly the refused ones.  Nodes are expanded FIRST_BLOCK at a time,
+    depth first, so at most n blocks of children are pending.
+    """
+    m, n, k = lists.shape
+    planes = _conflict_planes(lists, edges)
+    words = planes.shape[2]
+    # Per vertex d, its edges to earlier vertices w: w, and the edge's
+    # planes indexed [slot of w, slot of d].
+    back: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        pair = planes[e].reshape(k, k, words)
+        back[max(u, v)].append((u, pair) if u < v
+                               else (v, pair.transpose(1, 0, 2)))
+    open_rows = np.packbits(np.arange(words * 64) < m,
+                            bitorder="little").view(WORD)
+    colors = np.arange(k)
+    stack = [(np.zeros((1, 0), dtype=np.intp), open_rows[None].copy())]
+    while stack and open_rows.any():
+        picks, bits = stack.pop()
+        if picks.shape[0] > FIRST_BLOCK:
+            stack.append((picks[:-FIRST_BLOCK], bits[:-FIRST_BLOCK]))
+            picks, bits = picks[-FIRST_BLOCK:], bits[-FIRST_BLOCK:]
+        d = picks.shape[1]
+        improper = np.zeros((picks.shape[0], k, words), dtype=WORD)
+        for w, pair in back[d]:
+            improper |= pair[picks[:, w]]
+        proper = ((bits & open_rows)[:, None, :] & ~improper).reshape(
+            -1, words)
+        if d + 1 == n:
+            open_rows &= ~np.bitwise_or.reduce(proper, axis=0)
+            continue
+        children = np.empty((picks.shape[0], k, d + 1), dtype=np.intp)
+        children[:, :, :d] = picks[:, None, :]
+        children[:, :, d] = colors
+        alive = proper.any(axis=1)
+        stack.append((children.reshape(-1, d + 1)[alive], proper[alive]))
+    return ~np.unpackbits(open_rows.view(np.uint8), count=m,
+                          bitorder="little").view(bool)
+
+
 def colorable_mask(chunk: np.ndarray, n: int,
                    edges: Sequence[tuple[int, int]]) -> np.ndarray:
     """Per-row verdict: does the row's assignment admit a proper coloring?
 
-    Runs the bit-sliced sweep of the module docstring over the k^n
+    First runs the bit-sliced sweep of the module docstring over the
     shuffled choice vectors, in blocks of FIRST_BLOCK vectors that double
-    up to the SWEEP_BYTES budget.  After each block the rows it colored
-    are settled; once half of the rows the planes cover are settled, the
-    planes are rebuilt over the rest.  Rows still undecided after the
-    last vector are refused.  The result depends only on the rows, not
-    on the block sizes or the vector order.  Raises BoundExceeded instead
-    of starting a hopeless sweep when k^n is over ``limits.CHOICE_CAP``.
+    up to the SWEEP_BYTES budget, until half of the rows are colored or
+    all k^n vectors are read.  The rows still undecided then go to one
+    pruned depth-first search of the choice tree, which colors or refuses
+    each of them exactly.  The result depends only on the rows, not on
+    the block sizes, the vector order or where the sweep stops.  Raises
+    BoundExceeded instead of starting a hopeless run when k^n, the leaf
+    count of the choice tree and the width of the sweep's vector matrix,
+    is over ``limits.CHOICE_CAP``.
     """
     rows = chunk.shape[0]
     if n == 0 or not edges:
@@ -133,6 +193,8 @@ def colorable_mask(chunk: np.ndarray, n: int,
     limits.enforce("CHOICE_CAP", k ** n,
                    f"the choice vector count {k}^{n} of a mask sweep")
     choices = _choice_matrix(k, n)
+    if not rows:
+        return np.zeros(0, dtype=bool)
     if chunk.size and chunk.dtype.kind in "iu":
         # Colors compare equal in the narrowest type holding them, and
         # the plane build is memory-bound.
@@ -140,31 +202,30 @@ def colorable_mask(chunk: np.ndarray, n: int,
             np.min_scalar_type(int(chunk.min())),
             np.min_scalar_type(int(chunk.max()))))
     lists = chunk.reshape(rows, n, k)
-    colorable = np.zeros(rows, dtype=bool)
-    undecided = np.arange(rows)
-    at, block = 0, FIRST_BLOCK
-    while undecided.size and at < choices.shape[1]:
-        planes = _conflict_planes(lists[undecided], edges)
-        live, words = undecided.size, planes.shape[2]
-        still = np.full(words, ~np.uint64(0), dtype=WORD)
-        # Per vector, a block holds its picks, two plane indices, the OR
-        # accumulator and one gathered plane.
-        block_cap = max(1, SWEEP_BYTES // (8 * (n + 2 + 2 * words)))
-        block = min(block, block_cap)
-        while at < choices.shape[1]:
-            picks = choices[:, at:at + block].astype(np.intp)
-            at += picks.shape[1]
-            improper = np.zeros((picks.shape[1], words), dtype=WORD)
-            for e, (u, v) in enumerate(edges):
-                improper |= planes[e][picks[u] * k + picks[v]]
-            still &= np.bitwise_and.reduce(improper, axis=0)
-            block = min(2 * block, block_cap)
-            refused = np.unpackbits(still.view(np.uint8), count=live,
-                                    bitorder="little").view(bool)
-            if 2 * np.count_nonzero(refused) <= live:
-                break
-        colorable[undecided[~refused]] = True
-        undecided = undecided[refused]
+    planes = _conflict_planes(lists, edges)
+    words = planes.shape[2]
+    still = np.full(words, ~np.uint64(0), dtype=WORD)
+    # Per vector, a block holds its picks, two plane indices, the OR
+    # accumulator and one gathered plane.
+    block_cap = max(1, SWEEP_BYTES // (8 * (n + 2 + 2 * words)))
+    at, block = 0, min(FIRST_BLOCK, block_cap)
+    refused = np.ones(rows, dtype=bool)
+    while at < choices.shape[1]:
+        picks = choices[:, at:at + block].astype(np.intp)
+        at += picks.shape[1]
+        improper = np.zeros((picks.shape[1], words), dtype=WORD)
+        for e, (u, v) in enumerate(edges):
+            improper |= planes[e][picks[u] * k + picks[v]]
+        still &= np.bitwise_and.reduce(improper, axis=0)
+        block = min(2 * block, block_cap)
+        refused = np.unpackbits(still.view(np.uint8), count=rows,
+                                bitorder="little").view(bool)
+        if 2 * np.count_nonzero(refused) <= rows:
+            break
+    colorable = ~refused
+    if at < choices.shape[1] and refused.any():
+        undecided = np.flatnonzero(refused)
+        colorable[undecided] = _search_choice_tree(lists[undecided], edges)
     return colorable
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import leaf_refusals_oracle
-from strictcolor import limits
+from strictcolor import bulk, limits
 from strictcolor.bulk import (
     _choice_matrix,
     colorable_mask,
@@ -126,8 +126,13 @@ def graphs_and_rows(draw, max_rows=130):
     n = draw(st.integers(1, 7))
     k = draw(st.integers(1, 3))
     pairs = list(combinations(range(n), 2))
-    edges = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))
-                  if pairs else ())
+    chosen = (draw(st.lists(st.sampled_from(pairs), unique=True))
+              if pairs else [])
+    # Either orientation, in any order: the mask takes edges as given.
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen),
+                          max_size=len(chosen)))
+    edges = tuple(draw(st.permutations(
+        [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)])))
     colors = draw(st.integers(1, k + 2))
     count = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 129]),
                            st.integers(0, max_rows)))
@@ -172,26 +177,58 @@ class TestMaskProperties:
 
 
 class TestStragglerSweep:
-    """Color-starved K(3,3,5) rows: 3^11 choice vectors, a few refusals."""
+    """Color-starved K(3,3,5) and K(3,4,4) rows: 3^11 choice vectors and a
+    few refusals, which the sweep leaves to the choice-tree search."""
 
     SIZES = (3, 3, 5)
 
+    @staticmethod
+    def head(sizes, count):
+        g = complete_multipartite(sizes)
+        rows = list(islice(enumerate_grouped(11, (2, 1), parts=g.parts,
+                                             caps=(3, 1)), count))
+        assert len(rows) == count
+        return g, rows, np.array(rows, dtype=np.int32)
+
+    @staticmethod
+    def solver_mask(sizes, g, rows):
+        return [l_color_multipartite(sizes, row_lists(r, g.n)).colorable
+                for r in rows]
+
     @pytest.fixture(scope="class")
     def starved(self):
-        g = complete_multipartite(self.SIZES)
-        rows = list(islice(enumerate_grouped(11, (2, 1), parts=g.parts,
-                                             caps=(3, 1)), 1024))
-        assert len(rows) == 1024
-        return g, rows, np.array(rows, dtype=np.int32)
+        return self.head(self.SIZES, 1024)
 
     def test_matches_multipartite_solver(self, starved):
         g, rows, chunk = starved
         mask = colorable_mask(chunk, g.n, g.edges)
-        want = [l_color_multipartite(self.SIZES,
-                                     row_lists(r, g.n)).colorable
-                for r in rows]
+        want = self.solver_mask(self.SIZES, g, rows)
         assert want.count(False) == 6
         assert mask.tolist() == want
+
+    def test_edge_orientation_and_order_do_not_matter(self, starved):
+        g, _, chunk = starved
+        edges = [(v, u) for u, v in g.edges]
+        random.Random(3).shuffle(edges)
+        assert (colorable_mask(chunk, g.n, edges).tolist()
+                == colorable_mask(chunk, g.n, g.edges).tolist())
+
+    def test_search_spans_several_words(self, monkeypatch):
+        sizes = (3, 4, 4)
+        g, rows, chunk = self.head(sizes, 1350)
+        searched = []
+
+        def spy(lists, edges):
+            searched.append(lists.shape[0])
+            return search(lists, edges)
+
+        search = bulk._search_choice_tree
+        monkeypatch.setattr(bulk, "_search_choice_tree", spy)
+        mask = colorable_mask(chunk, g.n, g.edges)
+        want = self.solver_mask(sizes, g, rows)
+        assert want.count(False) == 9
+        assert mask.tolist() == want
+        assert len(searched) == 1 and searched[0] > 64
 
     def test_memory_stays_bounded(self, starved):
         g, _, chunk = starved
@@ -202,6 +239,15 @@ class TestStragglerSweep:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
+
+    def test_first_refusal_of_k255_at_caps_4_1(self):
+        # The 12-vertex strict host's first refusal in its (4, 1) capped
+        # stream sits deep in the stream (ROADMAP item 3).
+        g = complete_multipartite((2, 5, 5))
+        [(index, lists, _nodes)], examined = find_refusals(
+            g, grouped_chunks(12, (2, 1), parts=g.parts, caps=(4, 1)))
+        assert (index, examined) == (188235, 188236)
+        assert not l_color(g, lists).colorable
 
 
 class TestChunking:
