@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
@@ -265,6 +264,51 @@ def _induced_key(g: Graph, vertices: tuple[int, ...]
                             if adj[u] >> keep[j] & 1)
 
 
+def _block_maps(g: Graph, units: Sequence[Sequence[int]], t: int,
+                independent: Sequence[bool]) -> Iterator[tuple[int, ...]]:
+    """Each map f of units to blocks 0..t-1, in ``product`` order.
+
+    The units are independent vertex sets (single vertices, or the parts
+    of a complete multipartite graph).  ``f[i]`` is unit i's block, and
+    the maps come as ``product(range(t), repeat=len(units))`` yields them,
+    less every map that puts an edge inside a block j with
+    ``independent[j]``.  The walk is depth first with a vertex bitmask per
+    block, so a unit that would give such a block an edge ends the whole
+    subtree below it.
+    """
+    if not units:
+        yield ()
+        return
+    masks = [sum(1 << v for v in unit) for unit in units]
+    nbrs = []
+    for unit in units:
+        reach = 0
+        for v in unit:
+            reach |= g.adj[v]
+        nbrs.append(reach)
+    last = len(units) - 1
+    held = [0] * t
+    f = [-1] * len(units)
+    i = 0
+    while i >= 0:
+        j = f[i]
+        if j >= 0:
+            held[j] ^= masks[i]
+        j += 1
+        while j < t and independent[j] and nbrs[i] & held[j]:
+            j += 1
+        if j == t:
+            f[i] = -1
+            i -= 1
+            continue
+        f[i] = j
+        held[j] |= masks[i]
+        if i == last:
+            yield tuple(f)
+        else:
+            i += 1
+
+
 def lambda_partitionable(g: Graph, lam: IntegerPartition
                          ) -> PartitionabilityWitness | None | Undetermined:
     """Search for a lambda-partition of g.
@@ -279,9 +323,20 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
     None means the whole candidate space was searched and no partition
     exists; Undetermined means some candidate could not be settled, and
     its reason names the limits that stopped it.
+
+    Both stages walk their candidates depth first in ``product`` order
+    (``_block_maps``).  When every part of lam is 1 or 2, as in every unit
+    and near-unit partition, the walk drops a candidate as soon as a
+    level-1 block holds an edge: such a candidate fails at that block,
+    and the blocks certified before it, of level 1 or 2, are settled by
+    the edgeless and Erdős–Rubin–Taylor tests, which cannot raise, so
+    skipping it changes neither the witness nor the reason.  Any other
+    lam walks every candidate: a block of level 3 or more may raise
+    BoundExceeded, and the first stop names the reason.
     """
     desc = descending_parts(lam)
     t = len(desc)
+    independent = [level == 1 and desc[0] <= 2 for level in desc]
     stops: list[str] = []
     outcomes: dict[tuple, tuple[str, int] | BoundExceeded | None] = {}
 
@@ -310,7 +365,7 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
         return PartitionabilityWitness(lam, tuple(evidence))
 
     if g.parts is not None:
-        for f in product(range(t), repeat=len(g.parts)):
+        for f in _block_maps(g, g.parts, t, independent):
             w = try_blocks(tuple(v for pi, part in enumerate(g.parts)
                                  if f[pi] == j for v in part)
                            for j in range(t))
@@ -322,7 +377,7 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
     except BoundExceeded as exc:
         stops.append(str(exc))
     else:
-        for f in product(range(t), repeat=g.n):
+        for f in _block_maps(g, [(v,) for v in range(g.n)], t, independent):
             w = try_blocks(tuple(v for v in range(g.n) if f[v] == j)
                            for j in range(t))
             if w is not None:

@@ -311,13 +311,20 @@ def head_leaves(chunks, limit):
             return
 
 
+# Chunks one example may make: a chunk costs a filter and a mask call or
+# two, and one-row chunks on a capped stream of 100,000 leaves take
+# about a minute.
+MAX_CHUNKS = 3000
+
+
 @st.composite
 def refusal_cases(draw):
     """(graph, group sizes, caps, budget, first_only, chunk_rows).
 
     The graph has at most 6 vertices: complete multipartite with its
     parts, or random edges and no parts.  Group sizes have weight at most
-    3; a large uncapped stream always gets a budget.
+    3; a large uncapped stream always gets a budget, and so does any
+    stream that would make more than MAX_CHUNKS chunks.
     """
     if draw(st.booleans()):
         g = complete_multipartite(draw(
@@ -335,8 +342,20 @@ def refusal_cases(draw):
     budget = draw(st.one_of(st.none(), st.integers(1, 3000)))
     if budget is None and caps is None and g.n * sum(sizes) > 12:
         budget = 20000
-    return (g, sizes, caps, budget, draw(st.booleans()),
-            draw(st.sampled_from((1, 7, 64, 65536))))
+    first_only = draw(st.booleans())
+    chunk_rows = draw(st.sampled_from((1, 7, 64, 65536)))
+    # Each chunk holds a leaf at least, and a chunk with the next one
+    # more than chunk_rows leaves, so this many leaves make at most
+    # MAX_CHUNKS chunks.
+    most = max(MAX_CHUNKS, (MAX_CHUNKS - 1) * chunk_rows // 2)
+    if budget is None:
+        leaves = sum(chunk.leaves for chunk in grouped_chunks(
+            g.n, sizes, parts=g.parts, caps=caps))
+        if leaves > most:
+            budget = most
+    else:
+        budget = min(budget, most)
+    return g, sizes, caps, budget, first_only, chunk_rows
 
 
 class TestPrefixFilter:

@@ -291,27 +291,99 @@ class TestPartitionMemo:
         g = complete_multipartite([3, 3, 5])
         lam = P((1, 2))
         certify = lambdacolor._certify_block
-        seen: list[tuple] = []
+        calls: list[tuple] = []
 
         def counting(graph, vertices, level):
-            h = graph.induced(vertices)
-            seen.append((level, h.n, h.edges))
+            calls.append((level, vertices))
             return certify(graph, vertices, level)
+
+        def key(level, vertices):
+            h = g.induced(vertices)
+            return level, h.n, h.edges
+
+        def level_one_edgeless(level, vertices):
+            # With {1,2} the level-1 block is block 1, the complement of
+            # the level-2 block 0.
+            if level == 2:
+                vertices = set(range(g.n)) - set(vertices)
+            return not g.induced(vertices).edges
 
         monkeypatch.setattr(oracles, "_certify_block", counting)
         partitionable_oracle(g, lam)
-        every = list(seen)
-        seen.clear()
+        every = {key(*c) for c in calls}
+        kept = {key(*c) for c in calls if level_one_edgeless(*c)}
+        calls.clear()
         monkeypatch.setattr(lambdacolor, "_certify_block", counting)
         first = lambda_partitionable(g, lam)
-        once = len(seen)
-        # The oracle's blocks, each certified once: nothing is skipped
-        # and nothing is merged that the induced subgraph tells apart.
-        assert len(every) > once == len(set(seen))
-        assert set(seen) == set(every)
-        seen.clear()
+        seen = [key(*c) for c in calls]
+        # Each distinct block once, and exactly the oracle's blocks from
+        # candidates whose level-1 block is edgeless: the walk skips the
+        # rest, and there are fewer of them than the oracle certifies.
+        assert len(seen) == len(set(seen))
+        assert set(seen) == kept
+        assert len(kept) < len(every)
+        calls.clear()
         assert lambda_partitionable(g, lam) == first
-        assert len(seen) == once
+        assert len(calls) == len(seen)
+
+
+K5_EDGES = tuple(combinations(range(5), 2))
+
+
+@st.composite
+def wide_partition_cases(draw):
+    """A graph of partition_cases with {1,3}, {1,1,2} or {2,2}: partitions
+    with a level-3 block, or with a level-2 block ahead of two level-1
+    blocks, or with no level-1 block at all."""
+    g, _ = draw(partition_cases())
+    return g, draw(st.sampled_from([P((1, 3)), P((1, 1, 2)), P((2, 2))]))
+
+
+class TestPrunedWalk:
+    """The candidate walk skips a candidate whose level-1 block holds an
+    edge only when every part of lambda is 1 or 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_partition_cases())
+    @example((complete_multipartite([1, 1, 1, 1, 1, 1]), P((1, 3))))
+    @example((complete_multipartite([1, 1, 1, 1, 1, 1]), P((1, 1, 2))))
+    @example((complete_multipartite([2, 2, 2]), P((2, 2))))
+    def test_matches_oracle_beyond_weight_3(self, case):
+        g, lam = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "KLISTS_BOUND", 15)
+            assert lambda_partitionable(g, lam) == partitionable_oracle(g, lam)
+
+    def test_level_3_stop_beside_a_level_1_edge(self, monkeypatch):
+        # K_5, a separate edge {5, 6} and vertex 7: the whole graph stops
+        # at KLISTS_BOUND (8 * 3 colors), and 6-vertex level-3 blocks stop
+        # beside the level-1 block {5, 6}; no candidate certifies.
+        monkeypatch.setattr(limits, "KLISTS_BOUND", 15)
+        g = Graph(8, K5_EDGES + ((5, 6),))
+        got = lambda_partitionable(g, P((1, 3)))
+        assert isinstance(got, Undetermined)
+        assert got == partitionable_oracle(g, P((1, 3)))
+
+    def test_stop_beside_an_edge_names_the_reason(self, monkeypatch):
+        # Today's limits grow with the block, so the first candidate, the
+        # whole graph at the top level, stops before any smaller block
+        # can.  A stand-in certificate that stops on the triangles of K_5
+        # alone shows the walk does not rely on that: with {1,3} every
+        # triangle at level 3 sits beside a level-1 edge, and the stop
+        # must still name the reason.
+        certify = lambdacolor._certify_block
+
+        def stops_on_triangles(graph, vertices, level):
+            if level == 3 and len(vertices) == 3:
+                raise BoundExceeded("stand-in limit: a level-3 triangle")
+            return certify(graph, vertices, level)
+
+        monkeypatch.setattr(lambdacolor, "_certify_block", stops_on_triangles)
+        monkeypatch.setattr(oracles, "_certify_block", stops_on_triangles)
+        g = Graph(5, K5_EDGES)
+        got = lambda_partitionable(g, P((1, 3)))
+        assert got == partitionable_oracle(g, P((1, 3)))
+        assert got == Undetermined("stand-in limit: a level-3 triangle")
 
 
 class TestChoosable:
