@@ -20,7 +20,6 @@ from .lambdacolor import (
     PartitionabilityWitness,
     check_bad_witness,
     check_partitionability_witness,
-    enumerate_lambda_assignments,
     lambda_choosable,
     lambda_partitionable,
     random_lambda_assignment,
@@ -79,7 +78,6 @@ __all__ = [
     "contains_parts",
     "decide_strict_cmp",
     "decide_strict_search",
-    "enumerate_lambda_assignments",
     "enumerate_partitions",
     "extend_witness",
     "format_partition",

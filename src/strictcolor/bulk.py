@@ -18,17 +18,29 @@ The sweep reads shuffled vectors only until half of the rows are colored.
 The few rows left, which are mostly refusals, go to a depth-first search
 of the choice tree over planes rebuilt for them alone: a partial vector
 is dropped as soon as it is improper on every open row, so a row is
-refused without reading all k^n vectors.  ``limits.CHOICE_CAP`` bounds
-k^n, which is both the leaf count of that tree and the width of the
-sweep's vector matrix.
+refused without reading all k^n vectors.
 
-Memory is bounded: the planes take edges × k² bits per row, a block of
-vectors is sized so that its working set (picks, plane indices, the OR
-accumulator and one gathered plane per vector) stays under
-``SWEEP_BYTES``, and the search holds at most one block of children per
-depth.  Blocks of vectors start at ``FIRST_BLOCK`` and double; the
-search expands ``FIRST_BLOCK`` nodes at a time.  Everything is exact
-integer comparison; numpy only supplies the bulk loops.
+A host with parts has a second space.  A proper coloring of a complete
+multipartite graph gives each color at most one owning part, so a row is
+colorable iff some map f from its P colors to the t parts gives every
+vertex a color of its list owned by its own part.  The mask sweeps these
+t^P owner maps instead when there are fewer of them than k^n choice
+vectors, as on the capped streams of the refusal hunt (K(2,5,5) at caps
+(4, 1): 3^5 maps against 3^12 vectors), over member planes: bit r of
+plane (c, v) says color c is in row r's list of vertex v.  P counts the
+colors the rows were drawn from, fixed before any filtering, so the
+space depends on the input alone.  ``limits.CHOICE_CAP`` bounds the
+space the mask uses: k^n, the leaf count of the choice tree and the
+width of the sweep's vector matrix, or t^P, the maps' matrix.
+
+Memory is bounded: the planes take edges × k² bits per row (the member
+planes P × n), a block of vectors or maps is sized so that its working
+set (picks, plane indices, the accumulators and one gathered plane per
+vector or vertex) stays under ``SWEEP_BYTES``, and the search holds at
+most one block of children per depth.  Blocks start at ``FIRST_BLOCK``
+and double; the search expands ``FIRST_BLOCK`` nodes at a time.
+Everything is exact integer comparison; numpy only supplies the bulk
+loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
 never reach the sweep: ``leaf_candidates`` settles them per prefix, by a
@@ -168,20 +180,117 @@ def _search_choice_tree(lists: np.ndarray,
                           bitorder="little").view(bool)
 
 
+def _sweep_maps(lists: np.ndarray, parts: Sequence[Sequence[int]],
+                colors: int) -> np.ndarray:
+    """Per row of an (m, n, k) array of color slots 0..colors-1: does some
+    owner map color it?
+
+    Sweeps the shuffled maps of _choice_matrix(t, colors), map f giving
+    color c to part f[c], over member planes: bit r of plane [c, v] says
+    slot color c is in row r's list of vertex v.  Under f, vertex v's
+    planes of the colors its part owns, OR-ed, hold the rows where v gets
+    a color, and the AND of those over the vertices holds the rows f
+    colors.  Blocks of maps start at FIRST_BLOCK and double under the
+    SWEEP_BYTES budget, like the choice sweep; each time half of the rows
+    the planes cover are colored, the planes are rebuilt over the rows
+    left and the sweep resumes after the maps already read, which color
+    none of them.  The rows still open after all t^colors maps are the
+    refused ones.
+    """
+    m, n, k = lists.shape
+    own = np.zeros((len(parts), n), dtype=WORD)
+    for p, part in enumerate(parts):
+        own[p, list(part)] = ~np.uint64(0)
+    maps = _choice_matrix(len(parts), colors)
+    colorable = np.zeros(m, dtype=bool)
+    todo = np.arange(m)
+    at = 0
+    while todo.size and at < maps.shape[1]:
+        rows = todo.size
+        words = -(-rows // 64)
+        by_slot = np.ascontiguousarray(lists[todo].transpose(1, 2, 0))
+        planes = np.zeros((colors, n, words * 8), dtype=np.uint8)
+        for c in range(colors):
+            member = by_slot[:, 0] == c
+            for j in range(1, k):
+                member |= by_slot[:, j] == c
+            planes[c, :, :-(-rows // 8)] = np.packbits(member, axis=1,
+                                                       bitorder="little")
+        planes = planes.view(WORD)
+        still = np.packbits(np.arange(words * 64) < rows,
+                            bitorder="little").view(WORD)
+        # Per map, a block holds its picks, the per-vertex accumulator and
+        # one masked plane per vertex.
+        block_cap = max(1, SWEEP_BYTES // (8 * (colors + 2 * n * words)))
+        block = min(FIRST_BLOCK, block_cap)
+        while at < maps.shape[1]:
+            picks = maps[:, at:at + block]
+            at += picks.shape[1]
+            got = np.zeros((picks.shape[1], n, words), dtype=WORD)
+            for c in range(colors):
+                got |= planes[c] & own[picks[c]][:, :, None]
+            still &= ~np.bitwise_or.reduce(
+                np.bitwise_and.reduce(got, axis=1), axis=0)
+            block = min(2 * block, block_cap)
+            if 2 * int(np.bitwise_count(still).sum()) <= rows:
+                break
+        left = np.unpackbits(still.view(np.uint8), count=rows,
+                             bitorder="little").view(bool)
+        colorable[todo[~left]] = True
+        todo = todo[left]
+    return colorable
+
+
+def _colors(*arrays: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative int arrays, sorted."""
+    present = np.zeros(max(int(a.max(initial=0)) for a in arrays) + 1,
+                       dtype=bool)
+    for a in arrays:
+        present[a] = True
+    return np.flatnonzero(present)
+
+
+def chunk_palette(chunk, n: int,
+                  parts: Sequence[Sequence[int]] | None) -> np.ndarray:
+    """The colors of a prefix chunk that colorable_mask chooses from.
+
+    They are fixed before the prefix filter runs, so the filter moves
+    neither the space nor CHOICE_CAP: the colors of the chunk's lists and
+    prefix rows.  The prefix rows are read only when the owner space can
+    win; when the lists' colors alone give t^P >= k^n, no prefix color
+    changes the choice, and those are returned as they are.
+    """
+    palette = chunk.palette
+    k = chunk.lists.shape[1]
+    if parts is None or len(parts) ** palette.size >= k ** n:
+        return palette
+    return _colors(palette, chunk.rows)
+
+
 def colorable_mask(chunk: np.ndarray, n: int,
-                   edges: Sequence[tuple[int, int]]) -> np.ndarray:
+                   edges: Sequence[tuple[int, int]],
+                   parts: Sequence[Sequence[int]] | None = None,
+                   palette: np.ndarray | None = None) -> np.ndarray:
     """Per-row verdict: does the row's assignment admit a proper coloring?
 
-    First runs the bit-sliced sweep of the module docstring over the
-    shuffled choice vectors, in blocks of FIRST_BLOCK vectors that double
-    up to the SWEEP_BYTES budget, until half of the rows are colored or
-    all k^n vectors are read.  The rows still undecided then go to one
-    pruned depth-first search of the choice tree, which colors or refuses
-    each of them exactly.  The result depends only on the rows, not on
-    the block sizes, the vector order or where the sweep stops.  Raises
-    BoundExceeded instead of starting a hopeless run when k^n, the leaf
-    count of the choice tree and the width of the sweep's vector matrix,
-    is over ``limits.CHOICE_CAP``.
+    Over choice vectors, first runs the bit-sliced sweep of the module
+    docstring over the shuffled vectors, in blocks of FIRST_BLOCK vectors
+    that double up to the SWEEP_BYTES budget, until half of the rows are
+    colored or all k^n vectors are read; the rows still undecided then go
+    to one pruned depth-first search of the choice tree, which colors or
+    refuses each of them exactly.
+
+    ``parts`` says that ``edges`` are those of the complete multipartite
+    graph on these parts, as a Graph with parts guarantees.  The rows are
+    then settled over the t^P owner maps (_sweep_maps) when t^P < k^n,
+    and over choice vectors otherwise.  P is the size of ``palette``, the
+    sorted colors the rows were drawn from, fixed before any filtering
+    (chunk_palette of a prefix chunk); by default the rows' own colors.
+
+    The result depends only on the rows, not on the space, the block
+    sizes, the order or where a sweep stops.  Raises BoundExceeded instead
+    of starting a hopeless run when the space used, k^n choice vectors or
+    t^P owner maps, is over ``limits.CHOICE_CAP``.
     """
     rows = chunk.shape[0]
     if n == 0 or not edges:
@@ -190,6 +299,23 @@ def colorable_mask(chunk: np.ndarray, n: int,
     if chunk.shape[1] != n * k:
         raise ValueError(f"chunk width {chunk.shape[1]} does not split over "
                          f"{n} vertices")
+    if parts is not None:
+        if palette is None:
+            palette = _colors(chunk)
+        t, size = len(parts), palette.size
+        if t ** size < k ** n:
+            limits.enforce("CHOICE_CAP", t ** size,
+                           f"the owner map count {t}^{size} of a mask sweep")
+            colors = _colors(chunk)
+            if colors.size > size:
+                raise ValueError("the rows hold more colors than the palette")
+            if not rows:
+                return np.zeros(0, dtype=bool)
+            slot = np.zeros(int(colors[-1]) + 1,
+                            dtype=np.min_scalar_type(colors.size))
+            slot[colors] = np.arange(colors.size)
+            return _sweep_maps(slot[chunk].reshape(rows, n, k), parts,
+                               colors.size)
     limits.enforce("CHOICE_CAP", k ** n,
                    f"the choice vector count {k}^{n} of a mask sweep")
     choices = _choice_matrix(k, n)

@@ -39,7 +39,8 @@ from .partitions import (
     check_refinement_witness,
     near_unit_partition,
 )
-from .streams import enumerate_grouped, group_offsets, grouped_chunks, row_lists
+from .streams import group_offsets, grouped_chunks
+from .streams import enumerate_grouped  # noqa: F401  perfbench rebinds it
 
 
 def descending_parts(lam: IntegerPartition) -> tuple[int, ...]:
@@ -166,21 +167,6 @@ def _stream_assignment(g: Graph, lam: IntegerPartition,
     return LambdaAssignment(lam, tuple(tuple(c + 1 for c in lst)
                                        for lst in lists),
                             tuple(used), sizes=sizes)
-
-
-def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition
-                                 ) -> Iterator[LambdaAssignment]:
-    """Canonical lam-assignment stream for g.
-
-    Group i draws its colors from a private window of n*k_i integers;
-    groups are disjoint by definition, so fixing disjoint windows loses no
-    generality.  The stream contains at least one representative of every
-    class under color bijections preserving group membership, swaps of
-    equal-size groups, and part-preserving vertex permutations, in a
-    deterministic order.  Colors are 1-based.
-    """
-    for row in enumerate_grouped(g.n, descending_parts(lam), parts=g.parts):
-        yield _stream_assignment(g, lam, row_lists(row, g.n))
 
 
 @dataclass(frozen=True)

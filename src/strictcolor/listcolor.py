@@ -203,11 +203,12 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     leaf whose last list is not inside its prefix's G, the colors that
     every proper filter vector puts on the last vertex's neighbors; a
     proper vector leaves such a leaf's last vertex a free color.  The
-    bulk mask sweeps the rest, once per chunk even on no rows, so its
-    CHOICE_CAP stops a decision whatever the filter does.  Each row it
-    refuses is decoded with row_lists and re-solved with l_color, so
-    neither the filter nor the mask vouches for itself, and a row the
-    solver colors raises RuntimeError.  Returns ``(refusals,
+    bulk mask sweeps the rest, with the host's parts and the chunk's
+    palette (``bulk.chunk_palette``), once per chunk even on no rows, so
+    its space and CHOICE_CAP stop a decision whatever the filter does.
+    Each row it refuses is decoded with row_lists and re-solved with
+    l_color, so neither the filter nor the mask vouches for itself, and a
+    row the solver colors raises RuntimeError.  Returns ``(refusals,
     rows_examined)``: refusals are ``(index, lists, nodes_searched)`` with
     the stream's own 0-based colors and leaf indices, only the first one
     when first_only, and rows_examined is index + 1 after that early
@@ -217,10 +218,12 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     offset = 0
     for chunk in chunks:
         positions = bulk.leaf_candidates(chunk, g.n, g.edges)
+        palette = bulk.chunk_palette(chunk, g.n, g.parts)
         leaves = chunk.leaves
         rows = chunk.leaf_rows(positions)
         del chunk  # the prefix rows are not needed while the mask runs
-        mask = bulk.colorable_mask(rows, g.n, g.edges)
+        mask = bulk.colorable_mask(rows, g.n, g.edges, parts=g.parts,
+                                   palette=palette)
         for i in np.flatnonzero(~mask):
             lists = tuple(row_lists(tuple(int(x) for x in rows[i]), g.n))
             confirm = l_color(g, lists)

@@ -3,7 +3,8 @@
 They answer questions the package answers another way (part lookup,
 subgraph embedding, the canonical assignment stream, the lambda-partition
 search, the refusals of a stream) by the slow direct route, so agreement between the two is
-testable.
+testable.  ``enumerate_lambda_assignments`` is the lam-assignment stream
+as objects, which only the tests read.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite
 from strictcolor.lambdacolor import (
+    LambdaAssignment,
     PartitionabilityWitness,
     _certify_block,
+    _stream_assignment,
     descending_parts,
 )
 from strictcolor.listcolor import l_color
 from strictcolor.partitions import IntegerPartition
-from strictcolor.streams import group_offsets, row_lists
+from strictcolor.streams import enumerate_grouped, group_offsets, row_lists
 
 
 def part_of(g: Graph, v: int) -> int:
@@ -295,3 +298,18 @@ def leaf_refusals_oracle(g: Graph, chunks, first_only: bool = True):
                 return refusals, offset + int(i) + 1
         examined = offset + mask.shape[0]
     return refusals, examined
+
+
+def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition
+                                 ) -> Iterator[LambdaAssignment]:
+    """Canonical lam-assignment stream for g.
+
+    Group i draws its colors from a private window of n*k_i integers;
+    groups are disjoint by definition, so fixing disjoint windows loses no
+    generality.  The stream contains at least one representative of every
+    class under color bijections preserving group membership, swaps of
+    equal-size groups, and part-preserving vertex permutations, in a
+    deterministic order.  Colors are 1-based.
+    """
+    for row in enumerate_grouped(g.n, descending_parts(lam), parts=g.parts):
+        yield _stream_assignment(g, lam, row_lists(row, g.n))

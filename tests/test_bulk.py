@@ -242,12 +242,116 @@ class TestStragglerSweep:
 
     def test_first_refusal_of_k255_at_caps_4_1(self):
         # The 12-vertex strict host's first refusal in its (4, 1) capped
-        # stream sits deep in the stream (ROADMAP item 3).
-        g = complete_multipartite((2, 5, 5))
-        [(index, lists, _nodes)], examined = find_refusals(
-            g, grouped_chunks(12, (2, 1), parts=g.parts, caps=(4, 1)))
-        assert (index, examined) == (188235, 188236)
-        assert not l_color(g, lists).colorable
+        # stream sits deep in the stream (ROADMAP item 3).  With parts the
+        # mask sweeps 3^5 owner maps; the same graph without parts sends
+        # it over 3^12 choice vectors.
+        host = complete_multipartite((2, 5, 5))
+        for g in (host, Graph(host.n, host.edges)):
+            [(index, lists, _nodes)], examined = find_refusals(
+                g, grouped_chunks(12, (2, 1), parts=host.parts, caps=(4, 1)))
+            assert (index, examined) == (188235, 188236)
+            assert not l_color(g, lists).colorable
+
+
+# ---------------------------------------------------------------- owner maps
+
+@st.composite
+def owner_cases(draw):
+    """(part sizes, group sizes, caps, head, seed) for TestOwnerMaps.
+
+    A complete multipartite host with at most 9 vertices and a capped
+    canonical stream on it; the test masks a random subset of the
+    stream's first ``head`` leaves together with every refusal among them.
+    """
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)
+                       .filter(lambda s: sum(s) <= 9)))
+    groups = draw(st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1)]))
+    caps = tuple(draw(st.integers(s, s + 3)) for s in groups)
+    return (sizes, groups, caps, draw(st.integers(1, 300)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestOwnerMaps:
+    """The owner-map space of colorable_mask against the choice space
+    (parts=None) and l_color."""
+
+    @staticmethod
+    def rows_of(case):
+        """(n, edges, parts, rows, l_color's verdicts), vertices shuffled.
+
+        The rows' vertices are renumbered at random, so the last vertex
+        of the stream, whose list follows its part's order, can sit
+        anywhere, and parts need not be ranges.
+        """
+        sizes, groups, caps, head, seed = case
+        g = complete_multipartite(sizes)
+        leaves = np.concatenate([c.leaf_rows() for c in _head_rows(
+            grouped_chunks(g.n, groups, parts=g.parts, caps=caps), head)])
+        solver = np.array([l_color(g, row_lists(tuple(r), g.n)).colorable
+                           for r in leaves.tolist()], dtype=bool)
+        rng = np.random.default_rng(seed)
+        keep = (rng.random(len(leaves)) < 0.5) | ~solver
+        to = rng.permutation(g.n)
+        k = sum(groups)
+        rows = np.empty_like(leaves[keep])
+        for v in range(g.n):
+            rows[:, to[v] * k:(to[v] + 1) * k] = leaves[keep,
+                                                        v * k:(v + 1) * k]
+        parts = [[int(to[v]) for v in part] for part in g.parts]
+        edges = [(int(to[u]), int(to[v])) for u, v in g.edges]
+        return g.n, edges, parts, rows, solver[keep]
+
+    @settings(max_examples=60, deadline=None)
+    @given(owner_cases())
+    # 3^2 maps < 2^4 vectors, then 3^3 > 2^4: both sides of the switch.
+    @example(((1, 1, 2), (2,), (2,), 300, 0))
+    @example(((1, 1, 2), (2,), (3,), 300, 0))
+    # One row with three colors: 3^3 maps against 3^11 vectors.
+    @example(((3, 3, 5), (2, 1), (2, 1), 300, 2))
+    # The whole stream, with its one refusal (leaf 444): 3^4 maps.
+    @example(((3, 3, 3), (2, 1), (3, 1), 600, 1))
+    def test_matches_choice_space_and_solver(self, case):
+        n, edges, parts, rows, solver = self.rows_of(case)
+        owner = colorable_mask(rows, n, edges, parts=parts)
+        choice = colorable_mask(rows, n, edges)
+        assert owner.tolist() == choice.tolist() == solver.tolist()
+
+    @pytest.mark.parametrize("caps,maps", [((2,), True), ((3,), False)])
+    def test_switch_follows_the_smaller_space(self, monkeypatch, caps,
+                                              maps):
+        swept = []
+
+        def spy(lists, parts, colors):
+            swept.append(colors)
+            return sweep(lists, parts, colors)
+
+        sweep = bulk._sweep_maps
+        monkeypatch.setattr(bulk, "_sweep_maps", spy)
+        n, edges, parts, rows, solver = self.rows_of(
+            ((1, 1, 2), (2,), caps, 300, 0))
+        colors = len(set(rows.ravel().tolist()))
+        assert (3 ** colors < 2 ** 4) == maps
+        assert colorable_mask(rows, n, edges,
+                              parts=parts).tolist() == solver.tolist()
+        assert swept == ([colors] if maps else [])
+
+    def test_cap_counts_the_space_used(self, monkeypatch):
+        g = complete_multipartite((3, 3, 5))
+        chunk = np.zeros((0, 33), dtype=np.int32)
+        monkeypatch.setattr(limits, "CHOICE_CAP", 3 ** 5 - 1)
+        with pytest.raises(BoundExceeded, match=r"owner map count 3\^5 "):
+            colorable_mask(chunk, g.n, g.edges, parts=g.parts,
+                           palette=np.arange(5))
+        monkeypatch.setattr(limits, "CHOICE_CAP", 3 ** 5)
+        assert colorable_mask(chunk, g.n, g.edges, parts=g.parts,
+                              palette=np.arange(5)).shape == (0,)
+
+    def test_palette_must_hold_the_rows(self):
+        g = complete_multipartite((1, 2))
+        chunk = np.array([[0, 1, 0, 2, 1, 2]], dtype=np.int32)
+        with pytest.raises(ValueError, match="more colors than the palette"):
+            colorable_mask(chunk, g.n, g.edges, parts=g.parts,
+                           palette=np.arange(2))
 
 
 class TestChunking:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import partitionable_oracle
+from oracles import enumerate_lambda_assignments, partitionable_oracle
 from strictcolor import lambdacolor, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite, is_proper
@@ -26,7 +26,6 @@ from strictcolor.lambdacolor import (
     coarsen_grouping,
     color_via_partition,
     descending_parts,
-    enumerate_lambda_assignments,
     lambda_choosable,
     lambda_partitionable,
     random_lambda_assignment,

@@ -146,7 +146,7 @@ class TestKChoosable:
 
 
 
-def refuse_every_row(chunk, n, edges):
+def refuse_every_row(chunk, n, edges, parts=None, palette=None):
     return np.zeros(chunk.shape[0], dtype=bool)
 
 

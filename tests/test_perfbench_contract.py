@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from strictcolor import listcolor, streams
+from strictcolor import bulk, lambdacolor, listcolor, streams
 from strictcolor.graphs import complete_multipartite
+from strictcolor.partitions import IntegerPartition
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -50,6 +51,29 @@ def test_tracer_binds_and_restores_every_name(harness):
     assert counts["listcolor.k_choosable_calls"] == 1
     assert counts["bulk.mask_rows"] > 0
     assert counts["listcolor.l_color_calls"] >= 1
+
+
+def test_traced_capped_stream_reaches_the_owner_maps(harness, monkeypatch):
+    # The prospect rung masks capped rows with the host's parts, so the
+    # tracer's wrapper must pass colorable_mask's keywords through.
+    tracing, _ = harness
+    swept = []
+    sweep = bulk._sweep_maps
+
+    def spy(lists, parts, colors):
+        swept.append(colors)
+        return sweep(lists, parts, colors)
+
+    monkeypatch.setattr(bulk, "_sweep_maps", spy)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        verdict = lambdacolor.lambda_choosable(
+            complete_multipartite((3, 3, 5)), IntegerPartition((1, 2)))
+    assert verdict.choosable is False
+    counts = tracer.report()
+    assert counts["bulk.mask_rows"] > 0
+    assert counts["bulk.mask_s"] > 0
+    assert swept
 
 
 def test_pool_probe_runs_at_one_and_two_workers(harness):

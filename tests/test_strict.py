@@ -433,6 +433,29 @@ class TestDecideStrictSearch:
             assert (decide_strict_search(g, 3).strict
                     == decide_strict_cmp(sz).strict), sz
 
+    def test_k4_host_k3333_is_strict(self):
+        # The prospect's capped rows fit the owner maps: its refusal sits
+        # at caps (3, 1, 1), 4^5 maps, where 4^12 choice vectors are over
+        # CHOICE_CAP.
+        g = complete_multipartite((3, 3, 3, 3))
+        d = decide_strict_search(g, 4)
+        assert (d.strict, d.reason) == (True, "search")
+        assert isinstance(d.certificate, BadAssignmentWitness)
+        assert check_bad_witness(g, d.certificate)
+        assert decide_strict_cmp((3, 3, 3, 3)).strict is True
+
+    @pytest.mark.parametrize("sizes", [(2, 5, 5, 5), (2, 4, 6, 6)])
+    def test_k4_minimal_hosts_stay_undecided(self, sizes):
+        # Strict by the characterization, but no capped row within
+        # PROSPECT_ROWS refuses (their refusals need a color-starved row
+        # order), and the full stream is past GROUPED_BOUND.
+        d = decide_strict_search(complete_multipartite(sizes), 4)
+        assert (d.strict, d.certificate) == (None, None)
+        assert d.reason.startswith("search-undecided: ")
+        assert "PROSPECT_ROWS: 200000 capped rows held no refusal" in d.reason
+        assert "GROUPED_BOUND: " in d.reason
+        assert decide_strict_cmp(sizes).strict is True
+
     def test_ladder_shortfall_reported(self, monkeypatch):
         monkeypatch.setattr(
             "strictcolor.strict.lambda_choosable",
