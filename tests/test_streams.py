@@ -9,7 +9,10 @@ minimized over the symmetries the stream is allowed to quotient by.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations, islice, permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +376,36 @@ class TestSpans:
         assert got == want
         for chunk, lists in held:  # the walk went on past every chunk
             assert np.array_equal(chunk.lists, lists)
+
+
+PINS = Path(__file__).with_name("stream_pins.json")
+
+
+def chunk_records(sizes, groups, caps, chunks, chunk_rows):
+    """Per chunk of a host's stream: leaves, prefixes, palette, row digest."""
+    g = complete_multipartite(sizes)
+    stream = grouped_chunks(g.n, groups, parts=g.parts, caps=caps,
+                            chunk_rows=chunk_rows)
+    return [[c.leaves, len(c.count), c.palette.tolist(),
+             hashlib.sha256(c.leaf_rows().astype("<i4").tobytes())
+             .hexdigest()[:16]]
+            for c in islice(stream, chunks)]
+
+
+class TestPinnedStreams:
+    """The chunks of five streams, as the walk before its base memo made
+    them: the palette picks the mask's owner-map space, so it is pinned
+    along with the rows."""
+
+    @pytest.mark.parametrize("pin", json.loads(PINS.read_text()),
+                             ids=lambda pin: pin["name"])
+    def test_chunks_are_pinned(self, pin):
+        got = chunk_records(tuple(pin["sizes"]), tuple(pin["groups"]),
+                            pin["caps"] and tuple(pin["caps"]),
+                            pin["chunks"], pin["chunk_rows"])
+        assert len(got) == len(pin["records"])
+        for i, (have, want) in enumerate(zip(got, pin["records"])):
+            assert have == want, f"chunk {i}"
 
 
 class TestChunkOwnership:
