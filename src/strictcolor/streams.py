@@ -38,20 +38,29 @@ Ordinary k-assignments are the single-group case: group_sizes = (k,).
 of vertices 0..n-2.  The rows below a vertex depend only on its state:
 the vertex index, the colors each group has used so far, which equal-size
 groups are still tied under (3), and the previous vertex's choice when
-both share a part (2).  Each state's vertex rows and leaf count are
-computed once.  A state of the last vertex is a prefix state: its vertex
-rows are the last columns of the leaves below every prefix in it, so the
-walk appends them once to a table of lists and emits each prefix row with
-the span of its state's lists there instead of its leaves.  A prefix's
-leaves are its row followed by each list of its span, in order, so a
-leaf's index in the stream is the leaves before its prefix plus its
-position in the span.  The table only grows, and each chunk holds a
-read-only view of it, so the spans of one chunk stay valid after the walk
-moves on.  A subtree whose leaves fit in a chunk is emitted whole: its
-prefix rows are assembled from its children's blocks, built once and
-kept read-only in the narrowest integer type, and copied into the chunk
-with the prefix columns above them broadcast.  Subtrees too big for a
-chunk are walked one vertex row at a time.
+both share a part (2).  That choice is only a floor: a state's rows are
+those rows of its base, the state without the choice, whose relative
+choices are at least the previous vertex's.  A base's rows come in that
+order, so they are a suffix of them, found by bisection, and the walk
+holds a state as a base and an offset.  The vertex rows and next states
+of every vertex, and the leaf counts and blocks of vertex n-2, are built
+once per base and read by each state from its offset on; the counts and
+blocks above vertex n-2 are kept per state.  A state of the last vertex is a prefix state: its
+vertex rows are the last columns of the leaves below every prefix in it.
+The walk appends the rows of each last-vertex base once to a table of
+lists, and emits each prefix row with the span of its state's lists
+there, the base's start plus the state's offset, instead of its leaves.
+A prefix's leaves are its row followed by each list of its span, in
+order, so a leaf's index in the stream is the leaves before its prefix
+plus its position in the span.  The table only grows, and each chunk
+holds a read-only view of it, so the spans of one chunk stay valid after
+the walk moves on.  A chunk's palette is the colors of the lists of the
+states the walk has reached, not of their whole bases.  A subtree whose
+leaves fit in a chunk is emitted whole: its prefix rows are assembled
+from its children's blocks, kept read-only in the narrowest integer
+type, and copied into the chunk with the prefix columns above them
+broadcast.  Subtrees too big for a chunk are walked one vertex row at a
+time.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -62,6 +71,7 @@ the tuple stream, is each chunk's ``leaf_rows()`` flattened.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
@@ -196,6 +206,35 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     yield from _walk(n, sizes, parts, bounded, chunk_rows)
 
 
+class _Base:
+    """The rows of one vertex given (v, seen, r3eq), with no floor from the
+    vertex before it.  A walk state is a base and an offset: its rows are
+    the base's rows from the offset on."""
+
+    __slots__ = ("v", "heads", "rels", "after", "kids", "start", "marked",
+                 "cum", "summed", "per", "first", "placed")
+
+    def __init__(self, v: int, n: int, heads: np.ndarray,
+                 rels: list[tuple], after: list[tuple]):
+        m = heads.shape[0]
+        self.v = v
+        self.heads = heads  # the vertex rows, narrow and read-only
+        self.rels = rels  # each row's per-group window-relative choices
+        self.after = after  # each row's (seen, r3eq) for the next vertex
+        # Each row's next state, once met.
+        self.kids: list | None = [None] * m if v < n - 1 else None
+        # Last vertex: the base's start in the lists table once appended,
+        # and the first row whose colors are in the palette.
+        self.start: int | None = None
+        self.marked = m
+        # Vertex n-2: minus the leaves below rows i.. as cum[i], from row
+        # ``summed`` on, and each row's leaf count and the start of its
+        # lists in the table, from row ``placed`` on.
+        self.cum = [0] * (m + 1) if v == n - 2 else None
+        self.summed = self.placed = m
+        self.per = self.first = None
+
+
 def _walk(n: int, sizes: tuple[int, ...],
           parts: Sequence[Sequence[int]] | None,
           caps: tuple[int, ...] | None, chunk_rows: int
@@ -231,133 +270,172 @@ def _walk(n: int, sizes: tuple[int, ...],
         out.sort(key=lambda o: o[0])
         return tuple(out)
 
-    def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...],
-                    lower: tuple[tuple[int, ...], ...] | None):
-        """All admissible rows for one vertex given the running state."""
-        results: list[tuple] = []
-
-        def grec(g, tight, abs_acc, rel_acc, seen_acc, r3_acc):
-            if g == t:
-                results.append((abs_acc, rel_acc, seen_acc, r3_acc))
-                return
-            floor_r2 = lower[g] if (lower is not None and tight) else None
-            floor_r3 = rel_acc[g - 1] if (eqpair[g] and r3eq[g]) else None
-            for rel, abs_, nseen in options(g, seen[g]):
-                if floor_r2 is not None and rel < floor_r2:
-                    continue
-                if floor_r3 is not None and rel < floor_r3:
-                    continue
-                grec(g + 1,
-                     tight and floor_r2 is not None and rel == floor_r2,
-                     abs_acc + abs_,
-                     rel_acc + (rel,),
-                     seen_acc + (nseen,),
-                     r3_acc + (r3eq[g] and rel == floor_r3,))
-
-        grec(0, lower is not None, (), (), (), ())
-        del grec  # it refers to itself: free it, and its rows, right away
-        return results
+    def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...]):
+        """All admissible rows for one vertex given the colors each group
+        has used and the equal-size groups still tied, in lexicographic
+        order of their per-group relative choices."""
+        rows = [((), (), (), ())]
+        for g in range(t):
+            opts = options(g, seen[g])
+            tied = eqpair[g] and r3eq[g]
+            grown = []
+            for abs_acc, rel_acc, seen_acc, r3_acc in rows:
+                floor = rel_acc[g - 1] if tied else None
+                for rel, abs_, nseen in opts:
+                    if tied and rel < floor:
+                        continue
+                    grown.append((abs_acc + abs_, rel_acc + (rel,),
+                                  seen_acc + (nseen,),
+                                  r3_acc + (tied and rel == floor,)))
+            rows = grown
+        return rows
 
     # A vertex state is (v, seen, r3eq, previous vertex's choice if v
     # shares its part, else None): everything the rows of vertices v..
-    # depend on.  Past the last vertex there is one state, with one empty
-    # row.  A state of the last vertex is a prefix state: its vertex rows
-    # are the last columns of the leaves below every prefix in it.
-    end = (n,)
-    kids_of: dict[tuple, tuple[np.ndarray, list[tuple]]] = {}
-    states: dict[tuple, tuple] = {end: end}
+    # depend on.  Its rows are those of the base (v, seen, r3eq) whose
+    # relative choices are at least the previous vertex's, and the base's
+    # rows come out of vertex_rows in that order, so they are a suffix of
+    # the base's: a state is held as (base, offset).  A base is built the
+    # first time a state meets it, and a row's next state the first time
+    # the walk or a count reaches that row.
+    bases: dict[tuple, _Base] = {}
 
-    def children(state) -> tuple[np.ndarray, list[tuple]]:
-        """The state's vertex rows (narrow, in order) and their next states."""
-        got = kids_of.get(state)
+    def base_at(v: int, seen: tuple[int, ...],
+                r3eq: tuple[bool, ...]) -> _Base:
+        key = (v, seen, r3eq)
+        got = bases.get(key)
         if got is None:
-            v, seen, r3eq, lower = state
-            last = v + 1 == n
-            same = not last and samepart[v + 1]
-            heads, nexts = [], []
-            for abs_row, rels, nseen, nr3 in vertex_rows(seen, r3eq, lower):
-                heads.append(abs_row)
-                nxt = end if last else (v + 1, nseen, nr3,
-                                        rels if same else None)
-                # One shared tuple per distinct state keeps the memo small.
-                nexts.append(states.setdefault(nxt, nxt))
-            got = (np.array(heads, dtype=narrow).reshape(len(heads), k),
-                   nexts)
-            kids_of[state] = got
+            rows = vertex_rows(seen, r3eq)
+            heads = np.array([r[0] for r in rows],
+                             dtype=narrow).reshape(len(rows), k)
+            heads.flags.writeable = False
+            got = bases[key] = _Base(v, n, heads, [r[1] for r in rows],
+                                     [r[2:] for r in rows]
+                                     if v < n - 1 else None)
         return got
 
+    def kid(b: _Base, i: int) -> tuple[_Base, int]:
+        """The next state of row i of the base, v < n - 1."""
+        got = b.kids[i]
+        if got is None:
+            nb = base_at(b.v + 1, *b.after[i])
+            got = b.kids[i] = (nb, bisect_left(nb.rels, b.rels[i])
+                               if samepart[b.v + 1] else 0)
+        return got
+
+    def summed(b: _Base, off: int) -> bool:
+        """Sum a vertex-(n-2) base's rows from off on, unless they hold more
+        than chunk_rows leaves (then False)."""
+        leaves = 0
+        for i in range(off, b.summed):
+            c, o = kid(b, i)
+            leaves += c.heads.shape[0] - o
+            if leaves > chunk_rows:
+                return False
+        cum = b.cum
+        for i in range(b.summed - 1, off - 1, -1):
+            c, o = b.kids[i]
+            cum[i] = cum[i + 1] - c.heads.shape[0] + o
+        b.summed = min(b.summed, off)
+        return True
+
     # Subtree leaf counts, capped at chunk_rows + 1 ("too big for a block").
-    counts: dict[tuple, int] = {end: 1}
+    # From vertex n-2 on they are read from the base; above it they are
+    # memoised per state.
+    counts: dict[tuple, int] = {}
 
     def count(state) -> int:
+        b, off = state
+        if b.v == n - 1:
+            return min(b.heads.shape[0] - off, chunk_rows + 1)
+        if b.v == n - 2:
+            if off < b.summed and not summed(b, off):
+                return chunk_rows + 1
+            return min(-b.cum[off], chunk_rows + 1)
         got = counts.get(state)
         if got is None:
             got = 0
-            for child in children(state)[1]:
-                got += count(child)
+            for i in range(off, b.heads.shape[0]):
+                got += count(kid(b, i))
                 if got > chunk_rows:
                     got = chunk_rows + 1
                     break
             counts[state] = got
         return got
 
-    # The last-vertex lists of every prefix state the walk has met, in
-    # order, table[:used]; each state's start there; the colors they use.
-    # Rows are only appended, so a view of table[:used] never changes.
+    # The rows of every last-vertex base the walk has placed, table[:used],
+    # each appended once: a state's lists start at its base's start plus
+    # its offset.  present marks the colors of the lists of the states
+    # placed so far, not of their whole bases.  Rows are only appended,
+    # so a view of table[:used] never changes.
     table = np.empty((0, k), dtype=np.int32)
     used = 0
-    starts: dict[tuple, int] = {}
     present = np.zeros(n * k, dtype=bool)
 
-    def last_start(state) -> int:
+    def table_start(b: _Base) -> int:
         nonlocal table, used
-        got = starts.get(state)
-        if got is None:
-            lists = children(state)[0]
-            if used + len(lists) > len(table):
-                grown = np.empty((2 * (used + len(lists)), k), dtype=np.int32)
+        if b.start is None:
+            m = b.heads.shape[0]
+            if used + m > len(table):
+                grown = np.empty((2 * (used + m), k), dtype=np.int32)
                 grown[:used] = table[:used]
                 table = grown
-            got = starts[state] = used
-            used += len(lists)
-            table[got:used] = lists
-            present[lists] = True
-        return got
+            b.start = used
+            used += m
+            table[b.start:used] = b.heads
+        return b.start
 
-    # Read-only blocks of the subtrees that emitted blocks: the prefix
-    # rows over vertices v..n-2, each prefix's start in table and leaf
-    # count.
+    def mark(b: _Base, off: int) -> int:
+        """Mark the colors of last-vertex state (b, off); its lists' start."""
+        if off < b.marked:
+            present[b.heads[off:b.marked]] = True
+            b.marked = off
+        return table_start(b) + off
+
+    def place(b: _Base, off: int) -> None:
+        """Mark and place the lists of vertex-(n-2) state (b, off), whose
+        rows are summed."""
+        if b.per is None:
+            b.per = np.empty(b.heads.shape[0], dtype=np.intp)
+            b.first = np.empty(b.heads.shape[0], dtype=np.intp)
+        for i in range(off, b.placed):
+            c, o = b.kids[i]
+            b.per[i] = c.heads.shape[0] - o
+            b.first[i] = mark(c, o)
+        b.placed = min(b.placed, off)
+
+    # Blocks of the subtrees that emitted blocks: the prefix rows over
+    # vertices v..n-2, each prefix's start in table and leaf count.  A
+    # vertex-(n-2) state's block is read from its base's; those above are
+    # built per state, from their children's, and kept read-only.
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def block(state, keep: bool = True):
+        b, off = state
+        if b.v == n - 1:
+            return (np.zeros((1, 0), dtype=narrow),
+                    np.array([mark(b, off)], dtype=np.intp),
+                    np.array([b.heads.shape[0] - off], dtype=np.intp))
+        if b.v == n - 2:
+            place(b, off)
+            return b.heads[off:], b.first[off:], b.per[off:]
         got = blocks.get(state)
         if got is not None:
             return got
-        heads, nexts = children(state)
-        if state[0] == n - 1:
-            got = (np.zeros((1, 0), dtype=narrow),
-                   np.array([last_start(state)], dtype=np.intp),
-                   np.array([heads.shape[0]], dtype=np.intp))
-        elif state[0] == n - 2:
-            got = (heads,
-                   np.array([last_start(c) for c in nexts], dtype=np.intp),
-                   np.array([children(c)[0].shape[0] for c in nexts],
-                            dtype=np.intp))
-        else:
-            subs = [block(child) for child in nexts]
-            lens = [sub[1].shape[0] for sub in subs]
-            rows = np.empty((sum(lens), (n - 1 - state[0]) * k), dtype=narrow)
-            rows[:, :k] = np.repeat(heads, lens, axis=0)
-            np.concatenate([sub[0] for sub in subs], out=rows[:, k:])
-            got = (rows, np.concatenate([sub[1] for sub in subs]),
-                   np.concatenate([sub[2] for sub in subs]))
+        subs = [block(kid(b, i)) for i in range(off, b.heads.shape[0])]
+        lens = [sub[1].shape[0] for sub in subs]
+        rows = np.empty((sum(lens), (n - 1 - b.v) * k), dtype=narrow)
+        rows[:, :k] = np.repeat(b.heads[off:], lens, axis=0)
+        np.concatenate([sub[0] for sub in subs], out=rows[:, k:])
+        got = (rows, np.concatenate([sub[1] for sub in subs]),
+               np.concatenate([sub[2] for sub in subs]))
         if keep:
             for part in got:
                 part.flags.writeable = False
             blocks[state] = got
         return got
 
-    root = (0, (0,) * t, eqpair, None)
+    root = (base_at(0, (0,) * t, eqpair), 0)
     width = (n - 1) * k
     cap = min(chunk_rows, count(root))
     buf = first = per = None
@@ -376,20 +454,28 @@ def _walk(n: int, sizes: tuple[int, ...],
     def walk(state, prefix: list[int]) -> Iterator[PrefixChunk]:
         """Emit the prefixes below prefix: whole if they fit a chunk."""
         nonlocal buf, first, per, pos, held
-        if state[0] < n - 1 and count(state) > chunk_rows:
-            heads, nexts = children(state)
-            for head, child in zip(heads.tolist(), nexts):
-                yield from walk(child, prefix + head)
+        b, off = state
+        if b.v < n - 1 and count(state) > chunk_rows:
+            for i, head in enumerate(b.heads[off:].tolist(), off):
+                yield from walk(kid(b, i), prefix + head)
             return
-        rows, sub_first, sub_per = block(state, keep=False)
-        ends = np.cumsum(sub_per)
-        done = base = 0
+        if b.v == n - 2:
+            # The state's prefixes are its base's from the offset on.
+            place(b, off)
+            rows, sub_first, sub_per, cum = b.heads, b.first, b.per, b.cum
+            done = off
+        else:
+            rows, sub_first, sub_per = block(state, keep=False)
+            cum = np.zeros(rows.shape[0] + 1, dtype=np.intp)
+            np.cumsum(sub_per, out=cum[1:])
+            done = 0
+        stop = rows.shape[0]
         split = len(prefix)
-        while done < rows.shape[0]:
+        while done < stop:
             # As many whole prefixes as the chunk has leaves left for; a
             # prefix with more leaves than a chunk goes alone.
-            take = int(np.searchsorted(ends, base + chunk_rows - held,
-                                       side="right")) - done
+            take = bisect_right(cum, cum[done] + chunk_rows - held,
+                                done + 1, stop + 1) - 1 - done
             if take <= 0:
                 if pos:
                     yield flush()
@@ -405,9 +491,8 @@ def _walk(n: int, sizes: tuple[int, ...],
             first[pos:pos + take] = sub_first[done:done + take]
             per[pos:pos + take] = sub_per[done:done + take]
             pos += take
+            held += int(cum[done + take] - cum[done])
             done += take
-            held += int(ends[done - 1]) - base
-            base = int(ends[done - 1])
             if held >= chunk_rows:
                 yield flush()
 
@@ -420,7 +505,7 @@ def _walk(n: int, sizes: tuple[int, ...],
         # collector would free them and what they hold: let go of it now.
         buf = first = per = table = None
         options.cache_clear()
-        for memo in (kids_of, counts, blocks, states, starts):
+        for memo in (bases, counts, blocks):
             memo.clear()
 
 

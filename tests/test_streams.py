@@ -277,6 +277,11 @@ class TestGroupedChunks:
     @example((3, (1, 1), ((0, 1), (2,)), None, 1))
     @example((4, (1, 1), None, (1, 2), 3))  # unequal caps on equal groups
     @example((6, (2, 1), ((0, 1), (2, 3), (4, 5)), None, 64))
+    # A part of three or more, tied equal groups and caps: the walk reads
+    # states at non-zero offsets into their bases' rows.
+    @example((7, (1, 1), ((0, 1), (2, 3, 4, 5, 6)), (3, 3), 1))
+    @example((7, (2, 1, 1), ((0,), (1, 2, 3, 4, 5, 6)), (3, 2, 2), 3))
+    @example((7, (1, 1, 1), ((0, 1, 2), (3, 4, 5, 6)), (2, 2, 2), 64))
     def test_matches_reference_rows(self, case):
         n, sizes, parts, caps, chunk_rows = case
         try:
@@ -297,6 +302,8 @@ class TestGroupedChunks:
             # At most chunk_rows leaves, unless the chunk is one prefix.
             assert chunk.leaves > 0
             assert chunk.leaves <= chunk_rows or chunk.rows.shape[0] == 1
+            # The mask refuses a palette that misses a last-list color.
+            assert np.isin(rows[:, chunk.rows.shape[1]:], chunk.palette).all()
             chunks.append(chunk)
             taken += chunk.leaves
             if taken > ORACLE_ROWS:
