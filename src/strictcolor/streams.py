@@ -72,7 +72,6 @@ the tuple stream, is each chunk's ``leaf_rows()`` flattened.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -211,16 +210,17 @@ class _Base:
     vertex before it.  A walk state is a base and an offset: its rows are
     the base's rows from the offset on."""
 
-    __slots__ = ("v", "heads", "rels", "after", "kids", "start", "marked",
-                 "cum", "summed", "per", "first", "placed")
+    __slots__ = ("v", "heads", "rels", "seens", "ties", "kids", "start",
+                 "marked", "cum", "summed", "per", "first", "placed")
 
-    def __init__(self, v: int, n: int, heads: np.ndarray,
-                 rels: list[tuple], after: list[tuple]):
+    def __init__(self, v: int, n: int, heads: np.ndarray, rels: tuple,
+                 seens: tuple, ties: tuple):
         m = heads.shape[0]
         self.v = v
-        self.heads = heads  # the vertex rows, narrow and read-only
+        self.heads = heads  # the vertex rows, narrow
         self.rels = rels  # each row's per-group window-relative choices
-        self.after = after  # each row's (seen, r3eq) for the next vertex
+        self.seens = seens  # each row's colors used per group, after it
+        self.ties = ties  # each row's equal-size groups still tied, after it
         # Each row's next state, once met.
         self.kids: list | None = [None] * m if v < n - 1 else None
         # Last vertex: the base's start in the lists table once appended,
@@ -257,18 +257,23 @@ def _walk(n: int, sizes: tuple[int, ...],
     eqpair = tuple(g > 0 and sizes[g] == sizes[g - 1] for g in range(t))
     narrow = np.min_scalar_type(n * k - 1)
 
-    @lru_cache(maxsize=None)
+    choices: dict[tuple[int, int], tuple] = {}
+
     def options(g: int, seen: int):
         """All canonical choices for one vertex in group g, sorted."""
-        size, off = sizes[g], offs[g]
-        room = size if caps is None else min(size, caps[g] - seen)
-        out = []
-        for fresh in range(max(room, -1) + 1):
-            for old in combinations(range(seen), size - fresh):
-                rel = old + tuple(range(seen, seen + fresh))
-                out.append((rel, tuple(c + off for c in rel), seen + fresh))
-        out.sort(key=lambda o: o[0])
-        return tuple(out)
+        got = choices.get((g, seen))
+        if got is None:
+            size, off = sizes[g], offs[g]
+            room = size if caps is None else min(size, caps[g] - seen)
+            out = []
+            for fresh in range(max(room, -1) + 1):
+                for old in combinations(range(seen), size - fresh):
+                    rel = old + tuple(range(seen, seen + fresh))
+                    out.append((rel, tuple(c + off for c in rel),
+                                seen + fresh))
+            out.sort(key=lambda o: o[0])
+            got = choices[g, seen] = tuple(out)
+        return got
 
     def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...]):
         """All admissible rows for one vertex given the colors each group
@@ -305,20 +310,16 @@ def _walk(n: int, sizes: tuple[int, ...],
         key = (v, seen, r3eq)
         got = bases.get(key)
         if got is None:
-            rows = vertex_rows(seen, r3eq)
-            heads = np.array([r[0] for r in rows],
-                             dtype=narrow).reshape(len(rows), k)
-            heads.flags.writeable = False
-            got = bases[key] = _Base(v, n, heads, [r[1] for r in rows],
-                                     [r[2:] for r in rows]
-                                     if v < n - 1 else None)
+            heads, rels, seens, ties = zip(*vertex_rows(seen, r3eq))
+            heads = np.array(heads, dtype=narrow).reshape(len(rels), k)
+            got = bases[key] = _Base(v, n, heads, rels, seens, ties)
         return got
 
     def kid(b: _Base, i: int) -> tuple[_Base, int]:
         """The next state of row i of the base, v < n - 1."""
         got = b.kids[i]
         if got is None:
-            nb = base_at(b.v + 1, *b.after[i])
+            nb = base_at(b.v + 1, b.seens[i], b.ties[i])
             got = b.kids[i] = (nb, bisect_left(nb.rels, b.rels[i])
                                if samepart[b.v + 1] else 0)
         return got
@@ -336,7 +337,7 @@ def _walk(n: int, sizes: tuple[int, ...],
         for i in range(b.summed - 1, off - 1, -1):
             c, o = b.kids[i]
             cum[i] = cum[i + 1] - c.heads.shape[0] + o
-        b.summed = min(b.summed, off)
+        b.summed = off
         return True
 
     # Subtree leaf counts, capped at chunk_rows + 1 ("too big for a block").
@@ -463,24 +464,30 @@ def _walk(n: int, sizes: tuple[int, ...],
             # The state's prefixes are its base's from the offset on.
             place(b, off)
             rows, sub_first, sub_per, cum = b.heads, b.first, b.per, b.cum
-            done = off
+            done, left = off, -cum[off]
         else:
             rows, sub_first, sub_per = block(state, keep=False)
-            cum = np.zeros(rows.shape[0] + 1, dtype=np.intp)
-            np.cumsum(sub_per, out=cum[1:])
-            done = 0
+            cum = None
+            done, left = 0, int(sub_per.sum())
         stop = rows.shape[0]
         split = len(prefix)
         while done < stop:
-            # As many whole prefixes as the chunk has leaves left for; a
-            # prefix with more leaves than a chunk goes alone.
-            take = bisect_right(cum, cum[done] + chunk_rows - held,
-                                done + 1, stop + 1) - 1 - done
-            if take <= 0:
-                if pos:
-                    yield flush()
-                    continue
-                take = 1
+            if left <= chunk_rows - held:
+                take, got = stop - done, left  # the rest fits
+            else:
+                if cum is None:
+                    cum = np.zeros(stop + 1, dtype=np.intp)
+                    np.cumsum(sub_per, out=cum[1:])
+                # As many whole prefixes as the chunk has leaves left for;
+                # a prefix with more leaves than a chunk goes alone.
+                take = bisect_right(cum, cum[done] + chunk_rows - held,
+                                    done + 1, stop + 1) - 1 - done
+                if take <= 0:
+                    if pos:
+                        yield flush()
+                        continue
+                    take = 1
+                got = int(cum[done + take] - cum[done])
             if buf is None:
                 # int32 spans: a table of 2^31 lists would not fit in memory.
                 buf = np.empty((cap, width), dtype=np.int32)
@@ -491,8 +498,9 @@ def _walk(n: int, sizes: tuple[int, ...],
             first[pos:pos + take] = sub_first[done:done + take]
             per[pos:pos + take] = sub_per[done:done + take]
             pos += take
-            held += int(cum[done + take] - cum[done])
             done += take
+            held += got
+            left -= got
             if held >= chunk_rows:
                 yield flush()
 
@@ -504,8 +512,7 @@ def _walk(n: int, sizes: tuple[int, ...],
         # walk, count and block call themselves, so only the cycle
         # collector would free them and what they hold: let go of it now.
         buf = first = per = table = None
-        options.cache_clear()
-        for memo in (bases, counts, blocks):
+        for memo in (choices, bases, counts, blocks):
             memo.clear()
 
 
