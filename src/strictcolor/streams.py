@@ -45,22 +45,22 @@ order, so they are a suffix of them, found by bisection, and the walk
 holds a state as a base and an offset.  The vertex rows and next states
 of every vertex, and the leaf counts and blocks of vertex n-2, are built
 once per base and read by each state from its offset on; the counts and
-blocks above vertex n-2 are kept per state.  A state of the last vertex is a prefix state: its
-vertex rows are the last columns of the leaves below every prefix in it.
-The walk appends the rows of each last-vertex base once to a table of
-lists, and emits each prefix row with the span of its state's lists
-there, the base's start plus the state's offset, instead of its leaves.
-A prefix's leaves are its row followed by each list of its span, in
-order, so a leaf's index in the stream is the leaves before its prefix
-plus its position in the span.  The table only grows, and each chunk
-holds a read-only view of it, so the spans of one chunk stay valid after
-the walk moves on.  A chunk's palette is the colors of the lists of the
-states the walk has reached, not of their whole bases.  A subtree whose
-leaves fit in a chunk is emitted whole: its prefix rows are assembled
-from its children's blocks, kept read-only in the narrowest integer
-type, and copied into the chunk with the prefix columns above them
-broadcast.  Subtrees too big for a chunk are walked one vertex row at a
-time.
+blocks above vertex n-2 are kept per state.  A state of the last vertex
+is a prefix state: its vertex rows are the last columns of the leaves
+below every prefix in it.  The walk appends the rows of each last-vertex
+base once to a table of lists, and emits each prefix row with the span
+of its state's lists there, the base's start plus the state's offset,
+instead of its leaves.  A prefix's leaves are its row followed by each
+list of its span, in order, so a leaf's index in the stream is the
+leaves before its prefix plus its position in the span.  The table only
+grows, and each chunk holds a read-only view of it, so the spans of one
+chunk stay valid after the walk moves on.  A chunk's palette is the
+colors of the lists of the states the walk has reached, not of their
+whole bases.  A subtree whose leaves fit in a chunk is emitted whole:
+its prefix rows are assembled from its children's blocks, kept read-only
+in the narrowest integer type, and copied into the chunk with the prefix
+columns above them broadcast.  Subtrees too big for a chunk are walked
+one vertex row at a time.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -71,7 +71,7 @@ the tuple stream, is each chunk's ``leaf_rows()`` flattened.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -460,16 +460,12 @@ def _walk(n: int, sizes: tuple[int, ...],
             for i, head in enumerate(b.heads[off:].tolist(), off):
                 yield from walk(kid(b, i), prefix + head)
             return
-        if b.v == n - 2:
-            # The state's prefixes are its base's from the offset on.
-            place(b, off)
-            rows, sub_first, sub_per, cum = b.heads, b.first, b.per, b.cum
-            done, left = off, -cum[off]
-        else:
-            rows, sub_first, sub_per = block(state, keep=False)
-            cum = None
-            done, left = 0, int(sub_per.sum())
-        stop = rows.shape[0]
+        rows, sub_first, sub_per = block(state, keep=False)
+        # The leaves still to emit; the running sums only once a chunk
+        # ends inside the block.
+        left = count(state) if b.v < n - 1 else int(sub_per[0])
+        cum = None
+        done, stop = 0, rows.shape[0]
         split = len(prefix)
         while done < stop:
             if left <= chunk_rows - held:
@@ -480,8 +476,8 @@ def _walk(n: int, sizes: tuple[int, ...],
                     np.cumsum(sub_per, out=cum[1:])
                 # As many whole prefixes as the chunk has leaves left for;
                 # a prefix with more leaves than a chunk goes alone.
-                take = bisect_right(cum, cum[done] + chunk_rows - held,
-                                    done + 1, stop + 1) - 1 - done
+                take = int(cum.searchsorted(cum[done] + chunk_rows - held,
+                                            "right")) - 1 - done
                 if take <= 0:
                     if pos:
                         yield flush()
