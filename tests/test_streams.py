@@ -302,8 +302,13 @@ class TestGroupedChunks:
             # At most chunk_rows leaves, unless the chunk is one prefix.
             assert chunk.leaves > 0
             assert chunk.leaves <= chunk_rows or chunk.rows.shape[0] == 1
-            # The mask refuses a palette that misses a last-list color.
+            # The mask refuses a palette that misses a last-list color, and
+            # the palette is the colors of the whole lists table.
             assert np.isin(rows[:, chunk.rows.shape[1]:], chunk.palette).all()
+            assert np.array_equal(chunk.palette, np.unique(chunk.lists))
+            # A chunk is closed only when the next prefix would overflow it.
+            if chunks:
+                assert chunks[-1].leaves + int(chunk.count[0]) > chunk_rows
             chunks.append(chunk)
             taken += chunk.leaves
             if taken > ORACLE_ROWS:
@@ -400,9 +405,12 @@ def chunk_records(sizes, groups, caps, chunks, chunk_rows):
 
 
 class TestPinnedStreams:
-    """The chunks of five streams, as the walk before its base memo made
-    them: the palette picks the mask's owner-map space, so it is pinned
-    along with the rows."""
+    """The chunks of eight streams: five as the walk before its base memo
+    made them, and three as the base-memo walk made them before its
+    exact leaf counts (blocks cut at every level, tied equal groups at
+    non-zero offsets, and the head of the K(2,2,3) {1,2} stream).  The
+    palette picks the mask's owner-map space, so it is pinned along with
+    the rows."""
 
     @pytest.mark.parametrize("pin", json.loads(PINS.read_text()),
                              ids=lambda pin: pin["name"])
