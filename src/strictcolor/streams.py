@@ -42,25 +42,25 @@ both share a part (2).  That choice is only a floor: a state's rows are
 those rows of its base, the state without the choice, whose relative
 choices are at least the previous vertex's.  A base's rows come in that
 order, so they are a suffix of them, found by bisection, and the walk
-holds a state as a base and an offset.  The vertex rows and next states
-of every vertex, and the leaf counts and blocks of vertex n-2, are built
-once per base and read by each state from its offset on; the counts and
-blocks above vertex n-2 are kept per state.  A state of the last vertex
-is a prefix state: its vertex rows are the last columns of the leaves
-below every prefix in it.  The walk appends the rows of each last-vertex
-base once to a table of lists, and emits each prefix row with the span
-of its state's lists there, the base's start plus the state's offset,
-instead of its leaves.  A prefix's leaves are its row followed by each
-list of its span, in order, so a leaf's index in the stream is the
-leaves before its prefix plus its position in the span.  The table only
-grows, and each chunk holds a read-only view of it, so the spans of one
-chunk stay valid after the walk moves on.  A chunk's palette is the
-colors of the lists of the states the walk has reached, not of their
-whole bases.  A subtree whose leaves fit in a chunk is emitted whole:
-its prefix rows are assembled from its children's blocks, kept read-only
-in the narrowest integer type, and copied into the chunk with the prefix
-columns above them broadcast.  Subtrees too big for a chunk are walked
-one vertex row at a time.
+holds a state as a base and an offset.  Before its first chunk the walk
+builds every base below the first vertex's, each once, with its vertex
+rows, their next states and, above the last vertex, the leaves below each
+suffix of its rows: a state's leaf count is its base's at its offset.  A
+state of the last vertex is a prefix state: its vertex rows are the last
+columns of the leaves below every prefix in it.  The walk appends the
+rows of each last-vertex base to a table of lists when it first reaches a
+state of it, and emits each prefix row with the span of its state's lists
+there, the base's start plus the state's offset, instead of its leaves.
+A prefix's leaves are its row followed by each list of its span, in
+order, so a leaf's index in the stream is the leaves before its prefix
+plus its position in the span.  The table only grows, and each chunk
+holds a read-only view of it, so the spans of one chunk stay valid after
+the walk moves on.  A chunk's palette is the colors of that view.  A
+subtree whose leaves fit in a chunk is emitted whole: its prefix rows are
+assembled from its children's blocks, kept read-only in the narrowest
+integer type, and copied into the chunk with the prefix columns above
+them broadcast.  Subtrees too big for a chunk are walked one vertex row
+at a time.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -72,7 +72,7 @@ the tuple stream, is each chunk's ``leaf_rows()`` flattened.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -210,29 +210,25 @@ class _Base:
     vertex before it.  A walk state is a base and an offset: its rows are
     the base's rows from the offset on."""
 
-    __slots__ = ("v", "heads", "rels", "seens", "ties", "kids", "start",
-                 "marked", "cum", "summed", "per", "first", "placed")
+    __slots__ = ("v", "heads", "rels", "kids", "per", "cum", "start",
+                 "first", "placed")
 
-    def __init__(self, v: int, n: int, heads: np.ndarray, rels: tuple,
-                 seens: tuple, ties: tuple):
+    def __init__(self, v: int, n: int, heads: np.ndarray, rels: tuple):
         m = heads.shape[0]
         self.v = v
         self.heads = heads  # the vertex rows, narrow
         self.rels = rels  # each row's per-group window-relative choices
-        self.seens = seens  # each row's colors used per group, after it
-        self.ties = ties  # each row's equal-size groups still tied, after it
-        # Each row's next state, once met.
-        self.kids: list | None = [None] * m if v < n - 1 else None
-        # Last vertex: the base's start in the lists table once appended,
-        # and the first row whose colors are in the palette.
+        # Above the last vertex: each row's next state, and the leaves
+        # below rows i.. as cum[i], exact in Python ints.
+        self.kids: list | None = None
+        self.cum: list | None = None
+        # Last vertex: the base's start in the lists table once appended.
         self.start: int | None = None
-        self.marked = m
-        # Vertex n-2: minus the leaves below rows i.. as cum[i], from row
-        # ``summed`` on, and each row's leaf count and the start of its
-        # lists in the table, from row ``placed`` on.
-        self.cum = [0] * (m + 1) if v == n - 2 else None
-        self.summed = self.placed = m
-        self.per = self.first = None
+        # Vertex n-2: each row's leaf count, and the start of its lists in
+        # the table from row ``placed`` on.
+        self.per: np.ndarray | None = None
+        self.first = np.empty(m, dtype=np.intp) if v == n - 2 else None
+        self.placed = m
 
 
 def _walk(n: int, sizes: tuple[int, ...],
@@ -300,9 +296,8 @@ def _walk(n: int, sizes: tuple[int, ...],
     # depend on.  Its rows are those of the base (v, seen, r3eq) whose
     # relative choices are at least the previous vertex's, and the base's
     # rows come out of vertex_rows in that order, so they are a suffix of
-    # the base's: a state is held as (base, offset).  A base is built the
-    # first time a state meets it, and a row's next state the first time
-    # the walk or a count reaches that row.
+    # the base's: a state is held as (base, offset).  A base is built, with
+    # the bases below it, the first time a state meets it.
     bases: dict[tuple, _Base] = {}
 
     def base_at(v: int, seen: tuple[int, ...],
@@ -312,63 +307,28 @@ def _walk(n: int, sizes: tuple[int, ...],
         if got is None:
             heads, rels, seens, ties = zip(*vertex_rows(seen, r3eq))
             heads = np.array(heads, dtype=narrow).reshape(len(rels), k)
-            got = bases[key] = _Base(v, n, heads, rels, seens, ties)
+            got = bases[key] = _Base(v, n, heads, rels)
+            if v < n - 1:
+                got.kids = []
+                for rel, nseen, tie in zip(rels, seens, ties):
+                    nb = base_at(v + 1, nseen, tie)
+                    got.kids.append((nb, bisect_left(nb.rels, rel)
+                                     if samepart[v + 1] else 0))
+                got.cum = list(accumulate(map(count, reversed(got.kids)),
+                                          initial=0))[::-1]
+                if v == n - 2:
+                    got.per = -np.diff(got.cum)
         return got
-
-    def kid(b: _Base, i: int) -> tuple[_Base, int]:
-        """The next state of row i of the base, v < n - 1."""
-        got = b.kids[i]
-        if got is None:
-            nb = base_at(b.v + 1, b.seens[i], b.ties[i])
-            got = b.kids[i] = (nb, bisect_left(nb.rels, b.rels[i])
-                               if samepart[b.v + 1] else 0)
-        return got
-
-    def summed(b: _Base, off: int) -> bool:
-        """Sum a vertex-(n-2) base's rows from off on, unless they hold more
-        than chunk_rows leaves (then False)."""
-        leaves = 0
-        for i in range(off, b.summed):
-            c, o = kid(b, i)
-            leaves += c.heads.shape[0] - o
-            if leaves > chunk_rows:
-                return False
-        cum = b.cum
-        for i in range(b.summed - 1, off - 1, -1):
-            c, o = b.kids[i]
-            cum[i] = cum[i + 1] - c.heads.shape[0] + o
-        b.summed = off
-        return True
-
-    # Subtree leaf counts, capped at chunk_rows + 1 ("too big for a block").
-    # From vertex n-2 on they are read from the base; above it they are
-    # memoised per state.
-    counts: dict[tuple, int] = {}
 
     def count(state) -> int:
+        """The leaves below a state."""
         b, off = state
-        if b.v == n - 1:
-            return min(b.heads.shape[0] - off, chunk_rows + 1)
-        if b.v == n - 2:
-            if off < b.summed and not summed(b, off):
-                return chunk_rows + 1
-            return min(-b.cum[off], chunk_rows + 1)
-        got = counts.get(state)
-        if got is None:
-            got = 0
-            for i in range(off, b.heads.shape[0]):
-                got += count(kid(b, i))
-                if got > chunk_rows:
-                    got = chunk_rows + 1
-                    break
-            counts[state] = got
-        return got
+        return b.heads.shape[0] - off if b.v == n - 1 else b.cum[off]
 
     # The rows of every last-vertex base the walk has placed, table[:used],
     # each appended once: a state's lists start at its base's start plus
-    # its offset.  present marks the colors of the lists of the states
-    # placed so far, not of their whole bases.  Rows are only appended,
-    # so a view of table[:used] never changes.
+    # its offset.  present marks the colors of the table.  Rows are only
+    # appended, so a view of table[:used] never changes.
     table = np.empty((0, k), dtype=np.int32)
     used = 0
     present = np.zeros(n * k, dtype=bool)
@@ -384,25 +344,14 @@ def _walk(n: int, sizes: tuple[int, ...],
             b.start = used
             used += m
             table[b.start:used] = b.heads
+            present[b.heads] = True
         return b.start
 
-    def mark(b: _Base, off: int) -> int:
-        """Mark the colors of last-vertex state (b, off); its lists' start."""
-        if off < b.marked:
-            present[b.heads[off:b.marked]] = True
-            b.marked = off
-        return table_start(b) + off
-
     def place(b: _Base, off: int) -> None:
-        """Mark and place the lists of vertex-(n-2) state (b, off), whose
-        rows are summed."""
-        if b.per is None:
-            b.per = np.empty(b.heads.shape[0], dtype=np.intp)
-            b.first = np.empty(b.heads.shape[0], dtype=np.intp)
+        """Place the lists of vertex-(n-2) state (b, off) in the table."""
         for i in range(off, b.placed):
             c, o = b.kids[i]
-            b.per[i] = c.heads.shape[0] - o
-            b.first[i] = mark(c, o)
+            b.first[i] = table_start(c) + o
         b.placed = min(b.placed, off)
 
     # Blocks of the subtrees that emitted blocks: the prefix rows over
@@ -415,7 +364,7 @@ def _walk(n: int, sizes: tuple[int, ...],
         b, off = state
         if b.v == n - 1:
             return (np.zeros((1, 0), dtype=narrow),
-                    np.array([mark(b, off)], dtype=np.intp),
+                    np.array([table_start(b) + off], dtype=np.intp),
                     np.array([b.heads.shape[0] - off], dtype=np.intp))
         if b.v == n - 2:
             place(b, off)
@@ -423,7 +372,7 @@ def _walk(n: int, sizes: tuple[int, ...],
         got = blocks.get(state)
         if got is not None:
             return got
-        subs = [block(kid(b, i)) for i in range(off, b.heads.shape[0])]
+        subs = [block(c) for c in b.kids[off:]]
         lens = [sub[1].shape[0] for sub in subs]
         rows = np.empty((sum(lens), (n - 1 - b.v) * k), dtype=narrow)
         rows[:, :k] = np.repeat(b.heads[off:], lens, axis=0)
@@ -456,15 +405,13 @@ def _walk(n: int, sizes: tuple[int, ...],
         """Emit the prefixes below prefix: whole if they fit a chunk."""
         nonlocal buf, first, per, pos, held
         b, off = state
-        if b.v < n - 1 and count(state) > chunk_rows:
-            for i, head in enumerate(b.heads[off:].tolist(), off):
-                yield from walk(kid(b, i), prefix + head)
+        left = count(state)  # the leaves still to emit
+        if b.v < n - 1 and left > chunk_rows:
+            for c, head in zip(b.kids[off:], b.heads[off:].tolist()):
+                yield from walk(c, prefix + head)
             return
         rows, sub_first, sub_per = block(state, keep=False)
-        # The leaves still to emit; the running sums only once a chunk
-        # ends inside the block.
-        left = count(state) if b.v < n - 1 else int(sub_per[0])
-        cum = None
+        cum = None  # the running sums, once a chunk ends inside the block
         done, stop = 0, rows.shape[0]
         split = len(prefix)
         while done < stop:
@@ -505,10 +452,10 @@ def _walk(n: int, sizes: tuple[int, ...],
         if pos:
             yield flush()
     finally:
-        # walk, count and block call themselves, so only the cycle
+        # walk, base_at and block call themselves, so only the cycle
         # collector would free them and what they hold: let go of it now.
         buf = first = per = table = None
-        for memo in (choices, bases, counts, blocks):
+        for memo in (choices, bases, blocks):
             memo.clear()
 
 
