@@ -43,8 +43,8 @@ those rows of its base, the state without the choice, whose relative
 choices are at least the previous vertex's.  A base's rows come in that
 order, so they are a suffix of them, found by bisection, and the walk
 holds a state as a base and an offset.  Before its first chunk the walk
-builds every base below the first vertex's, each once, with its vertex
-rows, their next states and, above the last vertex, the leaves below each
+builds every base the stream reaches, each once, with its vertex rows,
+their next states and, above the last vertex, the leaves below each
 suffix of its rows: a state's leaf count is its base's at its offset.  A
 state of the last vertex is a prefix state: its vertex rows are the last
 columns of the leaves below every prefix in it.  The walk appends the
@@ -219,7 +219,8 @@ class _Base:
         self.heads = heads  # the vertex rows, narrow
         self.rels = rels  # each row's per-group window-relative choices
         # Above the last vertex: each row's next state, and the leaves
-        # below rows i.. as cum[i], exact in Python ints.
+        # below rows i.. as cum[i], in Python ints: a long stream's count
+        # passes 2^63.
         self.kids: list | None = None
         self.cum: list | None = None
         # Last vertex: the base's start in the lists table once appended.
