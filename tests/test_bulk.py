@@ -119,6 +119,33 @@ class TestColorableMask:
             assert not got.flags.writeable
             assert _choice_matrix(k, n) is got
 
+    def test_large_choice_space_needs_no_vector_matrix(self):
+        # C13(1, 2), i ~ i+1 and i ~ i+2 mod 13, has chi = 4: 3^13 choice
+        # vectors, under CHOICE_CAP.  The all-{0,1,2} row is refused; the
+        # random 3-of-4 lists are mostly colorable.  Settling them must not
+        # build, or cache, a matrix of all 3^13 vectors.
+        n = 13
+        edges = tuple((i, (i + d) % n) for i in range(n) for d in (1, 2))
+        g = Graph(n, edges)
+        rng = random.Random(13)
+        rows = [tuple(c for _ in range(n)
+                      for c in sorted(rng.sample(range(4), 3)))
+                for _ in range(64)]
+        rows.append((0, 1, 2) * n)
+        want = [l_color(g, row_lists(r, n)).colorable for r in rows]
+        assert not want[-1]
+        _choice_matrix.cache_clear()
+        cached = _choice_matrix.cache_info().currsize
+        tracemalloc.start()
+        try:
+            mask = colorable_mask(np.array(rows, dtype=np.int32), n, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.tolist() == want
+        assert peak < 8 << 20
+        assert _choice_matrix.cache_info().currsize == cached
+
 
 @st.composite
 def graphs_and_rows(draw, max_rows=130):
