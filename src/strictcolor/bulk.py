@@ -3,22 +3,18 @@
 An assignment row fixes one sorted color list per vertex, and a choice
 vector picks one list slot per vertex.  A row is colorable iff some choice
 vector picks different colors at the two ends of every edge.  Packing many
-rows into an integer matrix lets one sweep over all k^n choice vectors
+rows into an integer matrix lets one search over the k^n choice vectors
 settle every row at once.
 
-The sweep is bit-sliced, one bit per row.  For each edge e and slot pair
+The search is bit-sliced, one bit per row.  For each edge e and slot pair
 (i, j), a conflict plane is a bitset over the rows, in little-endian
 uint64 words: bit r says row r's i-th color at one end of e equals its
 j-th color at the other.  A choice vector is improper on row r iff bit r
-is set in one of the planes its slots select, so OR-ing those planes over
-the edges and AND-ing the result over a block of vectors leaves exactly
-the rows that no vector of the block colors.
-
-The sweep reads shuffled vectors only until half of the rows are colored.
-The few rows left, which are mostly refusals, go to a depth-first search
-of the choice tree over planes rebuilt for them alone: a partial vector
-is dropped as soon as it is improper on every open row, so a row is
-refused without reading all k^n vectors.
+is set in one of the planes its slots select.  The search walks the
+choice tree depth first, vertex by vertex, and drops a partial vector as
+soon as it is improper on every open row; a row that some leaf reaches
+is colored and leaves the open set, so a row is settled without reading
+all k^n vectors.
 
 A host with parts has a second space.  A proper coloring of a complete
 multipartite graph gives each color at most one owning part, so a row is
@@ -30,20 +26,20 @@ vectors, as on the capped streams of the refusal hunt (K(2,5,5) at caps
 plane (c, v) says color c is in row r's list of vertex v.  P counts the
 colors the rows were drawn from, fixed before any filtering, so the
 space depends on the input alone.  ``limits.CHOICE_CAP`` bounds the
-space the mask uses: k^n, the leaf count of the choice tree and the
-width of the sweep's vector matrix, or t^P, the maps' matrix.
+space the mask uses: k^n, the leaf count of the choice tree, or t^P,
+the width of the maps' shuffled matrix.
 
-Memory is bounded: the planes take edges × k² bits per row (the member
-planes P × n), a block of vectors or maps is sized so that its working
-set (picks, plane indices, the accumulators and one gathered plane per
-vector or vertex) stays under ``SWEEP_BYTES``, and the search holds at
-most one block of children per depth.  Blocks start at ``FIRST_BLOCK``
-and double; the search expands ``FIRST_BLOCK`` nodes at a time.
+Memory is bounded: the search holds the conflict planes, edges × k² bits
+per row, and at most n blocks of ``FIRST_BLOCK`` · k children, each with
+one bit per row.  The map sweep holds the member planes, P × n bits per
+row, and blocks of maps sized so that their working set (picks, the
+accumulators and one gathered plane per vertex) stays under
+``SWEEP_BYTES``; its blocks start at ``FIRST_BLOCK`` and double.
 Everything is exact integer comparison; numpy only supplies the bulk
 loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
-never reach the sweep: ``leaf_candidates`` settles them per prefix, by a
+never reach the mask: ``leaf_candidates`` settles them per prefix, by a
 short bit-sliced sweep over the prefix alone, and the decision skeleton
 (``listcolor.find_refusals``) masks only the leaves it keeps.
 """
@@ -90,14 +86,15 @@ def row_chunks(rows: Iterable[tuple[int, ...]], width: int,
 
 @lru_cache(maxsize=8)
 def _choice_matrix(k: int, n: int) -> np.ndarray:
-    """All k^n choice vectors as the columns of a read-only (n, k^n) matrix.
+    """All k^n vectors over range(k) as the columns of an (n, k^n) matrix.
 
-    Column j holds the base-k digits of the j-th entry of a fixed shuffle
-    of range(k^n).  Lexicographic order is pathological here: consecutive
-    vectors share long constant prefixes, which are improper on nearly
-    every row, so a filtering sweep would keep the whole chunk undecided
-    for ages.  The shuffle spreads proper vectors evenly through the sweep.
-    The matrix is shared between calls, hence read-only.
+    The owner maps of _sweep_maps, k parts for n colors.  Column j holds
+    the base-k digits of the j-th entry of a fixed shuffle of range(k^n).
+    Lexicographic order is pathological here: consecutive maps share long
+    constant prefixes, which color almost no row, so the sweep would keep
+    the whole chunk undecided for ages.  The shuffle spreads coloring maps
+    evenly through the sweep.  The matrix is shared between calls, hence
+    read-only.
     """
     count = k ** n
     order = np.random.default_rng(0).permutation(count)
@@ -133,14 +130,14 @@ def _search_choice_tree(lists: np.ndarray,
     """Per row of an (m, n, k) array: does some choice vector color it?
 
     A depth-first search over the choice tree, bit-sliced over the rows
-    like the sweep.  A node is a choice vector for vertices 0..d-1 with
-    the bitset of open rows on which it is proper; expanding vertex d
-    clears the rows where a slot of d conflicts with an earlier vertex,
-    and a node with no row left is dropped.  A leaf's rows are colorable,
-    and leave the open set, so every pending node loses them too.  A
-    vector proper on row r is proper on r at every prefix, so its path
-    is never pruned while r is open: the rows still open at the end are
-    exactly the refused ones.  Nodes are expanded FIRST_BLOCK at a time,
+    as in the module docstring.  A node is a choice vector for vertices
+    0..d-1 with the bitset of open rows on which it is proper; expanding
+    vertex d clears the rows where a slot of d conflicts with an earlier
+    vertex, and a node with no row left is dropped.  A leaf's rows are
+    colorable, and leave the open set, so every pending node loses them
+    too.  A vector proper on row r is proper on r at every prefix, so its
+    path is never pruned while r is open: the rows still open at the end
+    are exactly the refused ones.  Nodes are expanded FIRST_BLOCK at a time,
     depth first, so at most n blocks of children are pending.
     """
     m, n, k = lists.shape
@@ -191,11 +188,10 @@ def _sweep_maps(lists: np.ndarray, parts: Sequence[Sequence[int]],
     planes of the colors its part owns, OR-ed, hold the rows where v gets
     a color, and the AND of those over the vertices holds the rows f
     colors.  Blocks of maps start at FIRST_BLOCK and double under the
-    SWEEP_BYTES budget, like the choice sweep; each time half of the rows
-    the planes cover are colored, the planes are rebuilt over the rows
-    left and the sweep resumes after the maps already read, which color
-    none of them.  The rows still open after all t^colors maps are the
-    refused ones.
+    SWEEP_BYTES budget; each time half of the rows the planes cover are
+    colored, the planes are rebuilt over the rows left and the sweep
+    resumes after the maps already read, which color none of them.  The
+    rows still open after all t^colors maps are the refused ones.
     """
     m, n, k = lists.shape
     own = np.zeros((len(parts), n), dtype=WORD)
@@ -273,12 +269,9 @@ def colorable_mask(chunk: np.ndarray, n: int,
                    palette: np.ndarray | None = None) -> np.ndarray:
     """Per-row verdict: does the row's assignment admit a proper coloring?
 
-    Over choice vectors, first runs the bit-sliced sweep of the module
-    docstring over the shuffled vectors, in blocks of FIRST_BLOCK vectors
-    that double up to the SWEEP_BYTES budget, until half of the rows are
-    colored or all k^n vectors are read; the rows still undecided then go
-    to one pruned depth-first search of the choice tree, which colors or
-    refuses each of them exactly.
+    Over choice vectors, every row goes to one pruned depth-first search
+    of the choice tree (_search_choice_tree), which colors or refuses
+    each of them exactly.
 
     ``parts`` says that ``edges`` are those of the complete multipartite
     graph on these parts, as a Graph with parts guarantees.  The rows are
@@ -288,9 +281,9 @@ def colorable_mask(chunk: np.ndarray, n: int,
     (chunk_palette of a prefix chunk); by default the rows' own colors.
 
     The result depends only on the rows, not on the space, the block
-    sizes, the order or where a sweep stops.  Raises BoundExceeded instead
-    of starting a hopeless run when the space used, k^n choice vectors or
-    t^P owner maps, is over ``limits.CHOICE_CAP``.
+    sizes or the order of the search or the sweep.  Raises BoundExceeded
+    instead of starting a hopeless run when the space used, k^n choice
+    vectors or t^P owner maps, is over ``limits.CHOICE_CAP``.
     """
     rows = chunk.shape[0]
     if n == 0 or not edges:
@@ -318,7 +311,6 @@ def colorable_mask(chunk: np.ndarray, n: int,
                                colors.size)
     limits.enforce("CHOICE_CAP", k ** n,
                    f"the choice vector count {k}^{n} of a mask sweep")
-    choices = _choice_matrix(k, n)
     if not rows:
         return np.zeros(0, dtype=bool)
     if chunk.size and chunk.dtype.kind in "iu":
@@ -327,41 +319,15 @@ def colorable_mask(chunk: np.ndarray, n: int,
         chunk = chunk.astype(np.promote_types(
             np.min_scalar_type(int(chunk.min())),
             np.min_scalar_type(int(chunk.max()))))
-    lists = chunk.reshape(rows, n, k)
-    planes = _conflict_planes(lists, edges)
-    words = planes.shape[2]
-    still = np.full(words, ~np.uint64(0), dtype=WORD)
-    # Per vector, a block holds its picks, two plane indices, the OR
-    # accumulator and one gathered plane.
-    block_cap = max(1, SWEEP_BYTES // (8 * (n + 2 + 2 * words)))
-    at, block = 0, min(FIRST_BLOCK, block_cap)
-    refused = np.ones(rows, dtype=bool)
-    while at < choices.shape[1]:
-        picks = choices[:, at:at + block].astype(np.intp)
-        at += picks.shape[1]
-        improper = np.zeros((picks.shape[1], words), dtype=WORD)
-        for e, (u, v) in enumerate(edges):
-            improper |= planes[e][picks[u] * k + picks[v]]
-        still &= np.bitwise_and.reduce(improper, axis=0)
-        block = min(2 * block, block_cap)
-        refused = np.unpackbits(still.view(np.uint8), count=rows,
-                                bitorder="little").view(bool)
-        if 2 * np.count_nonzero(refused) <= rows:
-            break
-    colorable = ~refused
-    if at < choices.shape[1] and refused.any():
-        undecided = np.flatnonzero(refused)
-        colorable[undecided] = _search_choice_tree(lists[undecided], edges)
-    return colorable
+    return _search_choice_tree(chunk.reshape(rows, n, k), edges)
 
 
 @lru_cache(maxsize=8)
 def _filter_vectors(k: int, n: int) -> np.ndarray:
     """FIRST_BLOCK fixed pseudo-random choice vectors, as a read-only (n, B).
 
-    They are drawn on their own rather than taken from _choice_matrix,
-    which builds all k^n vectors before colorable_mask can refuse a sweep
-    over CHOICE_CAP.
+    The prefix filter's vectors, drawn on their own: a matrix of all k^n
+    vectors would cost what CHOICE_CAP bounds, for 64 of them.
     """
     picks = np.random.default_rng(0).integers(0, k, size=(n, FIRST_BLOCK))
     picks.flags.writeable = False

@@ -203,7 +203,7 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     leaf whose last list is not inside its prefix's G, the colors that
     every proper filter vector puts on the last vertex's neighbors; a
     proper vector leaves such a leaf's last vertex a free color.  The
-    bulk mask sweeps the rest, with the host's parts and the chunk's
+    bulk mask settles the rest, with the host's parts and the chunk's
     palette (``bulk.chunk_palette``), once per chunk even on no rows, so
     its space and CHOICE_CAP stop a decision whatever the filter does.
     Each row it refuses is decoded with row_lists and re-solved with

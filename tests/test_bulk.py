@@ -87,8 +87,9 @@ class TestColorableMask:
 
     def test_every_choice_vector_is_swept(self):
         # The row below is colored by exactly one choice vector.  Swapping
-        # slots moves that vector to each position of the sweep in turn,
-        # so a sweep that skips any vector refuses one of these rows.
+        # slots moves that vector to each leaf of the choice tree in turn,
+        # so a search that prunes or skips any leaf refuses one of these
+        # rows.
         edges = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
                  (2, 3))
         lists = [[3, 0, 1], [1, 0, 0], [2, 1, 1], [1, 1, 0], [0, 3, 3]]
@@ -168,7 +169,7 @@ def graphs_and_rows(draw, max_rows=130):
     return n, edges, chunk
 
 
-# 3^7 choice vectors outlast several doubling blocks; 2^2 fit in the first.
+# 3^7 choice vectors over 65 rows, two words of bits; 2^2 over 63, one word.
 K7_EDGES = ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (0, 6))
 
 
@@ -204,8 +205,8 @@ class TestMaskProperties:
 
 
 class TestStragglerSweep:
-    """Color-starved K(3,3,5) and K(3,4,4) rows: 3^11 choice vectors and a
-    few refusals, which the sweep leaves to the choice-tree search."""
+    """Color-starved K(3,3,5) and K(3,4,4) rows without parts: 3^11 choice
+    vectors and a few refusals, all settled by the choice-tree search."""
 
     SIZES = (3, 3, 5)
 
@@ -241,6 +242,7 @@ class TestStragglerSweep:
                 == colorable_mask(chunk, g.n, g.edges).tolist())
 
     def test_search_spans_several_words(self, monkeypatch):
+        # Every row goes to one search call: all 1,350, 22 words of bits.
         sizes = (3, 4, 4)
         g, rows, chunk = self.head(sizes, 1350)
         searched = []
