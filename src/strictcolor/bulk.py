@@ -415,7 +415,7 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
         return np.zeros(0, dtype=np.intp)
     if chunk.leaves <= chunk.rows.shape[0]:
         # One leaf per prefix: the sweep over the prefixes would cost what
-        # the mask's sweep over the leaves costs.
+        # the mask costs over the leaves.
         return np.arange(chunk.leaves)
     found = _prefix_colors(chunk, n, edges)
     if found is None:

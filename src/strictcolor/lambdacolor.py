@@ -468,7 +468,7 @@ def _head_rows(chunks, limit: int) -> Iterator:
         held = [chunk.cut(limit) if last else chunk]
         limit -= chunk.leaves
         # Hold no reference while suspended, so the caller can free the
-        # chunk's prefix rows before the mask sweeps its candidates.
+        # chunk's prefix rows before the mask settles its candidates.
         del chunk
         yield held.pop()
         if last:
