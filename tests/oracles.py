@@ -2,8 +2,8 @@
 
 They answer questions the package answers another way (part lookup,
 subgraph embedding, the canonical assignment stream, the lambda-partition
-search, the refusals of a stream) by the slow direct route, so agreement between the two is
-testable.  ``enumerate_lambda_assignments`` is the lam-assignment stream
+search, the refusals of a stream, the prefix filter's colors) by the slow
+direct route, so agreement between the two is testable.  ``enumerate_lambda_assignments`` is the lam-assignment stream
 as objects, which only the tests read.
 """
 
@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from strictcolor import limits
-from strictcolor.bulk import mask_chunks
+from strictcolor.bulk import _filter_vectors, mask_chunks
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite
 from strictcolor.lambdacolor import (
@@ -298,6 +298,37 @@ def leaf_refusals_oracle(g: Graph, chunks, first_only: bool = True):
                 return refusals, offset + int(i) + 1
         examined = offset + mask.shape[0]
     return refusals, examined
+
+
+def prefix_colors_oracle(chunk, n: int, edges) -> np.ndarray:
+    """Per prefix of a chunk, G as a bitmask over the chunk's palette.
+
+    G is read off its definition, vector by vector: the palette colors
+    that every filter vector proper on the prefix's edges puts on a
+    neighbor of the last vertex (every color when none is proper).  The
+    prefixes go 256 at a time, so the (prefix, vertex, vector) color
+    array stays small.
+    """
+    m, k = chunk.rows.shape[0], chunk.lists.shape[1]
+    palette = chunk.palette
+    picks = _filter_vectors(k, n)
+    inner = [(u, v) for u, v in edges if v < n - 1]
+    around = [u for u, v in edges if v == n - 1]
+    inside = np.zeros(m, dtype=np.uint64)
+    for at in range(0, m, 256):
+        part = chunk.rows[at:at + 256].reshape(-1, n - 1, k)
+        # colors[p, v, b]: the color vector b puts on vertex v of prefix p.
+        colors = np.take_along_axis(part, picks[None, :n - 1, :], axis=2)
+        proper = np.ones((part.shape[0], picks.shape[1]), dtype=bool)
+        for u, v in inner:
+            proper &= colors[:, u] != colors[:, v]
+        for c, color in enumerate(palette.tolist()):
+            on = np.zeros_like(proper)
+            for u in around:
+                on |= colors[:, u] == color
+            fits = np.all(on | ~proper, axis=1)
+            inside[at:at + part.shape[0]] |= fits.astype(np.uint64) << np.uint64(c)
+    return inside
 
 
 def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition

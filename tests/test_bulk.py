@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import leaf_refusals_oracle
+from oracles import leaf_refusals_oracle, prefix_colors_oracle
+import strictcolor as sc
 from strictcolor import bulk, limits
 from strictcolor.bulk import (
     _choice_matrix,
@@ -555,3 +556,168 @@ class TestPrefixFilter:
         got = find_refusals(g, [chunk], first_only=False)
         assert got == leaf_refusals_oracle(g, [chunk.leaf_rows()],
                                            first_only=False)
+
+
+# ---------------------------------------------------------------- filter colors
+
+def expected_candidates(chunk, k, inside):
+    """leaf_candidates read off G: a leaf is kept when its prefix's G has
+    k colors or more and holds every color of its last list."""
+    sel = np.flatnonzero(np.bitwise_count(inside) >= k)
+    lens = chunk.count[sel]
+    within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens,
+                                                    lens)
+    first = np.cumsum(chunk.count) - chunk.count
+    last = chunk.lists[np.repeat(chunk.start[sel], lens) + within]
+    g = np.repeat(inside[sel], lens)
+    at = np.searchsorted(chunk.palette, last)
+    held = (chunk.palette[np.minimum(at, chunk.palette.size - 1)] == last) & (
+        (g[:, None] >> at.astype(np.uint64)) & 1 == 1)
+    return (np.repeat(first[sel], lens) + within)[held.all(axis=1)].tolist()
+
+
+def check_filter_colors(chunk, n, edges):
+    """_prefix_colors against its definition, and the leaves it keeps."""
+    found = bulk._prefix_colors(chunk, n, edges)
+    if chunk.palette.size > 64:
+        assert found is None
+        return
+    inside, bit = found
+    assert inside.tolist() == prefix_colors_oracle(chunk, n, edges).tolist()
+    flags = np.zeros_like(bit)
+    flags[chunk.palette] = 1 << np.arange(chunk.palette.size, dtype=np.uint64)
+    assert bit.tolist() == flags.tolist()
+    if chunk.leaves > chunk.rows.shape[0]:
+        assert leaf_candidates(chunk, n, edges).tolist() == (
+            expected_candidates(chunk, chunk.lists.shape[1], inside))
+
+
+@st.composite
+def filter_streams(draw):
+    """(graph, group sizes, caps, chunk_rows, first, count): chunks
+    first..first+count-1 of a canonical stream.
+
+    The graph has 2 to 6 vertices: complete multipartite with its parts
+    (complete graphs among them, so vertex n-2 may see the last vertex),
+    or random edges and no parts.
+    """
+    if draw(st.booleans()):
+        g = complete_multipartite(draw(
+            st.lists(st.integers(1, 5), min_size=1, max_size=6)
+            .filter(lambda s: 2 <= sum(s) <= 6)))
+    else:
+        n = draw(st.integers(2, 6))
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, tuple(e for e in pairs if draw(st.booleans())))
+    sizes = draw(st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1)]))
+    caps = None
+    if draw(st.booleans()):
+        caps = tuple(draw(st.integers(s, s + 3)) for s in sizes)
+    chunk_rows = draw(st.sampled_from((1, 7, 64, 65536)))
+    return (g, sizes, caps, chunk_rows, draw(st.integers(0, 2)),
+            draw(st.integers(1, 2)))
+
+
+@st.composite
+def hand_made_chunks(draw):
+    """(chunk, n, edges): prefixes in runs over random colors, and a last
+    list table whose palette may near or pass 64 colors."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 3))
+    pairs = list(combinations(range(n), 2))
+    edges = tuple(e for e in pairs if draw(st.booleans()))
+    size = draw(st.sampled_from((1, 2, 5, 17, 60, 63, 64, 65)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    colors = np.sort(rng.choice(120, size=size, replace=False))
+    table = np.concatenate([np.resize(colors, -(-size // k) * k),
+                            rng.choice(colors, size=6 * k)]).reshape(-1, k)
+    lists = np.sort(table, axis=1).astype(np.int32)
+    lists.flags.writeable = False
+    span = draw(st.integers(1, 130))
+    runs = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    rows = []
+    for length in runs:
+        upper = rng.integers(0, span, size=(n - 2) * k)
+        for _ in range(length):
+            rows.append(np.concatenate([upper, rng.integers(0, span, size=k)]))
+    rows = np.array(rows, dtype=np.int32).reshape(len(rows), (n - 1) * k)
+    count = rng.integers(1, 4, size=len(rows))
+    start = rng.integers(0, len(lists) - 2, size=len(rows))
+    chunk = PrefixChunk(rows, start, count, lists, np.unique(lists),
+                        int(count.sum()))
+    return chunk, n, edges
+
+
+class TestFilterColors:
+    """The prefix filter's G, per prefix, against its definition
+    (oracles.prefix_colors_oracle), on stream chunks and hand-made ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(filter_streams())
+    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 65536, 0, 86))
+    @example((complete_multipartite((2, 2, 2, 2)), (3,), None, 65536, 0, 2))
+    @example((complete_multipartite((2, 2, 3)), (2, 1), None, 65536, 0, 3))
+    @example((complete_multipartite((2, 4)), (3,), None, 65536, 0, 8))
+    @example((complete_multipartite((3, 4)), (2,), None, 65536, 0, 2))
+    @example((complete_multipartite((2, 6)), (2,), None, 65536, 0, 4))
+    @example((complete_multipartite((2, 5)), (2,), None, 65536, 0, 1))
+    @example((complete_multipartite((3, 3, 5)), (2, 1), (3, 1), 65536, 0, 1))
+    @example((complete_multipartite((3, 4, 4)), (2, 1), (3, 1), 65536, 0, 1))
+    @example((complete_multipartite((2, 5, 5)), (2, 1), (4, 1), 65536, 0, 1))
+    @example((complete_multipartite((1, 1)), (2,), None, 7, 0, 2))
+    @example((complete_multipartite((1, 1, 1)), (2, 1), (3, 2), 7, 1, 2))
+    def test_stream_chunks(self, case):
+        g, sizes, caps, chunk_rows, first, count = case
+        stream = grouped_chunks(g.n, sizes, parts=g.parts, caps=caps,
+                                chunk_rows=chunk_rows)
+        for chunk in islice(stream, first, first + count):
+            check_filter_colors(chunk, g.n, g.edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hand_made_chunks())
+    def test_hand_made_chunks(self, case):
+        check_filter_colors(*case)
+
+
+def strict_profiles():
+    """The three-part profiles up to 11 vertices but the case-2 shapes."""
+    return [(a, b, c) for a in range(1, 12) for b in range(a, 12)
+            for c in range(b, 12)
+            if a + b + c <= 11 and (a, b, c) not in {(2, 4, 4), (2, 4, 5)}]
+
+
+FILTER_PINS = {
+    # decisions: (chunks filtered, leaves, leaves kept)
+    "sweep-k222": (lambda: sc.lambda_choosable(
+        complete_multipartite((2, 2, 2)), sc.near_unit_partition(3),
+        method="exhaustive"), (86, 5_618_352, 0)),
+    "choice-k24": (lambda: sc.choice_number(complete_multipartite((2, 4))),
+                   (34, 2_079_603, 36)),
+    "refusals-hj": (lambda: [sc.hoffman_johnson_enumerate(*mn)
+                             for mn in ((2, 5), (3, 4), (2, 6))],
+                    (7, 373_555, 1_453)),
+    "search-strict": (lambda: [
+        sc.decide_strict_search(complete_multipartite(s), 3)
+        for s in strict_profiles()], (8, 4_114, 4_098)),
+}
+
+
+class TestFilterPins:
+    """How many leaves the prefix filter keeps on the streams of the
+    benchmark's four decisions; these leaves are all the mask sees."""
+
+    @pytest.mark.parametrize("name", sorted(FILTER_PINS))
+    def test_kept_leaves(self, name, monkeypatch):
+        decide, want = FILTER_PINS[name]
+        seen = []
+        inner = bulk.leaf_candidates
+
+        def spy(chunk, n, edges):
+            kept = inner(chunk, n, edges)
+            seen.append((chunk.leaves, kept.size))
+            return kept
+
+        monkeypatch.setattr(bulk, "leaf_candidates", spy)
+        decide()
+        assert (len(seen), sum(a for a, _ in seen),
+                sum(b for _, b in seen)) == want
