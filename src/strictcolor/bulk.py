@@ -34,14 +34,26 @@ per row, and at most n blocks of ``FIRST_BLOCK`` · k children, each with
 one bit per row.  The map sweep holds the member planes, P × n bits per
 row, and blocks of maps sized so that their working set (picks, the
 accumulators and one gathered plane per vertex) stays under
-``SWEEP_BYTES``; its blocks start at ``FIRST_BLOCK`` and double.
-Everything is exact integer comparison; numpy only supplies the bulk
-loops.
+``SWEEP_BYTES``; its blocks start at ``FIRST_BLOCK`` and double.  The
+prefix filter steps over a chunk in stretches of prefixes sized the same
+way, whole runs at a time when it shares work per run (below); on a
+65,536-leaf chunk it peaks under ``SWEEP_BYTES``, the positions it
+returns included.  Everything is exact integer comparison; numpy only
+supplies the bulk loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
-never reach the mask: ``leaf_candidates`` settles them per prefix, by a
-short bit-sliced sweep over the prefix alone, and the decision skeleton
-(``listcolor.find_refusals``) masks only the leaves it keeps.
+never reach the mask: ``leaf_candidates`` settles them per prefix, from
+``FIRST_BLOCK`` fixed choice vectors, and the decision skeleton
+(``listcolor.find_refusals``) masks only the leaves it keeps.  The stream
+is lexicographic, so prefixes that agree on vertices 0..n-3 come in runs
+(52 prefixes per run on K(2,2,2) with λ = {1,2}).  When a chunk's runs
+hold ``SHARE_RUN`` prefixes or more on average, the filter computes once
+per run, one 64-bit word per quantity with one bit per vector, which
+vectors are improper on those vertices and which put each color on a
+neighbor of vertex n-2 or of the last vertex; per prefix it only gathers
+vertex n-2's k colors.  Shorter runs, as on the capped streams of the
+refusal hunt (1.5 to 2.25 prefixes per run), go prefix by prefix,
+bit-sliced over the prefixes like the mask's rows.
 """
 
 from __future__ import annotations
@@ -59,6 +71,7 @@ from . import limits
 CHUNK_ROWS = 65536
 SWEEP_BYTES = 8 << 20
 FIRST_BLOCK = 64
+SHARE_RUN = 10  # prefixes per run from which the prefix filter shares
 WORD = np.dtype("<u8")
 
 
@@ -334,25 +347,201 @@ def _filter_vectors(k: int, n: int) -> np.ndarray:
     return picks
 
 
+@lru_cache(maxsize=8)
+def _filter_plan(k: int, n: int, edges: tuple[tuple[int, int], ...]):
+    """The shared filter's fixed data for one shape, built on first use.
+
+    ``words[v, i]``: the filter vectors picking slot i at vertex v, one
+    bit per vector.  ``upper``: the edges among vertices 0..n-3, and
+    ``both[e, i, j]`` the vectors picking slots i and j at its ends.
+    ``near`` and ``far``: the neighbors of vertex n-2 and of the last
+    vertex among 0..n-3.  ``beside``: vertex n-2 sees the last vertex.
+    """
+    picks = _filter_vectors(k, n)
+    flags = np.left_shift(np.uint64(1), np.arange(FIRST_BLOCK, dtype=WORD))
+    words = np.bitwise_or.reduce(np.where(
+        picks[:, None, :] == np.arange(k)[:, None], flags, np.uint64(0)),
+        axis=2)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    upper = ends[ends[:, 1] < n - 2]
+    around = ends[ends[:, 1] == n - 1, 0]
+    return (words, upper,
+            words[upper[:, 0], :, None] & words[upper[:, 1], None, :],
+            ends[ends[:, 1] == n - 2, 0], around[around < n - 2],
+            bool(np.any(around == n - 2)))
+
+
+def _run_words(reps: np.ndarray, vertices: np.ndarray, index: np.ndarray,
+               width: int, words: np.ndarray) -> np.ndarray:
+    """Flat (runs, width) words: bit b of [r, index[c]] says vector b puts
+    color c on one of the vertices in run r's representative prefix."""
+    runs = reps.shape[0]
+    table = np.zeros(runs * width, dtype=WORD)
+    at = np.arange(runs)[:, None, None] * width + index[reps[:, vertices]]
+    np.bitwise_or.at(table, at.ravel(),
+                     np.broadcast_to(words[vertices], at.shape).ravel())
+    return table
+
+
+def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
+                   size: int, plan) -> np.ndarray:
+    """G per prefix of an (m, n-1, k) stretch of whole runs, one word each.
+
+    Per run, once: the vectors improper on vertices 0..n-3, and per color
+    the vectors putting it on a neighbor of vertex n-2 (``near``) and of
+    the last vertex (``far``).  Per prefix: vertex n-2's k colors gather
+    the vectors it makes improper, and a color is in G when its word
+    covers every proper vector.  Only the (run, color) pairs that cover
+    the vectors proper on every prefix of the run are tested per prefix;
+    when vertex n-2 sees the last vertex, its own colors are tested too.
+    """
+    words, upper, both, near, far, beside = plan
+    m, t = part.shape[0], part.shape[1] - 1
+    runs = heads.size
+    run_of = np.repeat(np.arange(runs), np.diff(heads, append=m))
+    reps = part[heads]
+    improper = np.bitwise_or.reduce(np.where(
+        reps[:, upper[:, 0], :, None] == reps[:, upper[:, 1], None, :],
+        both, np.uint64(0)).reshape(runs, -1), axis=1)
+    # One color index: the palette first, then the other colors near
+    # vertex n-2, then one index for every color left.
+    extra = np.zeros(slot.size, dtype=bool)
+    extra[reps[:, near]] = True
+    extra = np.flatnonzero(extra & (slot == size))
+    index = slot.copy()
+    index[index == size] = size + extra.size
+    index[extra] = size + np.arange(extra.size)
+    width = size + extra.size + 1
+    at = run_of[:, None] * width + index[part[:, t]]
+    bad = improper[run_of]
+    table = _run_words(reps, near, index, width, words)
+    for i in range(part.shape[2]):
+        bad |= table[at[:, i]] & words[t, i]
+    if not np.array_equal(near, far):
+        table = _run_words(reps, far, index, width, words)
+    table = table.reshape(runs, width)
+    inside = np.zeros(m, dtype=WORD)
+    full = ~np.uint64(0)
+    # A color may be in G on a run's prefix only if its word covers the
+    # vectors proper on every prefix of the run: test those runs'
+    # prefixes on the colors some run may hold.
+    maybe = (table[:, :size] | np.bitwise_or.reduceat(bad, heads)[:, None]
+             ) == full
+    sel = np.flatnonzero(maybe.any(axis=1)[run_of])
+    of, gone = run_of[sel], bad[sel]
+    got = np.zeros(sel.size, dtype=WORD)
+    for c in np.flatnonzero(maybe.any(axis=0)).tolist():
+        got |= ((table[:, c][of] | gone) == full).astype(WORD) << np.uint64(c)
+    inside[sel] = got
+    if beside:
+        x = part[:, t]
+        own = np.bitwise_or.reduce(np.where(
+            x[:, :, None] == x[:, None, :], words[t], np.uint64(0)), axis=2)
+        hit = (bad[:, None] | table.ravel()[at] | own) == full
+        hit &= index[x] < size
+        inside |= np.bitwise_or.reduce(np.where(hit, np.left_shift(
+            np.uint64(1), np.minimum(index[x], 63).astype(WORD)),
+            np.uint64(0)), axis=1)
+    return inside
+
+
+def _row_colors(part: np.ndarray, slot: np.ndarray, size: int,
+                picks: np.ndarray, inner: np.ndarray,
+                around: np.ndarray) -> np.ndarray:
+    """G per prefix of an (m, n-1, k) stretch, computed prefix by prefix.
+
+    The vectors are swept bit-sliced over the prefixes, as colorable_mask
+    sweeps rows: conflict planes for the edges among vertices 0..n-2, and
+    per neighbor of the last vertex, slot and color, the prefixes holding
+    the color there.
+    """
+    rows, words = part.shape[0], -(-part.shape[0] // 64)
+    k = part.shape[2]
+    # covered[b, c]: the prefixes where vector b is improper or puts
+    # color c on a neighbor of the last vertex.  G is their AND over b.
+    covered = np.zeros((FIRST_BLOCK, size, words), dtype=WORD)
+    if around.size:
+        # seen[w, i, c]: the prefixes whose neighbor w has color c in
+        # slot i, padded to whole words with a color off the palette.
+        colors = np.full((around.size, k, words * 64), size, dtype=np.intp)
+        colors[:, :, :rows] = slot[part[:, around, :]].transpose(1, 2, 0)
+        tags = np.arange(size)[None, None, :, None]
+        seen = np.packbits((colors[:, :, None, :] == tags).reshape(
+            -1, words * 64), axis=1, bitorder="little").view(
+            WORD).reshape(around.size, k, size, words)
+        covered |= np.bitwise_or.reduce(
+            seen[np.arange(around.size)[:, None], picks[around]], axis=0)
+    if len(inner):
+        planes = _conflict_planes(part, inner)
+        covered |= np.bitwise_or.reduce(planes[
+            np.arange(len(inner))[:, None],
+            picks[inner[:, 0]] * k + picks[inner[:, 1]]], axis=0)[:, None]
+    fits = np.unpackbits(np.bitwise_and.reduce(covered, axis=0).view(
+        np.uint8), axis=1, count=rows, bitorder="little")
+    return np.bitwise_or.reduce(
+        fits.astype(WORD) << np.arange(size, dtype=WORD)[:, None], axis=0)
+
+
 def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
                    ) -> tuple[np.ndarray, np.ndarray] | None:
     """Per prefix G as a color bitmask, and the bit of every color value.
 
     The bits belong to a compact palette of the colors the last-vertex
     lists use, since G matters only inside them; other colors have no
-    bit.  None when the lists use more than 64 colors.
+    bit.  None when the lists use more than 64 colors.  ``edges`` are
+    sorted pairs (u, v), u < v, as a Graph holds them, and n >= 2.
+
+    A run is a maximal stretch of consecutive prefixes with the same
+    columns for vertices 0..n-3.  When the chunk's runs hold SHARE_RUN
+    prefixes or more on average, everything that depends on those
+    vertices alone is computed once per run (_shared_colors); otherwise
+    prefix by prefix (_row_colors).  Both give the same G on any chunk.
+    Either steps over the chunk in stretches whose working set stays
+    under about SWEEP_BYTES; the shared stretches end between runs,
+    unless a run alone is longer than a stretch and is cut.
     """
     m, k = chunk.rows.shape[0], chunk.lists.shape[1]
     palette = chunk.palette
     if palette.size > 64:
         return None
     prefixes = chunk.rows.reshape(m, n - 1, k)
+    size = palette.size
     top = max(int(palette[-1]), int(prefixes.max()) if prefixes.size else 0)
-    slot = np.full(top + 1, palette.size, dtype=np.intp)
-    slot[palette] = np.arange(palette.size)
+    slot = np.full(top + 1, size, dtype=np.intp)
+    slot[palette] = np.arange(size)
     bit = np.zeros(top + 1, dtype=WORD)
     bit[palette] = np.left_shift(np.uint64(1),
-                                 np.arange(palette.size, dtype=np.uint64))
+                                 np.arange(size, dtype=np.uint64))
+    inside = np.empty(m, dtype=WORD)
+
+    # Runs start where a column of vertices 0..n-3 changes.
+    same = np.ones(max(m - 1, 0), dtype=bool)
+    for j in range((n - 2) * k):
+        same &= chunk.rows[1:, j] == chunk.rows[:-1, j]
+    heads = np.flatnonzero(np.concatenate(([m > 0], ~same)))
+    if m >= SHARE_RUN * heads.size:
+        plan = _filter_plan(k, n, tuple(map(tuple, edges)))
+        upper, near = plan[1], plan[3]
+        # Per run: the representative prefix, the improper test's bytes
+        # and words, two color tables and their indices; per prefix: the
+        # indices, words and temporaries of the gathers and tests.
+        per_run = ((n - 1) * k * 4 + len(upper) * k * k * 9
+                   + 16 * (size + 2 * near.size * k + 1))
+        per_row = 8 * (8 + 3 * k + 2 * k * k)
+        step = max(64, int(SWEEP_BYTES // (per_run + per_row)))
+        at = 0
+        while at < m:
+            # A stretch ends at its last run start, unless it holds none.
+            stop = min(m, at + step)
+            starts = heads[np.searchsorted(heads, at, "right"):
+                           np.searchsorted(heads, stop, "right")]
+            if stop < m and starts.size:
+                stop, starts = int(starts[-1]), starts[:-1]
+            inside[at:stop] = _shared_colors(
+                prefixes[at:stop], np.concatenate(([0], starts - at)), slot,
+                size, plan)
+            at = stop
+        return inside, bit
 
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     inner = ends[ends[:, 1] < n - 1]
@@ -360,40 +549,14 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
     picks = _filter_vectors(k, n)
     # Per prefix: the conflict planes, the neighbor color bytes and their
     # planes, and a few copies of every vector's gathered color planes.
-    per_row = (around.size * k * (palette.size + 1)
+    per_row = (around.size * k * (size + 1)
                + (len(inner) * (k * k + FIRST_BLOCK)
-                  + (around.size + 2) * FIRST_BLOCK * palette.size) / 8
-               + k * k + palette.size)
+                  + (around.size + 2) * FIRST_BLOCK * size) / 8
+               + k * k + size)
     step = max(64, int(SWEEP_BYTES // per_row) // 64 * 64)
-    inside = np.empty(m, dtype=WORD)
-    tags = np.arange(palette.size)[None, None, :, None]
-    shifts = np.arange(palette.size, dtype=WORD)[:, None]
     for at in range(0, m, step):
-        part = prefixes[at:at + step]
-        rows, words = part.shape[0], -(-part.shape[0] // 64)
-        # covered[b, c]: the prefixes where vector b is improper or puts
-        # color c on a neighbor of the last vertex.  G is their AND over b.
-        covered = np.zeros((FIRST_BLOCK, palette.size, words), dtype=WORD)
-        if around.size:
-            # seen[w, i, c]: the prefixes whose neighbor w has color c in
-            # slot i, padded to whole words with a color off the palette.
-            colors = np.full((around.size, k, words * 64), palette.size,
-                             dtype=np.intp)
-            colors[:, :, :rows] = slot[part[:, around, :]].transpose(1, 2, 0)
-            seen = np.packbits((colors[:, :, None, :] == tags).reshape(
-                -1, words * 64), axis=1, bitorder="little").view(
-                WORD).reshape(around.size, k, palette.size, words)
-            covered |= np.bitwise_or.reduce(
-                seen[np.arange(around.size)[:, None], picks[around]], axis=0)
-        if len(inner):
-            planes = _conflict_planes(part, inner)
-            covered |= np.bitwise_or.reduce(planes[
-                np.arange(len(inner))[:, None],
-                picks[inner[:, 0]] * k + picks[inner[:, 1]]], axis=0)[:, None]
-        fits = np.unpackbits(np.bitwise_and.reduce(covered, axis=0).view(
-            np.uint8), axis=1, count=rows, bitorder="little")
-        inside[at:at + rows] = np.bitwise_or.reduce(fits.astype(WORD) << shifts,
-                                                  axis=0)
+        inside[at:at + step] = _row_colors(prefixes[at:at + step], slot,
+                                           size, picks, inner, around)
     return inside, bit
 
 
@@ -401,15 +564,17 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
                     ) -> np.ndarray:
     """Positions, within a prefix chunk, of leaves the prefix filter keeps.
 
-    The filter sweeps FIRST_BLOCK fixed choice vectors over the edges
-    among each prefix's vertices 0..n-2, bit-sliced like colorable_mask,
-    and keeps G, the AND over the proper vectors of the colors they put
-    on the last vertex's neighbors; with no proper vector, G is every
-    color.  A leaf whose last list L is not inside G is colorable: a
-    proper vector leaves a color of L free for the last vertex.  Only the
-    leaves with L inside G are kept, in stream order; a prefix whose G
-    has fewer than k colors keeps none, and its leaves are not looked at.
-    A chunk with no more leaves than prefixes keeps every leaf.
+    The filter reads FIRST_BLOCK fixed choice vectors on each prefix's
+    vertices 0..n-2 (_prefix_colors: once per run of prefixes sharing
+    vertices 0..n-3 when runs are long, else bit-sliced over the
+    prefixes), and keeps G, the AND over the vectors proper on the
+    prefix of the colors they put on the last vertex's neighbors; with
+    no proper vector, G is every color.  A leaf whose last list L is not
+    inside G is colorable: a proper vector leaves a color of L free for
+    the last vertex.  Only the leaves with L inside G are kept, in stream
+    order; a prefix whose G has fewer than k colors keeps none, and its
+    leaves are not looked at.  A chunk with no more leaves than prefixes
+    keeps every leaf.
     """
     if n == 0 or not edges:
         return np.zeros(0, dtype=np.intp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from unittest import mock
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -577,19 +578,30 @@ def expected_candidates(chunk, k, inside):
 
 
 def check_filter_colors(chunk, n, edges):
-    """_prefix_colors against its definition, and the leaves it keeps."""
-    found = bulk._prefix_colors(chunk, n, edges)
-    if chunk.palette.size > 64:
-        assert found is None
-        return
-    inside, bit = found
-    assert inside.tolist() == prefix_colors_oracle(chunk, n, edges).tolist()
-    flags = np.zeros_like(bit)
-    flags[chunk.palette] = 1 << np.arange(chunk.palette.size, dtype=np.uint64)
-    assert bit.tolist() == flags.tolist()
-    if chunk.leaves > chunk.rows.shape[0]:
-        assert leaf_candidates(chunk, n, edges).tolist() == (
-            expected_candidates(chunk, chunk.lists.shape[1], inside))
+    """_prefix_colors against its definition, and the leaves it keeps,
+    with the work shared per run, also in stretches of 64 prefixes that
+    cut long runs, and prefix by prefix."""
+    want = None
+    for share_run, budget in ((0, bulk.SWEEP_BYTES), (0, 0),
+                              (float("inf"), bulk.SWEEP_BYTES)):
+        with mock.patch.multiple(bulk, SHARE_RUN=share_run,
+                                 SWEEP_BYTES=budget):
+            found = bulk._prefix_colors(chunk, n, edges)
+            kept = leaf_candidates(chunk, n, edges).tolist()
+        if chunk.palette.size > 64:
+            assert found is None
+            continue
+        inside, bit = found
+        if want is None:
+            want = prefix_colors_oracle(chunk, n, edges).tolist()
+        assert inside.tolist() == want
+        flags = np.zeros_like(bit)
+        flags[chunk.palette] = 1 << np.arange(chunk.palette.size,
+                                              dtype=np.uint64)
+        assert bit.tolist() == flags.tolist()
+        if chunk.leaves > chunk.rows.shape[0]:
+            assert kept == expected_candidates(chunk, chunk.lists.shape[1],
+                                               inside)
 
 
 @st.composite
@@ -650,20 +662,21 @@ def hand_made_chunks(draw):
 
 class TestFilterColors:
     """The prefix filter's G, per prefix, against its definition
-    (oracles.prefix_colors_oracle), on stream chunks and hand-made ones."""
+    (oracles.prefix_colors_oracle), on stream chunks and hand-made ones,
+    shared per run and computed prefix by prefix."""
 
     @settings(max_examples=60, deadline=None)
     @given(filter_streams())
-    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 65536, 0, 86))
+    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 65536, 40, 6))
     @example((complete_multipartite((2, 2, 2, 2)), (3,), None, 65536, 0, 2))
     @example((complete_multipartite((2, 2, 3)), (2, 1), None, 65536, 0, 3))
     @example((complete_multipartite((2, 4)), (3,), None, 65536, 0, 8))
     @example((complete_multipartite((3, 4)), (2,), None, 65536, 0, 2))
-    @example((complete_multipartite((2, 6)), (2,), None, 65536, 0, 4))
+    @example((complete_multipartite((2, 6)), (2,), None, 65536, 2, 2))
     @example((complete_multipartite((2, 5)), (2,), None, 65536, 0, 1))
     @example((complete_multipartite((3, 3, 5)), (2, 1), (3, 1), 65536, 0, 1))
     @example((complete_multipartite((3, 4, 4)), (2, 1), (3, 1), 65536, 0, 1))
-    @example((complete_multipartite((2, 5, 5)), (2, 1), (4, 1), 65536, 0, 1))
+    @example((complete_multipartite((2, 5, 5)), (2, 1), (4, 1), 8192, 0, 1))
     @example((complete_multipartite((1, 1)), (2,), None, 7, 0, 2))
     @example((complete_multipartite((1, 1, 1)), (2, 1), (3, 2), 7, 1, 2))
     def test_stream_chunks(self, case):
@@ -677,6 +690,26 @@ class TestFilterColors:
     @given(hand_made_chunks())
     def test_hand_made_chunks(self, case):
         check_filter_colors(*case)
+
+    @pytest.mark.parametrize("sizes, groups, caps", [
+        ((2, 5, 5), (2, 1), (4, 1)),  # 2.25 prefixes per run
+        ((2, 2, 2, 2), (3,), None),   # 52 prefixes per run
+    ])
+    def test_memory_stays_bounded(self, sizes, groups, caps):
+        # A full 65,536-leaf chunk, shared per run and as it comes.
+        g = complete_multipartite(sizes)
+        chunk = next(c for c in grouped_chunks(g.n, groups, parts=g.parts,
+                                               caps=caps)
+                     if c.leaves == bulk.CHUNK_ROWS)
+        for share_run in (0, bulk.SHARE_RUN):
+            with mock.patch.object(bulk, "SHARE_RUN", share_run):
+                tracemalloc.start()
+                try:
+                    leaf_candidates(chunk, g.n, g.edges)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert peak < bulk.SWEEP_BYTES
 
 
 def strict_profiles():
