@@ -62,7 +62,7 @@ from array import array
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -347,16 +347,21 @@ def _filter_vectors(k: int, n: int) -> np.ndarray:
     return picks
 
 
-@lru_cache(maxsize=8)
-def _filter_plan(k: int, n: int, edges: tuple[tuple[int, int], ...]):
-    """The shared filter's fixed data for one shape, built on first use.
+class _FilterPlan(NamedTuple):
+    """The shared filter's fixed data for one shape, one bit per vector."""
 
-    ``words[v, i]``: the filter vectors picking slot i at vertex v, one
-    bit per vector.  ``upper``: the edges among vertices 0..n-3, and
-    ``both[e, i, j]`` the vectors picking slots i and j at its ends.
-    ``near`` and ``far``: the neighbors of vertex n-2 and of the last
-    vertex among 0..n-3.  ``beside``: vertex n-2 sees the last vertex.
-    """
+    words: np.ndarray  # [v, i]: the vectors picking slot i at vertex v
+    upper: np.ndarray  # the edges among vertices 0..n-3
+    both: np.ndarray   # [e, i, j]: the vectors picking i and j at upper[e]
+    near: np.ndarray   # the neighbors of vertex n-2 among 0..n-3
+    far: np.ndarray    # the neighbors of the last vertex among 0..n-3
+    beside: bool       # vertex n-2 sees the last vertex
+
+
+@lru_cache(maxsize=8)
+def _filter_plan(k: int, n: int,
+                 edges: tuple[tuple[int, int], ...]) -> _FilterPlan:
+    """The _FilterPlan of k-slot lists on n vertices, built on first use."""
     picks = _filter_vectors(k, n)
     flags = np.left_shift(np.uint64(1), np.arange(FIRST_BLOCK, dtype=WORD))
     words = np.bitwise_or.reduce(np.where(
@@ -365,10 +370,10 @@ def _filter_plan(k: int, n: int, edges: tuple[tuple[int, int], ...]):
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     upper = ends[ends[:, 1] < n - 2]
     around = ends[ends[:, 1] == n - 1, 0]
-    return (words, upper,
-            words[upper[:, 0], :, None] & words[upper[:, 1], None, :],
-            ends[ends[:, 1] == n - 2, 0], around[around < n - 2],
-            bool(np.any(around == n - 2)))
+    return _FilterPlan(
+        words, upper, words[upper[:, 0], :, None] & words[upper[:, 1], None, :],
+        ends[ends[:, 1] == n - 2, 0], around[around < n - 2],
+        bool(np.any(around == n - 2)))
 
 
 def _run_words(reps: np.ndarray, vertices: np.ndarray, index: np.ndarray,
@@ -384,7 +389,7 @@ def _run_words(reps: np.ndarray, vertices: np.ndarray, index: np.ndarray,
 
 
 def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
-                   size: int, plan) -> np.ndarray:
+                   size: int, plan: _FilterPlan) -> np.ndarray:
     """G per prefix of an (m, n-1, k) stretch of whole runs, one word each.
 
     Per run, once: the vectors improper on vertices 0..n-3, and per color
@@ -520,13 +525,12 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
         same &= chunk.rows[1:, j] == chunk.rows[:-1, j]
     heads = np.flatnonzero(np.concatenate(([m > 0], ~same)))
     if m >= SHARE_RUN * heads.size:
-        plan = _filter_plan(k, n, tuple(map(tuple, edges)))
-        upper, near = plan[1], plan[3]
+        plan = _filter_plan(k, n, tuple(edges))
         # Per run: the representative prefix, the improper test's bytes
         # and words, two color tables and their indices; per prefix: the
         # indices, words and temporaries of the gathers and tests.
-        per_run = ((n - 1) * k * 4 + len(upper) * k * k * 9
-                   + 16 * (size + 2 * near.size * k + 1))
+        per_run = ((n - 1) * k * 4 + len(plan.upper) * k * k * 9
+                   + 16 * (size + 2 * plan.near.size * k + 1))
         per_row = 8 * (8 + 3 * k + 2 * k * k)
         step = max(64, int(SWEEP_BYTES // (per_run + per_row)))
         at = 0
