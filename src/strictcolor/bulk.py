@@ -519,9 +519,13 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
                                  np.arange(size, dtype=np.uint64))
     inside = np.empty(m, dtype=WORD)
 
-    # Runs start where a column of vertices 0..n-3 changes.
+    # Runs start where a column of vertices 0..n-3 changes.  The last
+    # columns change most often, so too many runs show early, and the
+    # other columns are left unread.
     same = np.ones(max(m - 1, 0), dtype=bool)
-    for j in range((n - 2) * k):
+    for j in reversed(range((n - 2) * k)):
+        if SHARE_RUN * (1 + same.size - np.count_nonzero(same)) > m:
+            break
         same &= chunk.rows[1:, j] == chunk.rows[:-1, j]
     heads = np.flatnonzero(np.concatenate(([m > 0], ~same)))
     if m >= SHARE_RUN * heads.size:
