@@ -370,10 +370,9 @@ def _filter_plan(k: int, n: int,
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     upper = ends[ends[:, 1] < n - 2]
     around = ends[ends[:, 1] == n - 1, 0]
-    return _FilterPlan(
-        words, upper, words[upper[:, 0], :, None] & words[upper[:, 1], None, :],
-        ends[ends[:, 1] == n - 2, 0], around[around < n - 2],
-        bool(np.any(around == n - 2)))
+    both = words[upper[:, 0], :, None] & words[upper[:, 1], None, :]
+    return _FilterPlan(words, upper, both, ends[ends[:, 1] == n - 2, 0],
+                       around[around < n - 2], bool(np.any(around == n - 2)))
 
 
 def _run_words(reps: np.ndarray, vertices: np.ndarray, index: np.ndarray,

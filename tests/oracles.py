@@ -3,8 +3,9 @@
 They answer questions the package answers another way (part lookup,
 subgraph embedding, the canonical assignment stream, the lambda-partition
 search, the refusals of a stream, the prefix filter's colors) by the slow
-direct route, so agreement between the two is testable.  ``enumerate_lambda_assignments`` is the lam-assignment stream
-as objects, which only the tests read.
+direct route, so agreement between the two is testable.
+``enumerate_lambda_assignments`` is the lam-assignment stream as objects,
+which only the tests read.
 """
 
 from __future__ import annotations
@@ -326,8 +327,8 @@ def prefix_colors_oracle(chunk, n: int, edges) -> np.ndarray:
             on = np.zeros_like(proper)
             for u in around:
                 on |= colors[:, u] == color
-            fits = np.all(on | ~proper, axis=1)
-            inside[at:at + part.shape[0]] |= fits.astype(np.uint64) << np.uint64(c)
+            fits = np.all(on | ~proper, axis=1).astype(np.uint64)
+            inside[at:at + part.shape[0]] |= fits << np.uint64(c)
     return inside
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 import tracemalloc
-from unittest import mock
 from itertools import combinations, islice, product
+from unittest import mock
 
 import numpy as np
 import pytest
