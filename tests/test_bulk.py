@@ -667,12 +667,12 @@ class TestFilterColors:
 
     @settings(max_examples=60, deadline=None)
     @given(filter_streams())
-    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 65536, 40, 6))
-    @example((complete_multipartite((2, 2, 2, 2)), (3,), None, 65536, 0, 2))
-    @example((complete_multipartite((2, 2, 3)), (2, 1), None, 65536, 0, 3))
-    @example((complete_multipartite((2, 4)), (3,), None, 65536, 0, 8))
-    @example((complete_multipartite((3, 4)), (2,), None, 65536, 0, 2))
-    @example((complete_multipartite((2, 6)), (2,), None, 65536, 2, 2))
+    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 65536, 40, 3))
+    @example((complete_multipartite((2, 2, 2, 2)), (3,), None, 65536, 0, 1))
+    @example((complete_multipartite((2, 2, 3)), (2, 1), None, 65536, 0, 2))
+    @example((complete_multipartite((2, 4)), (3,), None, 65536, 0, 3))
+    @example((complete_multipartite((3, 4)), (2,), None, 65536, 0, 1))
+    @example((complete_multipartite((2, 6)), (2,), None, 65536, 2, 1))
     @example((complete_multipartite((2, 5)), (2,), None, 65536, 0, 1))
     @example((complete_multipartite((3, 3, 5)), (2, 1), (3, 1), 65536, 0, 1))
     @example((complete_multipartite((3, 4, 4)), (2, 1), (3, 1), 65536, 0, 1))
