@@ -395,9 +395,9 @@ def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
     the vectors putting it on a neighbor of vertex n-2 (``near``) and of
     the last vertex (``far``).  Per prefix: vertex n-2's k colors gather
     the vectors it makes improper, and a color is in G when its word
-    covers every proper vector.  Only the (run, color) pairs that cover
-    the vectors proper on every prefix of the run are tested per prefix;
-    when vertex n-2 sees the last vertex, its own colors are tested too.
+    covers every proper vector; it is tested only in runs where it
+    covers the vectors proper on all their prefixes, and vertex n-2's
+    own colors are tested too when it sees the last vertex.
     """
     words, upper, both, near, far, beside = plan
     m, t = part.shape[0], part.shape[1] - 1
