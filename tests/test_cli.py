@@ -387,6 +387,16 @@ class TestEntryPoint:
         assert floor is not None
         assert (int(floor[1]), int(floor[2] or 0)) >= (2, 0)
 
+    @pytest.mark.skipif(tomllib is None, reason="tomllib is stdlib from "
+                        "Python 3.11")
+    def test_python_floor_has_int_bit_count(self):
+        # streams.canonical_class calls int.bit_count, new in Python 3.10.
+        with PYPROJECT.open("rb") as fh:
+            spec = tomllib.load(fh)["project"]["requires-python"]
+        floor = re.fullmatch(r">=\s*(\d+)\.(\d+)(?:\.\d+)?", spec)
+        assert floor is not None
+        assert (int(floor[1]), int(floor[2])) >= (3, 10)
+
     @pytest.mark.skipif(shutil.which("strictcolor") is None,
                         reason="strictcolor console script not installed")
     def test_installed_console_script(self):

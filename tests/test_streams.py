@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
@@ -527,53 +528,113 @@ def brute_class(lists, parts):
     return best
 
 
-class TestCanonicalClass:
-    def test_matches_brute_minimum(self):
-        import random
-        rng = random.Random(5)
-        singletons = ((0,), (1,), (2,))
-        # (vertices, list length, colors drawn from, parts)
-        cases = [(3, 2, 6, None), (4, 2, 6, ((0, 1), (2, 3))),
-                 (3, 2, 6, ((0, 1), (2,))),
-                 # parts that are not consecutive ranges
-                 (4, 2, 6, ((0, 2), (1, 3))), (5, 2, 5, ((3, 0), (4, 1, 2))),
-                 # three parts of equal size
-                 (6, 2, 5, ((0, 1), (2, 3), (4, 5))),
-                 (6, 2, 5, ((4, 1), (0, 5), (3, 2))),
-                 # 3-lists
-                 (3, 3, 6, None), (4, 3, 5, ((0, 1), (2, 3))),
-                 (4, 3, 5, ((1,), (0, 2, 3))),
-                 # singleton parts may be reordered, parts=None may not
-                 (3, 2, 6, singletons)]
-        for n, k, colors, parts in cases:
-            for _ in range(25):
-                lists = [tuple(rng.sample(range(colors), k))
-                         for _ in range(n)]
-                assert canonical_class(lists, parts) == brute_class(lists, parts)
-        lists = [(0, 1), (2, 3), (0, 2)]
-        assert canonical_class(lists, singletons) == \
-            brute_class(lists, singletons) == (0, 1, 0, 2, 1, 3)
-        assert canonical_class(lists, None) == \
-            brute_class(lists, None) == (0, 1, 2, 3, 0, 2)
+@st.composite
+def class_inputs(draw, max_n=5, max_palette=5):
+    """(lists, parts) for canonical_class: n vertices with lists of 1-3
+    distinct colors from a palette that need not start at 0, and parts
+    None, singletons, or a shuffled split into non-consecutive parts."""
+    n = draw(st.integers(1, max_n))
+    palette = draw(st.integers(1, max_palette))
+    k = draw(st.integers(1, min(3, palette)))
+    low = draw(st.integers(0, 9))
+    colors = range(low, low + palette)
+    lists = [tuple(draw(st.permutations(colors))[:k]) for _ in range(n)]
+    shape = draw(st.sampled_from(["none", "singletons", "shuffled"]))
+    order = draw(st.permutations(range(n)))
+    if shape == "none":
+        parts = None
+    elif shape == "singletons":
+        parts = tuple((v,) for v in order)
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        parts = tuple(tuple(order[a:b])
+                      for a, b in zip([0] + cuts, cuts + [n]))
+    return lists, parts
 
-    def test_invariant_under_allowed_moves(self):
-        import random
-        rng = random.Random(6)
-        parts = ((0, 1), (2, 3))
-        for _ in range(40):
-            lists = [tuple(rng.sample(range(7), 2)) for _ in range(4)]
-            base = canonical_class(lists, parts)
-            relabel = dict(zip(range(7), rng.sample(range(20), 7)))
-            perm = rng.choice(list(part_perms(parts, 4)))
-            moved = [None] * 4
-            for v in range(4):
-                moved[perm[v]] = tuple(relabel[c] for c in lists[v])
+
+def allowed_move(parts, n, rng, swap_equal=False):
+    """A vertex permutation (as a lookup tuple) that maps each part onto a
+    part of the same size, shuffling inside parts.  With swap_equal the
+    parts of each size are cycled, so equal-size parts always trade."""
+    if parts is None:
+        return tuple(range(n))
+    perm = [0] * n
+    for size in {len(p) for p in parts}:
+        same = [p for p in parts if len(p) == size]
+        images = same[1:] + same[:1] if swap_equal else rng.sample(same, len(same))
+        for src, dst in zip(same, images):
+            for v, w in zip(src, rng.sample(dst, len(dst))):
+                perm[v] = w
+    return tuple(perm)
+
+
+class TestCanonicalClass:
+    @settings(max_examples=150, deadline=None)
+    @given(class_inputs())
+    @example(([(4, 2), (5, 2), (5, 4)], None))
+    @example(([(1, 5), (5, 4), (1, 3), (0, 1)], ((0, 1), (2, 3))))
+    @example(([(4, 5), (2, 5), (3, 2)], ((0, 1), (2,))))
+    # parts that are not consecutive ranges
+    @example(([(0, 3), (4, 1), (0, 3), (0, 2)], ((0, 2), (1, 3))))
+    @example(([(2, 0), (0, 1), (3, 0), (3, 0), (1, 0)], ((3, 0), (4, 1, 2))))
+    # three parts of equal size
+    @example(([(3, 2), (0, 2), (1, 0), (1, 2), (2, 4), (4, 0)],
+              ((0, 1), (2, 3), (4, 5))))
+    @example(([(3, 1), (0, 2), (2, 0), (2, 3), (1, 4), (2, 3)],
+              ((4, 1), (0, 5), (3, 2))))
+    # 3-lists
+    @example(([(0, 4, 3), (4, 5, 1), (0, 3, 1)], None))
+    @example(([(3, 2, 4), (0, 4, 1), (2, 4, 1), (0, 3, 1)], ((0, 1), (2, 3))))
+    @example(([(0, 3, 1), (1, 2, 4), (2, 1, 3), (3, 0, 1)], ((1,), (0, 2, 3))))
+    # singleton parts may be reordered, parts=None may not
+    @example(([(1, 0), (2, 5), (1, 4)], ((0,), (1,), (2,))))
+    @example(([(0, 1), (2, 3), (0, 2)], ((0,), (1,), (2,))))
+    @example(([(0, 1), (2, 3), (0, 2)], None))
+    # a part holding several vertices with equal lists
+    @example(([(3, 4), (4, 5), (3, 4), (3, 4), (5, 6)], ((0, 2, 3, 1), (4,))))
+    @example(([(7, 8), (7, 8), (8, 9), (8, 9)], ((0, 1, 2, 3),)))
+    # two parts of equal size with equal list multisets
+    @example(([(0, 1), (1, 2), (1, 2), (0, 1), (0, 2)],
+              ((0, 1), (2, 3), (4,))))
+    @example(([(2, 3), (2, 3), (2, 3), (2, 3)], ((0, 1), (2, 3))))
+    # equal multisets only up to renaming
+    @example(([(0, 1), (0, 2), (3, 4), (3, 5)], ((0, 1), (2, 3))))
+    # parts of equal size with different multisets
+    @example(([(0, 1), (0, 1), (0, 2), (1, 2)], ((0, 1), (2, 3))))
+    @example(([(1, 2), (3, 4), (1, 3), (1, 3), (2, 4), (2, 4)],
+              ((0, 1), (2, 3), (4, 5))))
+    def test_matches_brute_minimum(self, case):
+        lists, parts = case
+        assert canonical_class(lists, parts) == brute_class(lists, parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_inputs(max_n=7, max_palette=8),
+           st.randoms(use_true_random=False))
+    @example(([(0, 1), (2, 3), (4, 5), (0, 2)], ((0, 1), (2, 3))),
+             random.Random(6))
+    @example(([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 6)],
+              ((0, 1), (2,), (3, 4), (5,))), random.Random(7))
+    def test_invariant_under_allowed_moves(self, case, rng):
+        lists, parts = case
+        n = len(lists)
+        base = canonical_class(lists, parts)
+        used = sorted({c for l in lists for c in l})
+        relabel = dict(zip(used, rng.sample(range(30), len(used))))
+        for swap_equal in (False, True):
+            perm = allowed_move(parts, n, rng, swap_equal)
+            moved = [None] * n
+            for v in range(n):
+                moved[perm[v]] = tuple(rng.sample(
+                    [relabel[c] for c in lists[v]], len(lists[v])))
             assert canonical_class(moved, parts) == base
 
     def test_separates_classes(self):
         assert canonical_class([(0,), (0,)], None) != \
             canonical_class([(0,), (1,)], None)
         assert canonical_class([(5,), (9,)], None) == (0, 1)
+        lists = [(0, 1), (2, 3), (0, 2)]
+        assert canonical_class(lists, ((0,), (1,), (2,))) == (0, 1, 0, 2, 1, 3)
+        assert canonical_class(lists, None) == (0, 1, 2, 3, 0, 2)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -486,6 +486,10 @@ class TestHoffmanJohnson:
                          "3c16f2ac1ea75a1a9995ed9322dad571"),
             (2, 6): (23, "754589d549e530d5c088cfe59a3e2e72"
                          "7ce3ee0066847ebdb9a4f4c36e385e48"),
+            (2, 7): (112, "79fce59968e3b7230a6e490aa8feb8a4"
+                          "a2aa17a2266ba977a1292fe3318d9ab2"),
+            (3, 5): (175, "9ff84c0bdcbe46f6d4565d7ff9b86ff6"
+                          "b677b1ceec78848d39bac15a67464db2"),
         }
         for (m, n), (count, digest) in pins.items():
             reps = hoffman_johnson_enumerate(m, n)
