@@ -498,24 +498,38 @@ def canonical_class(lists: Sequence[Sequence[int]],
 
     The value is the least flat row over every allowed vertex order and
     every color renaming onto 0, 1, ..., found by one least-prefix search
-    (the pruning behind McKay's canonical forms).  A state is the vertices
-    left in the current part, the parts not yet begun, and the named
-    colors as a sequence of cells, each holding the next len(cell) ids in
-    an order still free.  A step extends every state by every vertex that
-    may come next (one left in the current part or, where a part begins,
-    one of an unbegun part of that size) and keeps the extensions whose
-    renamed row ties for the least.  That row gives the vertex's colors
-    the lowest ids of each cell and its fresh colors the ids past every
-    cell; any other choice gives a larger row, so splitting each cell into
-    used and unused colors, and appending the fresh ones as a new cell,
-    keeps exactly the renamings that tie.  The lists share one length and
-    what follows a step depends only on the state, so the least row at
-    every step is the least row overall.
+    (the pruning behind McKay's canonical forms).  The colors that appear
+    are mapped to bits once, so each list is an int mask.  A state is the
+    masks left in the current part, as a sorted multiset (its vertices
+    trade places freely, so their ids do not matter), the parts not yet
+    begun, each as its size and mask multiset, and the named colors as a
+    sequence of cells, each a mask of colors holding the next popcount ids
+    in an order still free.  A step extends every state by each distinct
+    mask that may come next: one left in the current part or, where a part
+    begins, one of an unbegun part of that size, where unbegun parts with
+    equal multisets are tried once.  It keeps the extensions whose renamed
+    row ties for the least.  That row gives the vertex's colors the lowest
+    ids of each cell and its fresh colors the ids past every cell; any
+    other choice gives a larger row, so splitting each cell into used and
+    unused colors, and appending the fresh ones as a new cell, keeps
+    exactly the renamings that tie.  Tied states share their cell sizes,
+    so a row is fixed by its count of used colors per cell (more, earlier,
+    is less), and only the extensions that tie get split cells.  The lists
+    share one length and what follows a step depends only on the state,
+    so the least row at every step is the least row overall.
     """
     n = len(lists)
     if len({len(l) for l in lists}) > 1:
         raise ValueError("all lists must have the same length")
-    sets = [frozenset(l) for l in lists]
+    bit = {c: 1 << i for i, c in enumerate({c for l in lists for c in l})}
+    masks = []
+    for l in lists:
+        mask = 0
+        for c in l:
+            mask |= bit[c]
+        if mask.bit_count() != len(l):
+            raise ValueError("a list repeats a color")
+        masks.append(mask)
     if parts is None:
         blocks = [(v,) for v in range(n)]
         kind = list(range(n))  # no two vertices trade places
@@ -524,37 +538,53 @@ def canonical_class(lists: Sequence[Sequence[int]],
     else:
         blocks = [tuple(p) for p in parts if p]
         kind = [len(b) for b in blocks]  # equal-size parts trade places
+    k = len(lists[0]) if lists else 0
 
-    states = [((), tuple(range(len(blocks))), ())]
+    unbegun = tuple(sorted((kind[b], tuple(sorted(masks[v] for v in block)))
+                           for b, block in enumerate(blocks)))
+    states = {((), unbegun, ()): None}
     out: list[int] = []
     for _ in range(n):
-        scored = []
+        best = None
+        ties = []
         for left, unbegun, cells in states:
             if left:
-                moves = [(left, unbegun)]
+                pools = [(left, unbegun)]
             else:
                 want = kind[len(blocks) - len(unbegun)]
-                moves = [(blocks[b], tuple(x for x in unbegun if x != b))
-                         for b in unbegun if kind[b] == want]
-            for pool, rest in moves:
-                for i, v in enumerate(pool):
-                    colors = sets[v]
-                    row: list[int] = []
-                    split = []
-                    base = 0
-                    for cell in cells:
-                        used = cell & colors
-                        row.extend(range(base, base + len(used)))
-                        split += [c for c in (used, cell - used) if c]
-                        base += len(cell)
-                    fresh = colors.difference(*cells)
-                    row.extend(range(base, base + len(fresh)))
-                    if fresh:
-                        split.append(fresh)
-                    scored.append((tuple(row), (pool[:i] + pool[i + 1:],
-                                                rest, tuple(split))))
-        best = min(row for row, _ in scored)
-        out.extend(best)
-        states = list(dict.fromkeys(state for row, state in scored
-                                    if row == best))
+                pools = [(pool, unbegun[:i] + unbegun[i + 1:])
+                         for i, (size, pool) in enumerate(unbegun)
+                         if size == want
+                         and (not i or unbegun[i - 1] != unbegun[i])]
+            for pool, rest in pools:
+                for i, mask in enumerate(pool):
+                    if i and pool[i - 1] == mask:
+                        continue
+                    counts = tuple([(cell & mask).bit_count()
+                                    for cell in cells])
+                    if best is None or counts > best:
+                        best = counts
+                        ties = []
+                    elif counts < best:
+                        continue
+                    ties.append((mask, pool[:i] + pool[i + 1:], rest, cells))
+        base = 0
+        for count, cell in zip(best, ties[0][3]):
+            out.extend(range(base, base + count))
+            base += cell.bit_count()
+        out.extend(range(base, base + k - sum(best)))
+        states = {}
+        for mask, left, rest, cells in ties:
+            split = []
+            fresh = mask
+            for cell in cells:
+                hit = cell & mask
+                if hit:
+                    split.append(hit)
+                    fresh ^= hit
+                if hit != cell:
+                    split.append(cell ^ hit)
+            if fresh:
+                split.append(fresh)
+            states[left, rest, tuple(split)] = None
     return tuple(out)

@@ -561,7 +561,10 @@ def allowed_move(parts, n, rng, swap_equal=False):
     perm = [0] * n
     for size in {len(p) for p in parts}:
         same = [p for p in parts if len(p) == size]
-        images = same[1:] + same[:1] if swap_equal else rng.sample(same, len(same))
+        if swap_equal:
+            images = same[1:] + same[:1]
+        else:
+            images = rng.sample(same, len(same))
         for src, dst in zip(same, images):
             for v, w in zip(src, rng.sample(dst, len(dst))):
                 perm[v] = w
@@ -641,3 +644,8 @@ class TestCanonicalClass:
             canonical_class([(1, 2), (1,)], None)
         with pytest.raises(ValueError):
             canonical_class([(1,), (2,)], ((0,),))
+        # a repeated color would give a 3-entry row for two 2-lists
+        with pytest.raises(ValueError):
+            canonical_class([(1, 1), (2, 3)], None)
+        with pytest.raises(ValueError):
+            canonical_class([(0, 2), (4, 4)], ((0, 1),))
