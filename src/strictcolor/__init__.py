@@ -26,8 +26,11 @@ from .lambdacolor import (
     validate_lambda,
 )
 from .listcolor import (
+    AlonTarsiWitness,
     ChoosabilityVerdict,
     ColoringOutcome,
+    alon_tarsi,
+    check_alon_tarsi_witness,
     choice_number,
     k_choosable,
     l_color,
@@ -58,6 +61,7 @@ from .strict import (
 )
 
 __all__ = [
+    "AlonTarsiWitness",
     "BadAssignmentWitness",
     "Case2Transcript",
     "ChoosabilityVerdict",
@@ -68,8 +72,10 @@ __all__ = [
     "LambdaVerdict",
     "PartitionabilityWitness",
     "StrictDecision",
+    "alon_tarsi",
     "case1_partition",
     "case2_color",
+    "check_alon_tarsi_witness",
     "check_bad_witness",
     "check_partitionability_witness",
     "chromatic_number",

@@ -17,7 +17,9 @@ ENUMERATION_BOUND = 30  # weight k: partitions.enumerate_partitions
 HASSE_BOUND = 12  # weight k: partitions.refinement_hasse
 GROUPED_BOUND = 30  # colors n*k per uncapped row: streams.grouped_chunks
 KLISTS_BOUND = 24  # colors n*k per row: listcolor.k_choosable
-CHOICE_CAP = 2_000_000  # k^n vectors or t^P maps: bulk.colorable_mask
+CHOICE_CAP = 2_000_000  # k^n vectors or t^P maps: bulk.colorable_mask,
+#   and grid points: listcolor._graph_coefficient
+AT_VECTORS = 500  # exponent vectors tried: listcolor.alon_tarsi
 PARTITION_GENERIC_BOUND = 200_000  # t^n: lambdacolor.lambda_partitionable
 PROSPECT_ROWS = 200_000  # capped rows read: lambdacolor._prospect_bad_row
 READ_VERTEX_BOUND = 1024  # vertices of a graph file: serialize.graph_from_json

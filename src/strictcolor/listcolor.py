@@ -10,7 +10,9 @@ be rewritten in terms of the other.
 Choosability goes through the canonical assignment stream: a graph is
 k-choosable when every canonical k-assignment row is colorable, and the
 stream covers every assignment class, so the bulk verdict decides the
-property exactly.
+property exactly.  ``choice_number`` first tries ``alon_tarsi`` at each
+k, an algebraic certificate that can prove k-choosability but never
+refute it.
 
 Every negative verdict drawn from an assignment stream rests on
 ``find_refusals``, the one prefix -> filter -> mask -> confirm skeleton,
@@ -29,7 +31,8 @@ into their own certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count, islice
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -268,21 +271,179 @@ def k_choosable(g: Graph, k: int) -> ChoosabilityVerdict:
                                checked, nodes)
 
 
+@dataclass(frozen=True)
+class AlonTarsiWitness:
+    """A monomial prod x_i^t_i with a non-zero coefficient in the graph
+    polynomial prod_{uv in E, u<v} (x_u - x_v): exponents is t."""
+
+    exponents: tuple[int, ...]
+    coefficient: int
+
+
+def _graph_coefficient(g: Graph, t) -> int:
+    """The exact coefficient of prod x_i^t_i in g's graph polynomial.
+
+    For sum(t) = |E| the grid formula over the points s of prod [0..t_i]
+    reads coef * prod t_i! = sum_s f(s) * prod_i (-1)^(t_i-s_i) C(t_i, s_i),
+    f the graph polynomial.  f(s) is 0 unless s colors g properly, so a
+    depth-first walk over the vertices visits the proper points only,
+    carrying the product so far in Python ints.  CHOICE_CAP bounds the
+    grid's point count before the walk starts.
+    """
+    n = g.n
+    limits.enforce("CHOICE_CAP", prod(ti + 1 for ti in t),
+                   "the points of an Alon-Tarsi coefficient grid")
+    earlier = [[u for u in g.neighbors(v) if u < v] for v in range(n)]
+    weights = [[(-1) ** (ti - si) * comb(ti, si) for si in range(ti + 1)]
+               for ti in t]
+    point = [0] * n
+    acc = [1] * (n + 1)  # acc[v]: the product over vertices before v
+    nxt = [0] * n  # the value vertex v tries next
+    total, v = 0, 0
+    while v >= 0:
+        if v == n:
+            total += acc[n]
+            v -= 1
+            continue
+        sv = nxt[v]
+        if sv > t[v]:
+            nxt[v] = 0
+            v -= 1
+            continue
+        nxt[v] = sv + 1
+        term = acc[v] * weights[v][sv]
+        for u in earlier[v]:
+            term *= point[u] - sv
+            if not term:
+                break
+        if term:
+            point[v] = sv
+            acc[v + 1] = term
+            v += 1
+    coefficient, rest = divmod(total, prod(factorial(ti) for ti in t))
+    if rest:
+        raise RuntimeError("the grid sum is not a multiple of prod t_i!")
+    return coefficient
+
+
+def _exponent_vectors(g: Graph, k: int):
+    """The exponent vectors alon_tarsi tries, and how many there are.
+
+    Expanding the graph polynomial picks a tail for each edge, so a
+    monomial's coefficient sums over orientations whose out-degrees are
+    its exponents, and is 0 unless some orientation has them.  The
+    vertices go in smallest-last order (repeatedly the vertex with the
+    fewest neighbors left, the least on ties).  The vectors kept have
+    sum(t) = |E|, each t_i <= min(k-1, deg i), and every prefix of that
+    order holding at least the tails of the edges inside it and at most
+    those of the edges touching it; they go lexicographically largest
+    first in that order.  The first one is then the out-degree vector of
+    an acyclic orientation, whose coefficient is +-1, whenever k-1 is at
+    least g's degeneracy.  ``ways`` counts the completions per (prefix
+    length, prefix sum), so vector r of the order is read off it.
+    """
+    n, m = g.n, len(g.edges)
+    order, left = [], {v: g.degree(v) for v in range(n)}
+    while left:
+        v = min(left, key=left.__getitem__)
+        del left[v]
+        order.append(v)
+        for u in g.neighbors(v):
+            if u in left:
+                left[u] -= 1
+    at = {v: j for j, v in enumerate(order)}
+    cap = [min(k - 1, g.degree(v)) for v in order]
+    inside = [0] * n
+    touching = [0] * n
+    for u, v in g.edges:
+        inside[max(at[u], at[v])] += 1
+        touching[min(at[u], at[v])] += 1
+    inside, touching = list(accumulate(inside)), list(accumulate(touching))
+    ways = [[0] * (m + 1) for _ in range(n + 1)]
+    ways[n][m] = 1
+    for j in reversed(range(n)):
+        lo, hi = (inside[j - 1], touching[j - 1]) if j else (0, 0)
+        for s in range(lo, hi + 1):
+            ways[j][s] = sum(ways[j + 1][s:s + cap[j] + 1])
+
+    def vector(r: int) -> tuple[int, ...]:
+        t, s = [0] * n, 0
+        for j, v in enumerate(order):
+            x = min(cap[j], m - s)
+            while r >= ways[j + 1][s + x]:
+                r -= ways[j + 1][s + x]
+                x -= 1
+            t[v] = x
+            s += x
+        return tuple(t)
+
+    return ways[0][0], map(vector, count())
+
+
+def alon_tarsi(g: Graph, k: int) -> AlonTarsiWitness | None:
+    """An Alon-Tarsi certificate that g is k-choosable, or None.
+
+    A non-zero coefficient on prod x_i^t_i, with sum(t) = |E| and every
+    t_i <= k-1, in the graph polynomial prod_{uv in E, u<v} (x_u - x_v)
+    makes g k-choosable (Alon and Tarsi 1992, by Alon's Combinatorial
+    Nullstellensatz).  The vectors go in the fixed order of
+    ``_exponent_vectors``, which skips only vectors whose coefficient is
+    0, and certifies every graph whose degeneracy is below k on the
+    first vector.  None means no vector has a non-zero coefficient;
+    it proves nothing, since the rung proves upper bounds on the choice
+    number only.  Raises BoundExceeded past ``limits.AT_VECTORS`` vectors
+    tried, or when a grid passes ``limits.CHOICE_CAP`` points.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    total, vectors = _exponent_vectors(g, k)
+    for t in islice(vectors, min(total, limits.AT_VECTORS)):
+        coefficient = _graph_coefficient(g, t)
+        if coefficient:
+            return AlonTarsiWitness(t, coefficient)
+    limits.enforce("AT_VECTORS", total,
+                   "the exponent vectors of an Alon-Tarsi search")
+    return None
+
+
+def check_alon_tarsi_witness(g: Graph, k: int, w: AlonTarsiWitness) -> bool:
+    """Re-validate independently: the exponents fit g and k, and the
+    coefficient, recomputed from scratch, is the witness's and non-zero."""
+    t = w.exponents
+    if (len(t) != g.n or sum(t) != len(g.edges)
+            or any(type(ti) is not int or not 0 <= ti < k for ti in t)
+            or type(w.coefficient) is not int or not w.coefficient):
+        return False
+    return _graph_coefficient(g, t) == w.coefficient
+
+
 def choice_number(g: Graph) -> int | Undetermined:
     """Least k for which the graph is k-choosable.
 
     Choosability is monotone in k (restrict any larger list), so the first
-    success is the answer.  When a limit cuts the scan off first, the
-    result is Undetermined with the established lower bound.
+    success is the answer.  An edgeless graph is 1-choosable, and a graph
+    with an edge is not (give both ends one list {1}), so the scan starts
+    at 1 or 2.  Each k runs two rungs.  ``alon_tarsi`` proves upper
+    bounds only: a certificate returns k, and no certificate proves
+    nothing.  Otherwise ``k_choosable`` decides k from the stream.  When both rungs stop at a limit, the
+    result is Undetermined with the established lower bound, and its
+    reason names each stop in order.
     """
     if g.n == 0:
         return 0
-    for k in count(1):
+    for k in count(2 if g.edges else 1):
+        stops = []
+        try:
+            if alon_tarsi(g, k) is not None:
+                return k
+        except BoundExceeded as exc:
+            stops.append(str(exc))
         try:
             verdict = k_choosable(g, k)
         except BoundExceeded as exc:
-            return Undetermined(f"{exc}; not ({k - 1})-choosable",
-                                lower_bound=k)
+            stops.append(str(exc))
+            return Undetermined(f"{'; '.join(stops)}; not ({k - 1})-"
+                                f"choosable", lower_bound=k)
         if verdict.choosable:
             return k
 

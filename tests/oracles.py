@@ -2,8 +2,9 @@
 
 They answer questions the package answers another way (part lookup,
 subgraph embedding, the canonical assignment stream, the lambda-partition
-search, the refusals of a stream, the prefix filter's colors) by the slow
-direct route, so agreement between the two is testable.
+search, the refusals of a stream, the prefix filter's colors, the
+coefficients of the graph polynomial) by the slow direct route, so
+agreement between the two is testable.
 ``enumerate_lambda_assignments`` is the lam-assignment stream as objects,
 which only the tests read.
 """
@@ -345,3 +346,57 @@ def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition
     """
     for row in enumerate_grouped(g.n, descending_parts(lam), parts=g.parts):
         yield _stream_assignment(g, lam, row_lists(row, g.n))
+
+
+def graph_polynomial_oracle(g: Graph) -> dict[tuple[int, ...], int]:
+    """The graph polynomial prod_{uv in E, u<v} (x_u - x_v), expanded.
+
+    Each of the 2^|E| terms picks x_u or -x_v from every factor; the
+    signs are summed per exponent vector, zero coefficients dropped.
+    For |E| <= 12 only.
+    """
+    if len(g.edges) > 12:
+        raise ValueError("the brute expansion takes |E| <= 12")
+    poly: dict[tuple[int, ...], int] = {}
+    for heads in product((0, 1), repeat=len(g.edges)):
+        t = [0] * g.n
+        sign = 1
+        for (u, v), head in zip(g.edges, heads):
+            t[v if head else u] += 1
+            sign = -sign if head else sign
+        poly[tuple(t)] = poly.get(tuple(t), 0) + sign
+    return {t: c for t, c in poly.items() if c}
+
+
+def eulerian_difference_oracle(g: Graph, t: Sequence[int]) -> int:
+    """Alon-Tarsi's |EE - EO| for an orientation with out-degrees t.
+
+    Finds the first orientation of g (by brute force over 2^|E|) whose
+    out-degrees are t, and counts its Eulerian spanning subgraphs (every
+    vertex with in-degree equal to out-degree) of even and of odd size.
+    Alon and Tarsi show the difference is the coefficient of prod
+    x_i^t_i in the graph polynomial, up to sign; with no such
+    orientation that coefficient is 0, and so is the answer.
+    """
+    if len(g.edges) > 12:
+        raise ValueError("the brute count takes |E| <= 12")
+    for tails in product((0, 1), repeat=len(g.edges)):
+        arcs = [(u, v) if tail else (v, u)
+                for (u, v), tail in zip(g.edges, tails)]
+        out = [0] * g.n
+        for a, _ in arcs:
+            out[a] += 1
+        if out == list(t):
+            break
+    else:
+        return 0
+    difference = 0
+    for keep in product((0, 1), repeat=len(arcs)):
+        balance = [0] * g.n
+        for (a, b), kept in zip(arcs, keep):
+            if kept:
+                balance[a] += 1
+                balance[b] -= 1
+        if not any(balance):
+            difference += -1 if sum(keep) % 2 else 1
+    return abs(difference)

@@ -725,7 +725,12 @@ FILTER_PINS = {
         complete_multipartite((2, 2, 2)), sc.near_unit_partition(3),
         method="exhaustive"), (86, 5_618_352, 0)),
     "choice-k24": (lambda: sc.choice_number(complete_multipartite((2, 4))),
-                   (34, 2_079_603, 36)),
+                   (1, 6_467, 5)),
+    # choice-k24 no longer streams k = 3 (an Alon-Tarsi certificate decides
+    # it); this keeps a pin on the large uncapped k-list stream it swept.
+    "k-choosable-k24": (lambda: sc.k_choosable(complete_multipartite((2, 4)),
+                                               3),
+                        (32, 2_073_089, 0)),
     "refusals-hj": (lambda: [sc.hoffman_johnson_enumerate(*mn)
                              for mn in ((2, 5), (3, 4), (2, 6))],
                     (7, 373_555, 1_453)),

@@ -10,6 +10,7 @@ checked in one function.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from strictcolor.cli import main
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite
 from strictcolor.lambdacolor import lambda_choosable, lambda_partitionable
-from strictcolor.listcolor import choice_number, k_choosable
+from strictcolor.listcolor import alon_tarsi, choice_number, k_choosable
 from strictcolor.partitions import (
     IntegerPartition,
     enumerate_partitions,
@@ -39,12 +40,14 @@ LIMITS = {
     "GROUPED_BOUND": 30,
     "KLISTS_BOUND": 24,
     "CHOICE_CAP": 2_000_000,
+    "AT_VECTORS": 500,
     "PARTITION_GENERIC_BOUND": 200_000,
     "PROSPECT_ROWS": 200_000,
     "READ_VERTEX_BOUND": 1024,
 }
 
 SRC = Path(strictcolor.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
 
 
 def cycle(n: int) -> Graph:
@@ -84,7 +87,7 @@ CASES = [
      lambda: lambda_choosable(cycle(11), IntegerPartition((3,))),
      {"PROSPECT_ROWS": 1000}),
     ("KLISTS_BOUND", "bounded at 24, got 27; not (2)-choosable",
-     lambda: choice_number(cycle(9)), {}),
+     lambda: choice_number(complete_multipartite([3, 3, 3])), {}),
     ("KLISTS_BOUND", "bounded at 24, got 33",
      lambda: lambda_partitionable(cycle(11), IntegerPartition((3,))), {}),
     ("PARTITION_GENERIC_BOUND", "bounded at 200000, got 262144",
@@ -93,6 +96,12 @@ CASES = [
     ("PROSPECT_ROWS", "1000 capped rows held no refusal",
      lambda: lambda_choosable(cycle(11), IntegerPartition((3,))),
      {"PROSPECT_ROWS": 1000}),
+    ("CHOICE_CAP", "Alon-Tarsi coefficient grid is bounded at 2000000, "
+     "got 9765625",
+     lambda: alon_tarsi(complete_multipartite([2] * 5), 5), {}),
+    ("AT_VECTORS", "exponent vectors of an Alon-Tarsi search is bounded at "
+     "0, got 89",
+     lambda: alon_tarsi(complete_multipartite([2, 4]), 3), {"AT_VECTORS": 0}),
 ]
 
 
@@ -151,6 +160,17 @@ def test_cli_undecided_line_starts_with_the_limit(capsys, argv, limit):
 
 def test_limit_values():
     assert {name: getattr(limits, name) for name in LIMITS} == LIMITS
+
+
+def test_readme_lists_every_limit():
+    # README's strictcolor.limits list gives each limit as `NAME` = value.
+    text = README.read_text()
+    section = text[text.index("- `strictcolor.limits`"):
+                   text.index("- `strictcolor.serialize`")]
+    listed = {name: int(value.replace(",", "")) for name, value in
+              re.findall(r"`([A-Z_]+)` = (\d[\d,]*)", section)}
+    assert listed == {name: getattr(limits, name) for name in dir(limits)
+                      if name.isupper()}
 
 
 def _modules():
@@ -216,7 +236,8 @@ def test_each_limit_is_checked_in_one_function():
         "HASSE_BOUND": {"partitions.refinement_hasse"},
         "GROUPED_BOUND": {"streams.grouped_chunks"},
         "KLISTS_BOUND": {"listcolor.k_choosable"},
-        "CHOICE_CAP": {"bulk.colorable_mask"},
+        "CHOICE_CAP": {"bulk.colorable_mask", "listcolor._graph_coefficient"},
+        "AT_VECTORS": {"listcolor.alon_tarsi"},
         "PARTITION_GENERIC_BOUND": {"lambdacolor.lambda_partitionable"},
         "PROSPECT_ROWS": {"lambdacolor._prospect_bad_row"},
         "READ_VERTEX_BOUND": {"serialize.graph_from_json"},

@@ -8,16 +8,25 @@ against classical small cases and the structural 2-choosability test.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+import time
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import eulerian_difference_oracle, graph_polynomial_oracle
 from strictcolor import bulk, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
 from strictcolor.lambdacolor import lambda_choosable
 from strictcolor.listcolor import (
+    AlonTarsiWitness,
+    _exponent_vectors,
+    _graph_coefficient,
+    alon_tarsi,
+    check_alon_tarsi_witness,
     choice_number,
     k_choosable,
     l_color,
@@ -190,6 +199,187 @@ class TestChoiceNumber:
         assert out.lower_bound == 2
         with pytest.raises(TypeError):
             bool(out)
+
+    def test_edgeless_is_one_and_an_edge_starts_at_two(self):
+        # 25 vertices are past KLISTS_BOUND even at k = 1; the empty
+        # monomial's coefficient 1 certifies 1-choosability instead.
+        assert choice_number(Graph(25, ())) == 1
+        out = choice_number(complete_multipartite([13, 13]))
+        assert isinstance(out, Undetermined)
+        assert out.lower_bound == 2
+        assert out.reason.endswith("got 52; not (1)-choosable")
+        assert "(0)-choosable" not in out.reason
+
+    def test_alon_tarsi_decides_the_top(self):
+        # Erdos-Rubin-Taylor: ch(K_{2*k}) = k; K(4,4) and K(2,2,2) are
+        # not 2-choosable.  The stream alone cannot reach k = 4 on
+        # K(2,2,2,2) (32 colors per row, over KLISTS_BOUND).
+        t0 = time.perf_counter()
+        assert choice_number(complete_multipartite([2, 2, 2, 2])) == 4
+        assert time.perf_counter() - t0 <= 0.2
+        assert choice_number(complete_multipartite([4, 4])) == 3
+        assert choice_number(complete_multipartite([2, 2, 2])) == 3
+
+    def test_k333_stays_undetermined(self):
+        # ch(K(3,3,3)) = 4 (Kierstead), but the one vector at k = 4,
+        # (3, ..., 3), has coefficient 0, and k = 3 has no vector at all
+        # (|E| = 27 > 2 * 9), so only the stream's stop is named.
+        out = choice_number(complete_multipartite([3, 3, 3]))
+        assert isinstance(out, Undetermined)
+        assert out.lower_bound == 3
+        assert out.reason == (
+            "KLISTS_BOUND: the total colors per row of a k-choosability "
+            "check is bounded at 24, got 27; not (2)-choosable")
+
+    def test_names_both_stops_in_order(self, monkeypatch):
+        monkeypatch.setattr(limits, "AT_VECTORS", 0)
+        monkeypatch.setattr(limits, "KLISTS_BOUND", 8)
+        out = choice_number(cycle(5))
+        assert isinstance(out, Undetermined)
+        assert out.lower_bound == 2
+        assert [stop.split(":")[0] for stop in out.reason.split("; ")] == [
+            "AT_VECTORS", "KLISTS_BOUND", "not (1)-choosable"]
+
+
+# ---------------------------------------------------------------- Alon-Tarsi
+
+@st.composite
+def small_graphs(draw, max_n=6, max_edges=10):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = (draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=max_edges)) if pairs else [])
+    return Graph(n, tuple(edges))
+
+
+@st.composite
+def oriented_graphs(draw):
+    """A small graph and the out-degrees of one of its orientations."""
+    g = draw(small_graphs(max_edges=9))
+    t = [0] * g.n
+    for u, v in g.edges:
+        t[v if draw(st.booleans()) else u] += 1
+    return g, tuple(t)
+
+
+@st.composite
+def guard_cases(draw):
+    """(graph, k) with n*k <= 18: a complete multipartite host with its
+    parts, or random edges on at most 5 vertices and no parts."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)
+                     .filter(lambda s: sum(s) * k <= 18))
+        return complete_multipartite(sizes), k
+    return draw(small_graphs(max_n=min(5, 18 // k))), k
+
+
+class TestAlonTarsi:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.integers(1, 4))
+    @example(cycle(5), 3)
+    @example(complete_multipartite([2, 3]), 2)
+    @example(complete_multipartite([1, 1, 1, 1]), 3)
+    @example(Graph(3, ()), 1)
+    def test_coefficients_match_the_expansion(self, g, k):
+        poly = graph_polynomial_oracle(g)
+        fits = [t for t in product(range(k), repeat=g.n)
+                if sum(t) == len(g.edges)]
+        for t in fits:
+            assert _graph_coefficient(g, t) == poly.get(t, 0)
+        # The vectors tried fit, are distinct, are counted exactly, and
+        # hold every monomial with a non-zero coefficient; the witness is
+        # the first of them with one.
+        total, vectors = _exponent_vectors(g, k)
+        tried = list(islice(vectors, total))
+        assert len(set(tried)) == total
+        assert {t for t in fits if t in poly} <= set(tried) <= set(fits)
+        w = alon_tarsi(g, k)
+        if w is None:
+            assert not any(t in poly for t in fits)
+        else:
+            assert w == AlonTarsiWitness(next(t for t in tried if t in poly),
+                                         poly[w.exponents])
+            assert check_alon_tarsi_witness(g, k, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oriented_graphs())
+    @example((cycle(5), (1, 1, 1, 1, 1)))
+    @example((cycle(4), (1, 1, 1, 1)))
+    def test_coefficients_match_eulerian_subgraphs(self, case):
+        g, t = case
+        assert abs(_graph_coefficient(g, t)) == eulerian_difference_oracle(
+            g, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(guard_cases())
+    @example((complete_multipartite([2, 4]), 3))
+    @example((complete_multipartite([2, 2, 2, 2]), 3))  # n*k = 24
+    @example((complete_multipartite([1] * 6), 4))  # n*k = 24
+    def test_never_certifies_a_refused_host(self, case):
+        # Exhaustive streams of choosable hosts at n*k = 21..24 take from
+        # seconds to minutes, so the draws stop at 18; the n*k = 24
+        # examples are hosts the stream refuses.
+        g, k = case
+        w = alon_tarsi(g, k)
+        assert w is None or k_choosable(g, k).choosable
+
+    def test_exported(self):
+        import strictcolor
+        for name in ("AlonTarsiWitness", "alon_tarsi",
+                     "check_alon_tarsi_witness"):
+            assert name in strictcolor.__all__
+            assert getattr(strictcolor, name) is globals()[name]
+
+    def test_edgeless_and_tree_certificates(self):
+        assert alon_tarsi(Graph(4, ()), 1) == AlonTarsiWitness((0,) * 4, 1)
+        assert alon_tarsi(Graph(0, ()), 1) == AlonTarsiWitness((), 1)
+        assert alon_tarsi(Graph(2, ((0, 1),)), 1) is None
+        w = alon_tarsi(Graph(4, ((0, 1), (1, 2), (1, 3))), 2)
+        assert abs(w.coefficient) == 1
+
+    def test_degenerate_graphs_certify_on_the_first_vector(self):
+        # Smallest-last order makes the first vector an acyclic
+        # orientation's out-degrees when k - 1 reaches the degeneracy.
+        for g, k in [(cycle(9), 3), (complete_multipartite([1, 1, 6]), 3),
+                     (complete_multipartite([2, 4]), 5),
+                     (complete_multipartite([1, 1, 1, 1]), 4)]:
+            _, vectors = _exponent_vectors(g, k)
+            first = next(vectors)
+            assert alon_tarsi(g, k) == AlonTarsiWitness(
+                first, _graph_coefficient(g, first))
+            assert abs(alon_tarsi(g, k).coefficient) == 1
+
+    def test_checker_refuses_bad_witnesses(self):
+        g = complete_multipartite([2, 4])
+        w = alon_tarsi(g, 3)
+        assert check_alon_tarsi_witness(g, 3, w)
+        t, c = w.exponents, w.coefficient
+        assert not check_alon_tarsi_witness(g, 2, w)  # an entry over k-1
+        for bad in [AlonTarsiWitness(t, c + 1), AlonTarsiWitness(t, 0),
+                    AlonTarsiWitness(t[:-1], c),
+                    AlonTarsiWitness(t[:-1] + (t[-1] + 1,), c),
+                    AlonTarsiWitness(tuple(map(float, t)), c),
+                    AlonTarsiWitness((True,) + t[1:], c)]:
+            assert not check_alon_tarsi_witness(g, 3, bad)
+        # K4 is not 3-choosable, so every coefficient at k = 3 is 0.
+        k4 = complete_multipartite([1, 1, 1, 1])
+        assert not check_alon_tarsi_witness(
+            k4, 3, AlonTarsiWitness((2, 2, 1, 1), 1))
+
+    def test_limits(self, monkeypatch):
+        with pytest.raises(ValueError):
+            alon_tarsi(cycle(4), 0)
+        with pytest.raises(BoundExceeded, match="CHOICE_CAP: the points of "
+                           "an Alon-Tarsi coefficient grid is bounded at "
+                           "2000000, got 9765625"):
+            alon_tarsi(complete_multipartite([2] * 5), 5)
+        monkeypatch.setattr(limits, "AT_VECTORS", 3)
+        total, _ = _exponent_vectors(complete_multipartite([1] * 4), 3)
+        with pytest.raises(BoundExceeded, match=f"AT_VECTORS: .* bounded at "
+                           f"3, got {total}"):
+            alon_tarsi(complete_multipartite([1] * 4), 3)
+        assert alon_tarsi(cycle(9), 3) is not None  # the first vector
 
 
 # ---------------------------------------------------------------- structural

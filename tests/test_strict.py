@@ -7,6 +7,7 @@ from hashlib import sha256
 
 import pytest
 
+from strictcolor import listcolor
 from strictcolor.graphs import Graph, complete_multipartite, contains_parts, is_proper
 from strictcolor.lambdacolor import (
     BadAssignmentWitness,
@@ -15,6 +16,7 @@ from strictcolor.lambdacolor import (
     PartitionabilityWitness,
     check_bad_witness,
     check_partitionability_witness,
+    lambda_choosable,
     random_lambda_assignment,
     validate_lambda,
 )
@@ -464,6 +466,26 @@ class TestDecideStrictSearch:
         d = decide_strict_search(complete_multipartite((1, 1, 1)), 3)
         assert (d.strict, d.reason, d.certificate) == (
             None, "search-undecided: out of room", None)
+
+    def test_routes_never_reach_alon_tarsi(self, monkeypatch):
+        # The Alon-Tarsi rung serves choice_number only, so the two routes
+        # (and lambda_choosable, the search route's ladder) stay
+        # independent of it.
+        calls = []
+        for name in ("alon_tarsi", "_exponent_vectors", "_graph_coefficient"):
+            def spy(*args, _inner=getattr(listcolor, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(listcolor, name, spy)
+        for sizes in ((2, 2, 2), (2, 2, 3), (3, 3, 3), (2, 4, 4)):
+            decide_strict_cmp(sizes)
+            decide_strict_search(complete_multipartite(sizes), 3)
+        lambda_choosable(complete_multipartite((1, 1, 2)), P((3,)))
+        lambda_choosable(complete_multipartite((1, 2, 2)), P((1, 2)),
+                         method="exhaustive")
+        assert calls == []
+        listcolor.choice_number(complete_multipartite((2, 2)))
+        assert calls[0] == "alon_tarsi"
 
 
 class TestHoffmanJohnson:
