@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grouped_rows_oracle
+from strictcolor import bulk
 from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import complete_multipartite
@@ -392,17 +393,65 @@ class TestSpans:
 
 
 PINS = Path(__file__).with_name("stream_pins.json")
+OTHER_ROWS = 4099  # a chunk_rows no pin uses, prime so cuts fall anywhere
 
 
-def chunk_records(sizes, groups, caps, chunks, chunk_rows):
-    """Per chunk of a host's stream: leaves, prefixes, palette, row digest."""
-    g = complete_multipartite(sizes)
-    stream = grouped_chunks(g.n, groups, parts=g.parts, caps=caps,
-                            chunk_rows=chunk_rows)
-    return [[c.leaves, len(c.count), c.palette.tolist(),
-             hashlib.sha256(c.leaf_rows().astype("<i4").tobytes())
-             .hexdigest()[:16]]
-            for c in islice(stream, chunks)]
+def pin_stream(pin, chunk_rows):
+    g = complete_multipartite(tuple(pin["sizes"]))
+    return grouped_chunks(g.n, tuple(pin["groups"]), parts=g.parts,
+                          caps=pin["caps"] and tuple(pin["caps"]),
+                          chunk_rows=chunk_rows)
+
+
+def sliced_rows(chunk, leaves):
+    """The chunk's first ``leaves`` leaf rows, bulk.CHUNK_ROWS at a time:
+    a chunk may stand for more leaves than a test should hold at once."""
+    for lo in range(0, leaves, bulk.CHUNK_ROWS):
+        yield chunk.leaf_rows(np.arange(lo, min(lo + bulk.CHUNK_ROWS, leaves)))
+
+
+def chunk_records(pin, chunk_rows):
+    """Per pinned chunk of a host's stream: leaves, prefixes, palette and
+    row digest."""
+    records = []
+    for c in islice(pin_stream(pin, chunk_rows), pin["chunks"]):
+        sha = hashlib.sha256()
+        for rows in sliced_rows(c, c.leaves):
+            sha.update(rows.astype("<i4").tobytes())
+        records.append([c.leaves, len(c.count), c.palette.tolist(),
+                        sha.hexdigest()[:16]])
+    return records
+
+
+def stream_digest(pin, chunk_rows):
+    """What a pin's first ``digest["prefixes"]`` prefixes stand for, read
+    in chunks of chunk_rows: their prefixes and leaves, the colors of
+    their leaves' last lists, and a sha256 of their leaf rows in stream
+    order.  None of it depends on where the chunks end."""
+    want = pin["digest"]["prefixes"]
+    sha = hashlib.sha256()
+    prefixes = leaves = 0
+    colors = None
+    stream = pin_stream(pin, chunk_rows)
+    for chunk in stream:
+        split = chunk.rows.shape[1]
+        if colors is None:  # a stream's colors are below its row width
+            colors = np.zeros(split + chunk.lists.shape[1], dtype=bool)
+        take = min(len(chunk.count), want - prefixes)
+        covered = int(chunk.count[:take].sum())
+        for rows in sliced_rows(chunk, covered):
+            sha.update(rows.astype("<i4").tobytes())
+            colors[rows[:, split:]] = True
+        prefixes += take
+        leaves += covered
+        if prefixes == want:
+            if take == len(chunk.count) and pin["chunks"] is None:
+                # A whole stream: nothing follows the pinned prefixes.
+                assert next(stream, None) is None
+            break
+    return {"prefixes": prefixes, "leaves": leaves,
+            "palette": np.flatnonzero(colors).tolist(),
+            "sha256": sha.hexdigest()}
 
 
 class TestPinnedStreams:
@@ -411,17 +460,28 @@ class TestPinnedStreams:
     exact leaf counts (blocks cut at every level, tied equal groups at
     non-zero offsets, and the head of the K(2,2,3) {1,2} stream).  The
     palette picks the mask's owner-map space, so it is pinned along with
-    the rows."""
+    the rows.  Each pin's digest covers the prefixes its pinned chunks
+    held when chunks closed at chunk_rows leaves, and holds at any
+    chunking."""
 
     @pytest.mark.parametrize("pin", json.loads(PINS.read_text()),
                              ids=lambda pin: pin["name"])
     def test_chunks_are_pinned(self, pin):
-        got = chunk_records(tuple(pin["sizes"]), tuple(pin["groups"]),
-                            pin["caps"] and tuple(pin["caps"]),
-                            pin["chunks"], pin["chunk_rows"])
+        got = chunk_records(pin, pin["chunk_rows"])
         assert len(got) == len(pin["records"])
         for i, (have, want) in enumerate(zip(got, pin["records"])):
             assert have == want, f"chunk {i}"
+
+    @pytest.mark.parametrize("other", [False, True],
+                             ids=["pinned-rows", "other-rows"])
+    @pytest.mark.parametrize("pin", json.loads(PINS.read_text()),
+                             ids=lambda pin: pin["name"])
+    def test_digest_does_not_depend_on_chunking(self, pin, other):
+        # The leaves a stream stands for, read at the pinned chunk_rows and
+        # at another: a change to where chunks end moves the records
+        # above, never this.
+        chunk_rows = OTHER_ROWS if other else pin["chunk_rows"]
+        assert stream_digest(pin, chunk_rows) == pin["digest"]
 
 
 class TestChunkOwnership:
