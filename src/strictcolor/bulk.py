@@ -36,10 +36,11 @@ row, and blocks of maps sized so that their working set (picks, the
 accumulators and one gathered plane per vertex) stays under
 ``SWEEP_BYTES``; its blocks start at ``FIRST_BLOCK`` and double.  The
 prefix filter steps over a chunk in stretches of prefixes sized the same
-way, whole runs at a time when it shares work per run (below); on a
-65,536-leaf chunk it peaks under ``SWEEP_BYTES``, the positions it
-returns included.  Everything is exact integer comparison; numpy only
-supplies the bulk loops.
+way, whole runs at a time when it shares work per run (below), and reads
+the leaves of the prefixes it selects ``CHUNK_ROWS`` at a time; on a
+chunk of ``CHUNK_ROWS`` prefixes it peaks under ``SWEEP_BYTES``, the
+positions it returns included.  Everything is exact integer comparison;
+numpy only supplies the bulk loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
 never reach the mask: ``leaf_candidates`` settles them per prefix, from
@@ -68,7 +69,9 @@ import numpy as np
 
 from . import limits
 
-CHUNK_ROWS = 65536
+# The most rows of any block the stream -> filter -> mask -> confirm
+# skeleton builds: the prefixes of one chunk, or one slice of leaf rows.
+CHUNK_ROWS = 16384
 SWEEP_BYTES = 8 << 20
 FIRST_BLOCK = 64
 SHARE_RUN = 10  # prefixes per run from which the prefix filter shares
@@ -595,13 +598,15 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
     inside, bit = found
     k = chunk.lists.shape[1]
     sel = np.flatnonzero(np.bitwise_count(inside) >= k)
-    where, table = chunk.leaves_of(sel)
-    last = chunk.lists[table]
-    outside = ~np.repeat(inside[sel], chunk.count[sel])
-    keep = np.ones(where.size, dtype=bool)
-    for c in range(k):
-        keep &= (bit[last[:, c]] & outside) == 0
-    return where[keep]
+    kept = []
+    for which, where, table in chunk.leaves_of(sel):
+        last = chunk.lists[table]
+        outside = ~inside[sel[which]]
+        keep = np.ones(where.size, dtype=bool)
+        for c in range(k):
+            keep &= (bit[last[:, c]] & outside) == 0
+        kept.append(where[keep])
+    return np.concatenate(kept)
 
 
 def mask_chunks(chunks: Iterable[np.ndarray], n: int,

@@ -303,9 +303,12 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
     first when the graph carries parts, matching how such partitions
     actually arise for complete multipartite graphs; vertex-level
     candidates follow while the t^n space stays within
-    PARTITION_GENERIC_BOUND.  Candidates share few distinct blocks, so
-    each distinct (level, induced subgraph) is certified once per call and
-    later candidates read its outcome, a stopping BoundExceeded included.
+    PARTITION_GENERIC_BOUND.  A walk that prunes nothing (below) reads
+    every part-aligned candidate, so it runs only while their t^(number
+    of parts) stays within the same limit.  Candidates share few distinct
+    blocks, so each distinct (level, induced subgraph) is certified once
+    per call and later candidates read its outcome, a stopping
+    BoundExceeded included.
     None means the whole candidate space was searched and no partition
     exists; Undetermined means some candidate could not be settled, and
     its reason names the limits that stopped it.
@@ -317,8 +320,9 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
     and the blocks certified before it, of level 1 or 2, are settled by
     the edgeless and Erdős–Rubin–Taylor tests, which cannot raise, so
     skipping it changes neither the witness nor the reason.  Any other
-    lam walks every candidate: a block of level 3 or more may raise
-    BoundExceeded, and the first stop names the reason.
+    lam, or one without a part of 1, walks every candidate: a block of
+    level 3 or more may raise BoundExceeded, and the first stop names the
+    reason.
     """
     desc = descending_parts(lam)
     t = len(desc)
@@ -350,19 +354,23 @@ def lambda_partitionable(g: Graph, lam: IntegerPartition
             evidence.append(BlockEvidence(verts, level, *outcome))
         return PartitionabilityWitness(lam, tuple(evidence))
 
-    if g.parts is not None:
+    def within(count: int, what: str) -> bool:
+        try:
+            limits.enforce("PARTITION_GENERIC_BOUND", count, what)
+        except BoundExceeded as exc:
+            stops.append(str(exc))
+            return False
+        return True
+
+    if g.parts is not None and (any(independent) or within(
+            t ** len(g.parts), "the part-aligned block candidate count")):
         for f in _block_maps(g, g.parts, t, independent):
             w = try_blocks(tuple(v for pi, part in enumerate(g.parts)
                                  if f[pi] == j for v in part)
                            for j in range(t))
             if w is not None:
                 return w
-    try:
-        limits.enforce("PARTITION_GENERIC_BOUND", t ** g.n,
-                       "the vertex-level block candidate count")
-    except BoundExceeded as exc:
-        stops.append(str(exc))
-    else:
+    if within(t ** g.n, "the vertex-level block candidate count"):
         for f in _block_maps(g, [(v,) for v in range(g.n)], t, independent):
             w = try_blocks(tuple(v for v in range(g.n) if f[v] == j)
                            for j in range(t))
@@ -467,8 +475,8 @@ def _head_rows(chunks, limit: int) -> Iterator:
         last = chunk.leaves >= limit
         held = [chunk.cut(limit) if last else chunk]
         limit -= chunk.leaves
-        # Hold no reference while suspended, so the caller can free the
-        # chunk's prefix rows before the mask settles its candidates.
+        # Hold no reference while suspended, so the chunk is freed once
+        # the caller lets go of it, before the walk builds the next.
         del chunk
         yield held.pop()
         if last:

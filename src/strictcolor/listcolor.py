@@ -207,7 +207,8 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     every proper filter vector puts on the last vertex's neighbors; a
     proper vector leaves such a leaf's last vertex a free color.  The
     bulk mask settles the rest, with the host's parts and the chunk's
-    palette (``bulk.chunk_palette``), once per chunk even on no rows, so
+    palette (``bulk.chunk_palette``), bulk.CHUNK_ROWS kept leaf rows at
+    a time: a mask call per slice, and one per chunk even on no rows, so
     its space and CHOICE_CAP stop a decision whatever the filter does.
     Each row it refuses is decoded with row_lists and re-solved with
     l_color, so neither the filter nor the mask vouches for itself, and a
@@ -222,22 +223,24 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     for chunk in chunks:
         positions = bulk.leaf_candidates(chunk, g.n, g.edges)
         palette = bulk.chunk_palette(chunk, g.n, g.parts)
-        leaves = chunk.leaves
-        rows = chunk.leaf_rows(positions)
-        del chunk  # the prefix rows are not needed while the mask runs
-        mask = bulk.colorable_mask(rows, g.n, g.edges, parts=g.parts,
-                                   palette=palette)
-        for i in np.flatnonzero(~mask):
-            lists = tuple(row_lists(tuple(int(x) for x in rows[i]), g.n))
-            confirm = l_color(g, lists)
-            if confirm.colorable:
-                raise RuntimeError("bulk filter and solver disagree on a row; "
-                                   "refusing to report either verdict")
-            index = offset + int(positions[i])
-            refusals.append((index, lists, confirm.nodes_searched))
-            if first_only:
-                return refusals, index + 1
-        offset += leaves
+        for lo in range(0, max(positions.size, 1), bulk.CHUNK_ROWS):
+            at = positions[lo:lo + bulk.CHUNK_ROWS]
+            rows = chunk.leaf_rows(at)
+            mask = bulk.colorable_mask(rows, g.n, g.edges, parts=g.parts,
+                                       palette=palette)
+            for i in np.flatnonzero(~mask):
+                lists = tuple(row_lists(tuple(int(x) for x in rows[i]), g.n))
+                confirm = l_color(g, lists)
+                if confirm.colorable:
+                    raise RuntimeError("bulk filter and solver disagree on a "
+                                       "row; refusing to report either "
+                                       "verdict")
+                index = offset + int(at[i])
+                refusals.append((index, lists, confirm.nodes_searched))
+                if first_only:
+                    return refusals, index + 1
+        offset += chunk.leaves
+        del chunk, rows  # let go of them before the walk builds the next
     return refusals, offset
 
 

@@ -56,17 +56,21 @@ order, so a leaf's index in the stream is the leaves before its prefix
 plus its position in the span.  The table only grows, and each chunk
 holds a read-only view of it, so the spans of one chunk stay valid after
 the walk moves on.  A chunk's palette is the colors of that view.  A
-subtree whose leaves fit in a chunk is emitted whole: its prefix rows are
-assembled from its children's blocks, kept read-only in the narrowest
-integer type, and copied into the chunk with the prefix columns above
-them broadcast.  Subtrees too big for a chunk are walked one vertex row
-at a time.
+chunk closes at chunk_rows prefixes, whatever leaves they stand for, so
+each base above vertex n-2 also counts the prefixes below each suffix of
+its rows.  A subtree whose prefixes fit in a chunk is emitted whole: its
+prefix rows are assembled from its children's blocks, kept read-only in
+the narrowest integer type, and copied into the chunks with the prefix
+columns above them broadcast, as many rows at a time as the chunk has
+room for.  Subtrees with more prefixes than a chunk are walked one vertex
+row at a time.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
 one of its proper colorings of the prefix leaves free for the last
-vertex, and only the rest are masked and confirmed.  ``enumerate_grouped``,
-the tuple stream, is each chunk's ``leaf_rows()`` flattened.
+vertex, and only the rest are masked and confirmed, ``bulk.CHUNK_ROWS``
+leaf rows at a time.  ``enumerate_grouped``, the tuple stream, is each
+chunk's ``leaf_rows`` flattened in slices of that size.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import limits
+from . import bulk, limits
 from .bulk import CHUNK_ROWS
 
 
@@ -100,7 +104,9 @@ class PrefixChunk(NamedTuple):
     ``leaves`` are those of all its prefixes, ``count.sum()`` of them.
     ``lists`` is a read-only int32 table of last-vertex lists that later
     chunks may extend but never change, and ``palette`` the colors it
-    uses, sorted.
+    uses, sorted.  Nothing bounds the leaves a chunk stands for, so they
+    are read in slices of at most ``bulk.CHUNK_ROWS``: ``leaves_of`` and
+    ``leaf_rows`` of a slice of positions.
     """
 
     rows: np.ndarray
@@ -111,25 +117,31 @@ class PrefixChunk(NamedTuple):
     leaves: int
 
     def leaves_of(self, prefixes: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Positions in the chunk, and rows in lists, of the leaves of the
-        given prefixes: prefix by prefix, each in stream order."""
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The leaves of the given prefixes, prefix by prefix, each in
+        stream order, in slices of at most bulk.CHUNK_ROWS (one empty
+        slice when there are none): per slice, each leaf's index in
+        prefixes, its position in the chunk and its row in lists."""
         lens = self.count[prefixes]
-        within = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens,
-                                                        lens)
-        first = np.cumsum(self.count) - self.count
-        return (np.repeat(first[prefixes], lens) + within,
-                np.repeat(self.start[prefixes], lens) + within)
+        ends = np.cumsum(lens)
+        # Leaf j of the selection, below prefixes[p], sits at
+        # at_chunk[p] + j in the chunk and at_table[p] + j in lists.
+        before = ends - lens
+        at_chunk = (np.cumsum(self.count) - self.count)[prefixes] - before
+        at_table = self.start[prefixes] - before
+        total = int(ends[-1]) if ends.size else 0
+        for lo in range(0, max(total, 1), bulk.CHUNK_ROWS):
+            j = np.arange(lo, min(lo + bulk.CHUNK_ROWS, total))
+            which = np.searchsorted(ends, j, side="right")
+            yield which, at_chunk[which] + j, at_table[which] + j
 
     def leaf_rows(self, positions: np.ndarray | None = None) -> np.ndarray:
         """Fresh int32 leaf rows, of every leaf or of those at positions."""
         if positions is None:
-            prefix = np.repeat(np.arange(len(self.count)), self.count)
-            table = self.leaves_of(np.arange(len(self.count)))[1]
-        else:
-            ends = np.cumsum(self.count)
-            prefix = np.searchsorted(ends, positions, side="right")
-            table = (self.start - ends + self.count)[prefix] + positions
+            positions = np.arange(self.leaves)
+        ends = np.cumsum(self.count)
+        prefix = np.searchsorted(ends, positions, side="right")
+        table = (self.start - ends + self.count)[prefix] + positions
         split = self.rows.shape[1]
         out = np.empty((len(prefix), split + self.lists.shape[1]),
                        dtype=np.int32)
@@ -153,8 +165,8 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
                    chunk_rows: int = CHUNK_ROWS) -> Iterator[PrefixChunk]:
     """The canonical rows, in lexicographic order, as PrefixChunks.
 
-    Each chunk stands for at most chunk_rows leaves unless it holds a
-    single prefix.
+    Each chunk holds at most chunk_rows prefixes, and every chunk but the
+    last exactly that many; the leaves a chunk stands for are unbounded.
 
     ``parts`` marks runs of interchangeable vertices (consecutive vertex
     ranges, as produced by complete multipartite construction);
@@ -210,8 +222,8 @@ class _Base:
     vertex before it.  A walk state is a base and an offset: its rows are
     the base's rows from the offset on."""
 
-    __slots__ = ("v", "heads", "rels", "kids", "per", "cum", "start",
-                 "first", "placed")
+    __slots__ = ("v", "heads", "rels", "kids", "per", "cum", "pcum",
+                 "start", "first", "placed")
 
     def __init__(self, v: int, n: int, heads: np.ndarray, rels: tuple):
         m = heads.shape[0]
@@ -220,9 +232,11 @@ class _Base:
         self.rels = rels  # each row's per-group window-relative choices
         # Above the last vertex: each row's next state, and the leaves
         # below rows i.. as cum[i], in Python ints: a long stream's count
-        # passes 2^63.
+        # passes 2^63.  Above vertex n-2: the prefixes below rows i.. as
+        # pcum[i].
         self.kids: list | None = None
         self.cum: list | None = None
+        self.pcum: list | None = None
         # Last vertex: the base's start in the lists table once appended.
         self.start: int | None = None
         # Vertex n-2: each row's leaf count, and the start of its lists in
@@ -319,12 +333,22 @@ def _walk(n: int, sizes: tuple[int, ...],
                                           initial=0))[::-1]
                 if v == n - 2:
                     got.per = -np.diff(got.cum)
+                else:
+                    got.pcum = list(accumulate(
+                        map(prefixes, reversed(got.kids)), initial=0))[::-1]
         return got
 
     def count(state) -> int:
         """The leaves below a state."""
         b, off = state
         return b.heads.shape[0] - off if b.v == n - 1 else b.cum[off]
+
+    def prefixes(state) -> int:
+        """The prefixes below a state: one for a last-vertex state."""
+        b, off = state
+        if b.v >= n - 2:
+            return 1 if b.v == n - 1 else b.heads.shape[0] - off
+        return b.pcum[off]
 
     # The rows of every last-vertex base the walk has placed, table[:used],
     # each appended once: a state's lists start at its base's start plus
@@ -388,7 +412,7 @@ def _walk(n: int, sizes: tuple[int, ...],
 
     root = (base_at(0, (0,) * t, eqpair), 0)
     width = (n - 1) * k
-    cap = min(chunk_rows, count(root))
+    cap = min(chunk_rows, prefixes(root))
     buf = first = per = None
     pos = held = 0
 
@@ -406,46 +430,28 @@ def _walk(n: int, sizes: tuple[int, ...],
         """Emit the prefixes below prefix: whole if they fit a chunk."""
         nonlocal buf, first, per, pos, held
         b, off = state
-        left = count(state)  # the leaves still to emit
-        if b.v < n - 1 and left > chunk_rows:
+        if b.v < n - 1 and prefixes(state) > chunk_rows:
             for c, head in zip(b.kids[off:], b.heads[off:].tolist()):
                 yield from walk(c, prefix + head)
             return
         rows, sub_first, sub_per = block(state, keep=False)
-        cum = None  # the running sums, once a chunk ends inside the block
         done, stop = 0, rows.shape[0]
         split = len(prefix)
         while done < stop:
-            if left <= chunk_rows - held:
-                take, got = stop - done, left  # the rest fits
-            else:
-                if cum is None:
-                    cum = np.zeros(stop + 1, dtype=np.intp)
-                    np.cumsum(sub_per, out=cum[1:])
-                # As many whole prefixes as the chunk has leaves left for;
-                # a prefix with more leaves than a chunk goes alone.
-                take = int(cum.searchsorted(cum[done] + chunk_rows - held,
-                                            "right")) - 1 - done
-                if take <= 0:
-                    if pos:
-                        yield flush()
-                        continue
-                    take = 1
-                got = int(cum[done + take] - cum[done])
             if buf is None:
                 # int32 spans: a table of 2^31 lists would not fit in memory.
                 buf = np.empty((cap, width), dtype=np.int32)
                 first = np.empty(cap, dtype=np.int32)
                 per = np.empty(cap, dtype=np.int32)
+            take = min(stop - done, cap - pos)
             buf[pos:pos + take, :split] = prefix
             buf[pos:pos + take, split:] = rows[done:done + take]
             first[pos:pos + take] = sub_first[done:done + take]
             per[pos:pos + take] = sub_per[done:done + take]
+            held += int(sub_per[done:done + take].sum())
             pos += take
             done += take
-            held += got
-            left -= got
-            if held >= chunk_rows:
+            if pos == cap:
                 yield flush()
 
     try:
@@ -466,7 +472,9 @@ def enumerate_grouped(n: int, group_sizes: Sequence[int],
                       ) -> Iterator[tuple[int, ...]]:
     """The leaf rows of grouped_chunks one at a time, as tuples of ints."""
     for chunk in grouped_chunks(n, group_sizes, parts=parts, caps=caps):
-        yield from map(tuple, chunk.leaf_rows().tolist())
+        for lo in range(0, chunk.leaves, bulk.CHUNK_ROWS):
+            yield from map(tuple, chunk.leaf_rows(np.arange(
+                lo, min(lo + bulk.CHUNK_ROWS, chunk.leaves))).tolist())
 
 
 def enumerate_k_lists(n: int, k: int,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import leaf_refusals_oracle, prefix_colors_oracle
 import strictcolor as sc
-from strictcolor import bulk, limits
+from strictcolor import bulk, limits, streams
 from strictcolor.bulk import (
     _choice_matrix,
     colorable_mask,
@@ -452,6 +452,15 @@ def head_leaves(chunks, limit):
 MAX_CHUNKS = 3000
 
 
+def leaf_slices(chunks):
+    """Each chunk's leaf rows, bulk.CHUNK_ROWS at a time: a chunk may
+    stand for more leaves than a test should hold at once."""
+    for chunk in chunks:
+        for lo in range(0, chunk.leaves, bulk.CHUNK_ROWS):
+            yield chunk.leaf_rows(np.arange(
+                lo, min(lo + bulk.CHUNK_ROWS, chunk.leaves)))
+
+
 @st.composite
 def refusal_cases(draw):
     """(graph, group sizes, caps, budget, first_only, chunk_rows).
@@ -479,9 +488,9 @@ def refusal_cases(draw):
         budget = 20000
     first_only = draw(st.booleans())
     chunk_rows = draw(st.sampled_from((1, 7, 64, 65536)))
-    # Each chunk holds a leaf at least, and a chunk with the next one
-    # more than chunk_rows leaves, so this many leaves make at most
-    # MAX_CHUNKS chunks.
+    # Each prefix holds a leaf at least, and every chunk but the last
+    # chunk_rows prefixes, so this many leaves make at most MAX_CHUNKS
+    # chunks.
     most = max(MAX_CHUNKS, (MAX_CHUNKS - 1) * chunk_rows // 2)
     if budget is None:
         leaves = sum(chunk.leaves for chunk in grouped_chunks(
@@ -514,12 +523,32 @@ class TestPrefixFilter:
                                   chunk_rows=chunk_rows)
 
         prefixes = stream()
-        leaves = (chunk.leaf_rows() for chunk in stream())
+        leaves = leaf_slices(stream())
         if budget is not None:
             prefixes = _head_rows(prefixes, budget)
             leaves = head_leaves(leaves, budget)
         assert (find_refusals(g, prefixes, first_only=first_only)
                 == leaf_refusals_oracle(g, leaves, first_only=first_only))
+
+    @pytest.mark.parametrize("sizes, groups, caps", [
+        ((2, 4), (2,), None),
+        ((3, 4), (2,), None),
+        ((3, 3, 5), (2, 1), (3, 1)),
+    ])
+    def test_leaf_slices_keep_the_refusals(self, sizes, groups, caps):
+        # Slices of 3 leaves cut the filter's leaf stage and the masked
+        # rows inside chunks and inside prefixes.
+        g = complete_multipartite(sizes)
+
+        def stream():
+            return grouped_chunks(g.n, groups, parts=g.parts, caps=caps,
+                                  chunk_rows=64)
+
+        want = leaf_refusals_oracle(g, leaf_slices(stream()),
+                                    first_only=False)
+        assert want[0]
+        with mock.patch.object(bulk, "CHUNK_ROWS", 3):
+            assert find_refusals(g, stream(), first_only=False) == want
 
     def test_clears_only_colorable_leaves_past_color_63(self):
         # Group 1's window starts at 22 * 3 = 66, so the colors need the
@@ -696,11 +725,11 @@ class TestFilterColors:
         ((2, 2, 2, 2), (3,), None),   # 52 prefixes per run
     ])
     def test_memory_stays_bounded(self, sizes, groups, caps):
-        # A full 65,536-leaf chunk, shared per run and as it comes.
+        # A full chunk of CHUNK_ROWS prefixes, shared per run and as it
+        # comes.
         g = complete_multipartite(sizes)
-        chunk = next(c for c in grouped_chunks(g.n, groups, parts=g.parts,
-                                               caps=caps)
-                     if c.leaves == bulk.CHUNK_ROWS)
+        chunk = next(grouped_chunks(g.n, groups, parts=g.parts, caps=caps))
+        assert len(chunk.count) == bulk.CHUNK_ROWS
         for share_run in (0, bulk.SHARE_RUN):
             with mock.patch.object(bulk, "SHARE_RUN", share_run):
                 tracemalloc.start()
@@ -710,6 +739,71 @@ class TestFilterColors:
                 finally:
                     tracemalloc.stop()
             assert peak < bulk.SWEEP_BYTES
+
+
+class TestBlockBounds:
+    """No block the skeleton builds holds more than CHUNK_ROWS rows: a
+    chunk holds at most CHUNK_ROWS prefixes, whatever leaves they stand
+    for, and leaf rows are built CHUNK_ROWS at a time."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prefixes of each chunk made and the rows of each leaf_rows
+        call, as they happen."""
+        seen = {"prefixes": [], "leaves": [], "rows": []}
+        chunks_of, rows_of = streams.grouped_chunks, PrefixChunk.leaf_rows
+
+        def grouped_chunks(*args, **kwargs):
+            for chunk in chunks_of(*args, **kwargs):
+                seen["prefixes"].append(chunk.rows.shape[0])
+                seen["leaves"].append(chunk.leaves)
+                yield chunk
+
+        def leaf_rows(chunk, positions=None):
+            rows = rows_of(chunk, positions)
+            seen["rows"].append(rows.shape[0])
+            return rows
+
+        monkeypatch.setattr(streams, "grouped_chunks", grouped_chunks)
+        monkeypatch.setattr(PrefixChunk, "leaf_rows", leaf_rows)
+        return seen
+
+    @pytest.mark.parametrize("sizes, groups, caps, want, masked", [
+        # sweep-k222's stream: the filter keeps no leaf.
+        ((2, 2, 2), (2, 1), None, ([], 5_618_352), 0),
+        ((2, 5, 5), (2, 1), (4, 1), ([188_235], 188_236), bulk.CHUNK_ROWS),
+    ])
+    def test_find_refusals(self, built, sizes, groups, caps, want, masked):
+        g = complete_multipartite(sizes)
+        got = find_refusals(g, streams.grouped_chunks(
+            g.n, groups, parts=g.parts, caps=caps))
+        assert ([index for index, _, _ in got[0]], got[1]) == want
+        assert max(built["prefixes"]) == bulk.CHUNK_ROWS
+        assert max(built["leaves"]) > bulk.CHUNK_ROWS
+        assert max(built["rows"]) == masked
+
+    def test_enumerate_grouped(self, built):
+        g = complete_multipartite((2, 2, 2))
+        rows = list(islice(enumerate_grouped(6, (2, 1), parts=g.parts),
+                           3 * bulk.CHUNK_ROWS + 5))
+        assert len(rows) == 3 * bulk.CHUNK_ROWS + 5
+        assert built["prefixes"] == [bulk.CHUNK_ROWS]
+        assert built["leaves"][0] > len(rows)
+        assert built["rows"] == [bulk.CHUNK_ROWS] * 4
+
+    def test_find_refusals_memory(self):
+        # The refusal hunt's capped stream on K(2,5,5): about 2 leaves per
+        # prefix, nearly all kept by the filter and masked.
+        g = complete_multipartite((2, 5, 5))
+        tracemalloc.start()
+        try:
+            [(index, _, _)], _ = find_refusals(g, grouped_chunks(
+                g.n, (2, 1), parts=g.parts, caps=(4, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index == 188_235
+        assert peak < 3 * bulk.SWEEP_BYTES
 
 
 def strict_profiles():
@@ -723,17 +817,17 @@ FILTER_PINS = {
     # decisions: (chunks filtered, leaves, leaves kept)
     "sweep-k222": (lambda: sc.lambda_choosable(
         complete_multipartite((2, 2, 2)), sc.near_unit_partition(3),
-        method="exhaustive"), (86, 5_618_352, 0)),
+        method="exhaustive"), (9, 5_618_352, 0)),
     "choice-k24": (lambda: sc.choice_number(complete_multipartite((2, 4))),
                    (1, 6_467, 5)),
     # choice-k24 no longer streams k = 3 (an Alon-Tarsi certificate decides
     # it); this keeps a pin on the large uncapped k-list stream it swept.
     "k-choosable-k24": (lambda: sc.k_choosable(complete_multipartite((2, 4)),
                                                3),
-                        (32, 2_073_089, 0)),
+                        (6, 2_073_089, 0)),
     "refusals-hj": (lambda: [sc.hoffman_johnson_enumerate(*mn)
                              for mn in ((2, 5), (3, 4), (2, 6))],
-                    (7, 373_555, 1_453)),
+                    (5, 373_555, 1_453)),
     "search-strict": (lambda: [
         sc.decide_strict_search(complete_multipartite(s), 3)
         for s in strict_profiles()], (8, 4_114, 4_098)),

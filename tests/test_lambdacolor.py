@@ -385,6 +385,42 @@ class TestPrunedWalk:
         assert got == Undetermined("stand-in limit: a level-3 triangle")
 
 
+class TestPartAlignedBound:
+    """A walk that prunes nothing reads every part-aligned candidate, so
+    PARTITION_GENERIC_BOUND bounds t^(number of parts) before it starts."""
+
+    STOP = ("PARTITION_GENERIC_BOUND: the part-aligned block candidate count "
+            "is bounded at 200000, got 262144; PARTITION_GENERIC_BOUND: the "
+            "vertex-level block candidate count is bounded at 200000, got "
+            "262144")
+
+    @pytest.mark.parametrize("lam", [(1, 3), (2, 2)])
+    def test_stops_before_any_candidate(self, monkeypatch, lam):
+        def certify(graph, vertices, level):
+            raise AssertionError("a candidate was read")
+
+        monkeypatch.setattr(lambdacolor, "_certify_block", certify)
+        got = lambda_partitionable(complete_multipartite([1] * 18), P(lam))
+        assert got == Undetermined(self.STOP)
+
+    @pytest.mark.parametrize("parts", [12, 16])
+    def test_fewer_parts_walk_every_candidate(self, parts):
+        # 2^12 and 2^16 candidates: both stages run, and the whole graph,
+        # the first level-3 block, stops at KLISTS_BOUND.
+        got = lambda_partitionable(complete_multipartite([1] * parts),
+                                   P((1, 3)))
+        assert got == Undetermined(
+            "KLISTS_BOUND: the total colors per row of a k-choosability "
+            f"check is bounded at 24, got {3 * parts}")
+
+    def test_pruned_walk_is_not_bounded(self):
+        # With {1,2} the walk drops every candidate whose level-1 block
+        # holds an edge, so only the vertex stage names a stop.
+        got = lambda_partitionable(complete_multipartite([1] * 18),
+                                   P((1, 2)))
+        assert got == Undetermined(self.STOP.split("; ")[1])
+
+
 class TestChoosable:
     def test_triangle_near_unit_both_routes(self):
         g = complete_multipartite([1, 1, 1])

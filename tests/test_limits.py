@@ -93,6 +93,10 @@ CASES = [
     ("PARTITION_GENERIC_BOUND", "bounded at 200000, got 262144",
      lambda: lambda_partitionable(Graph(18, ()), IntegerPartition((1, 1))),
      {}),
+    ("PARTITION_GENERIC_BOUND", "part-aligned block candidate count is "
+     "bounded at 200000, got 262144",
+     lambda: lambda_partitionable(complete_multipartite([1] * 18),
+                                  IntegerPartition((1, 3))), {}),
     ("PROSPECT_ROWS", "1000 capped rows held no refusal",
      lambda: lambda_choosable(cycle(11), IntegerPartition((3,))),
      {"PROSPECT_ROWS": 1000}),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -82,3 +83,16 @@ def test_pool_probe_runs_at_one_and_two_workers(harness):
     case = workloads.PoolCase((1, 1, 1), rows, 6, 4)
     for workers in (1, 2):
         assert workloads.time_pool(case, workers) >= 0
+
+
+def test_pool_probes_stay_small(harness):
+    # A traced run builds every workload's pool, reading enumerate_grouped
+    # and bulk.CHUNK_ROWS: a change to the chunking must neither stall a
+    # traced run nor make it hold more rows.
+    _, workloads = harness
+    start = perf_counter()
+    for name, workload in workloads.WORKLOADS.items():
+        case = workload.pool()
+        assert 0 < len(case.rows) <= 4 * bulk.CHUNK_ROWS, name
+        assert {len(row) for row in case.rows} == {case.width}, name
+    assert perf_counter() - start < 2

@@ -14,6 +14,7 @@ import json
 import random
 from itertools import combinations, islice, permutations, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,31 +296,30 @@ class TestGroupedChunks:
                 n, sizes, parts=parts, caps=caps,
                 chunk_rows=chunk_rows)) == (BoundExceeded, str(exc))
             return
-        chunks, taken = [], 0
+        got, held = [], None
         for chunk in grouped_chunks(n, sizes, parts=parts, caps=caps,
                                     chunk_rows=chunk_rows):
-            rows = chunk.leaf_rows()
+            # At most chunk_rows prefixes, each with a leaf at least; the
+            # leaves are read only as far as the oracle goes.
+            assert 0 < chunk.rows.shape[0] <= chunk_rows
+            assert (chunk.count > 0).all()
+            assert chunk.count.sum() == chunk.leaves
+            rows = chunk.leaf_rows(np.arange(
+                min(chunk.leaves, ORACLE_ROWS + 1 - len(got))))
             assert rows.dtype == np.int32
-            assert rows.shape == (chunk.leaves, n * sum(sizes))
-            # At most chunk_rows leaves, unless the chunk is one prefix.
-            assert chunk.leaves > 0
-            assert chunk.leaves <= chunk_rows or chunk.rows.shape[0] == 1
+            assert rows.shape[1] == n * sum(sizes)
             # The mask refuses a palette that misses a last-list color, and
             # the palette is the colors of the whole lists table.
             assert np.isin(rows[:, chunk.rows.shape[1]:], chunk.palette).all()
             assert np.array_equal(chunk.palette, np.unique(chunk.lists))
-            # A chunk is closed only when the next prefix would overflow it.
-            if chunks:
-                assert chunks[-1].leaves + int(chunk.count[0]) > chunk_rows
-            chunks.append(chunk)
-            taken += chunk.leaves
-            if taken > ORACLE_ROWS:
+            # Every chunk but the last holds exactly chunk_rows prefixes.
+            if held is not None:
+                assert held == chunk_rows
+            held = chunk.rows.shape[0]
+            got.extend(map(tuple, rows.tolist()))
+            if len(got) > ORACLE_ROWS:
                 break
-        got = chunk_rows_of(chunks)
-        if len(want) <= ORACLE_ROWS:
-            assert got == want
-        else:
-            assert got[:len(want)] == want
+        assert got == want
 
     def test_empty_graph_is_one_empty_row(self):
         [chunk] = list(grouped_chunks(0, (2,)))
@@ -336,7 +336,7 @@ class TestGroupedChunks:
         k = sum(lam)
         leaves = 0
         for chunk in grouped_chunks(n, lam, parts=g.parts):
-            assert chunk.leaves <= 65536 or chunk.rows.shape[0] == 1
+            assert chunk.rows.shape[0] <= bulk.CHUNK_ROWS
             assert chunk.rows.shape[1] == (n - 1) * k
             assert chunk.lists.shape[1] == k
             assert chunk.count.sum() == chunk.leaves
@@ -348,6 +348,9 @@ class TestGroupedChunks:
         rows = list(enumerate_grouped(5, (2, 1), parts=g.parts))
         assert rows == chunk_rows_of(grouped_chunks(5, (2, 1), parts=g.parts,
                                                     chunk_rows=7))
+        # Slices of 999 leaf rows cut inside chunks and inside prefixes.
+        with mock.patch.object(bulk, "CHUNK_ROWS", 999):
+            assert list(enumerate_grouped(5, (2, 1), parts=g.parts)) == rows
         assert all(type(x) is int for x in rows[-1])
 
 
@@ -381,7 +384,12 @@ class TestSpans:
             at = rng.integers(0, chunk.leaves, size=rng.integers(0, 9))
             assert np.array_equal(chunk.leaf_rows(at), rows[at])
             sel = np.flatnonzero(rng.random(len(chunk.count)) < 0.5)
-            where, table = chunk.leaves_of(sel)
+            with mock.patch.object(bulk, "CHUNK_ROWS", 5):
+                slices = list(chunk.leaves_of(sel))
+            assert slices and all(w.size <= 5 for _, w, _ in slices)
+            which, where, table = map(np.concatenate, zip(*slices))
+            assert np.array_equal(which, np.repeat(np.arange(sel.size),
+                                                   chunk.count[sel]))
             split = chunk.rows.shape[1]
             assert np.array_equal(rows[where, :split], np.repeat(
                 chunk.rows[sel], chunk.count[sel], axis=0))
@@ -455,14 +463,13 @@ def stream_digest(pin, chunk_rows):
 
 
 class TestPinnedStreams:
-    """The chunks of eight streams: five as the walk before its base memo
-    made them, and three as the base-memo walk made them before its
-    exact leaf counts (blocks cut at every level, tied equal groups at
-    non-zero offsets, and the head of the K(2,2,3) {1,2} stream).  The
-    palette picks the mask's owner-map space, so it is pinned along with
-    the rows.  Each pin's digest covers the prefixes its pinned chunks
-    held when chunks closed at chunk_rows leaves, and holds at any
-    chunking."""
+    """The chunks of eight streams, closed at chunk_rows prefixes: five
+    streams from before the walk's base memo, and three that cut blocks
+    at every level, read tied equal groups at non-zero offsets, and read
+    the head of the K(2,2,3) {1,2} stream.  The palette picks the mask's
+    owner-map space, so it is pinned along with the rows.  Each pin's
+    digest covers the prefixes its chunks held when chunks closed at
+    chunk_rows leaves, and holds at any chunking."""
 
     @pytest.mark.parametrize("pin", json.loads(PINS.read_text()),
                              ids=lambda pin: pin["name"])
