@@ -71,7 +71,7 @@ from . import limits
 
 # The most rows of any block the stream -> filter -> mask -> confirm
 # skeleton builds: the prefixes of one chunk, or one slice of leaf rows.
-CHUNK_ROWS = 16384
+CHUNK_ROWS = 8192
 SWEEP_BYTES = 8 << 20
 FIRST_BLOCK = 64
 SHARE_RUN = 10  # prefixes per run from which the prefix filter shares

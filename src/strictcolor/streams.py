@@ -131,8 +131,13 @@ class PrefixChunk(NamedTuple):
         at_table = self.start[prefixes] - before
         total = int(ends[-1]) if ends.size else 0
         for lo in range(0, max(total, 1), bulk.CHUNK_ROWS):
-            j = np.arange(lo, min(lo + bulk.CHUNK_ROWS, total))
-            which = np.searchsorted(ends, j, side="right")
+            hi = min(lo + bulk.CHUNK_ROWS, total)
+            # Prefixes a..b-1 hold the slice's leaves.
+            a = int(np.searchsorted(ends, lo, side="right"))
+            b = int(np.searchsorted(before, hi))
+            which = np.repeat(np.arange(a, b), np.minimum(ends[a:b], hi)
+                              - np.maximum(before[a:b], lo))
+            j = np.arange(lo, hi)
             yield which, at_chunk[which] + j, at_table[which] + j
 
     def leaf_rows(self, positions: np.ndarray | None = None) -> np.ndarray:
@@ -414,21 +419,21 @@ def _walk(n: int, sizes: tuple[int, ...],
     width = (n - 1) * k
     cap = min(chunk_rows, prefixes(root))
     buf = first = per = None
-    pos = held = 0
+    pos = 0
 
     def flush() -> PrefixChunk:
-        nonlocal buf, first, per, pos, held
+        nonlocal buf, first, per, pos
         lists = table[:used]
         lists.flags.writeable = False
         out = PrefixChunk(buf[:pos], first[:pos], per[:pos], lists,
-                          np.flatnonzero(present), held)
+                          np.flatnonzero(present), int(per[:pos].sum()))
         buf = first = per = None
-        pos = held = 0
+        pos = 0
         return out
 
     def walk(state, prefix: list[int]) -> Iterator[PrefixChunk]:
         """Emit the prefixes below prefix: whole if they fit a chunk."""
-        nonlocal buf, first, per, pos, held
+        nonlocal buf, first, per, pos
         b, off = state
         if b.v < n - 1 and prefixes(state) > chunk_rows:
             for c, head in zip(b.kids[off:], b.heads[off:].tolist()):
@@ -448,7 +453,6 @@ def _walk(n: int, sizes: tuple[int, ...],
             buf[pos:pos + take, split:] = rows[done:done + take]
             first[pos:pos + take] = sub_first[done:done + take]
             per[pos:pos + take] = sub_per[done:done + take]
-            held += int(sub_per[done:done + take].sum())
             pos += take
             done += take
             if pos == cap:

@@ -654,7 +654,7 @@ def filter_streams(draw):
     caps = None
     if draw(st.booleans()):
         caps = tuple(draw(st.integers(s, s + 3)) for s in sizes)
-    chunk_rows = draw(st.sampled_from((1, 7, 64, 65536)))
+    chunk_rows = draw(st.sampled_from((1, 7, 64, 2048)))
     return (g, sizes, caps, chunk_rows, draw(st.integers(0, 2)),
             draw(st.integers(1, 2)))
 
@@ -696,15 +696,15 @@ class TestFilterColors:
 
     @settings(max_examples=60, deadline=None)
     @given(filter_streams())
-    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 65536, 40, 3))
-    @example((complete_multipartite((2, 2, 2, 2)), (3,), None, 65536, 0, 1))
-    @example((complete_multipartite((2, 2, 3)), (2, 1), None, 65536, 0, 2))
-    @example((complete_multipartite((2, 4)), (3,), None, 65536, 0, 3))
-    @example((complete_multipartite((3, 4)), (2,), None, 65536, 0, 1))
-    @example((complete_multipartite((2, 6)), (2,), None, 65536, 2, 1))
-    @example((complete_multipartite((2, 5)), (2,), None, 65536, 0, 1))
-    @example((complete_multipartite((3, 3, 5)), (2, 1), (3, 1), 65536, 0, 1))
-    @example((complete_multipartite((3, 4, 4)), (2, 1), (3, 1), 65536, 0, 1))
+    @example((complete_multipartite((2, 2, 2)), (2, 1), None, 2048, 40, 3))
+    @example((complete_multipartite((2, 2, 2, 2)), (3,), None, 2048, 0, 1))
+    @example((complete_multipartite((2, 2, 3)), (2, 1), None, 2048, 0, 2))
+    @example((complete_multipartite((2, 4)), (3,), None, 2048, 0, 3))
+    @example((complete_multipartite((3, 4)), (2,), None, 2048, 0, 1))
+    @example((complete_multipartite((2, 6)), (2,), None, 2048, 2, 1))
+    @example((complete_multipartite((2, 5)), (2,), None, 2048, 0, 1))
+    @example((complete_multipartite((3, 3, 5)), (2, 1), (3, 1), 2048, 0, 1))
+    @example((complete_multipartite((3, 4, 4)), (2, 1), (3, 1), 2048, 0, 1))
     @example((complete_multipartite((2, 5, 5)), (2, 1), (4, 1), 8192, 0, 1))
     @example((complete_multipartite((1, 1)), (2,), None, 7, 0, 2))
     @example((complete_multipartite((1, 1, 1)), (2, 1), (3, 2), 7, 1, 2))
@@ -817,17 +817,17 @@ FILTER_PINS = {
     # decisions: (chunks filtered, leaves, leaves kept)
     "sweep-k222": (lambda: sc.lambda_choosable(
         complete_multipartite((2, 2, 2)), sc.near_unit_partition(3),
-        method="exhaustive"), (9, 5_618_352, 0)),
+        method="exhaustive"), (17, 5_618_352, 0)),
     "choice-k24": (lambda: sc.choice_number(complete_multipartite((2, 4))),
                    (1, 6_467, 5)),
     # choice-k24 no longer streams k = 3 (an Alon-Tarsi certificate decides
     # it); this keeps a pin on the large uncapped k-list stream it swept.
     "k-choosable-k24": (lambda: sc.k_choosable(complete_multipartite((2, 4)),
                                                3),
-                        (6, 2_073_089, 0)),
+                        (11, 2_073_089, 0)),
     "refusals-hj": (lambda: [sc.hoffman_johnson_enumerate(*mn)
                              for mn in ((2, 5), (3, 4), (2, 6))],
-                    (5, 373_555, 1_453)),
+                    (8, 373_555, 1_453)),
     "search-strict": (lambda: [
         sc.decide_strict_search(complete_multipartite(s), 3)
         for s in strict_profiles()], (8, 4_114, 4_098)),
