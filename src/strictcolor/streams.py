@@ -82,7 +82,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import bulk, limits
-from .bulk import CHUNK_ROWS
 
 
 def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -167,7 +166,7 @@ class PrefixChunk(NamedTuple):
 def grouped_chunks(n: int, group_sizes: Sequence[int],
                    parts: Sequence[Sequence[int]] | None = None,
                    caps: Sequence[int] | None = None,
-                   chunk_rows: int = CHUNK_ROWS) -> Iterator[PrefixChunk]:
+                   chunk_rows: int = bulk.CHUNK_ROWS) -> Iterator[PrefixChunk]:
     """The canonical rows, in lexicographic order, as PrefixChunks.
 
     Each chunk holds at most chunk_rows prefixes, and every chunk but the

@@ -6,7 +6,8 @@ search, the refusals of a stream, the prefix filter's colors, the
 coefficients of the graph polynomial) by the slow direct route, so
 agreement between the two is testable.
 ``enumerate_lambda_assignments`` is the lam-assignment stream as objects,
-which only the tests read.
+which only the tests read, and ``leaf_slices`` reads a prefix chunk's leaf
+rows in bounded slices.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from strictcolor import limits
+from strictcolor import bulk, limits
 from strictcolor.bulk import _filter_vectors, mask_chunks
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite
@@ -278,6 +279,15 @@ def partitionable_oracle(g: Graph, lam: IntegerPartition
     if stops:
         return Undetermined("; ".join(stops))
     return None
+
+
+def leaf_slices(chunk, leaves: int | None = None) -> Iterator[np.ndarray]:
+    """A prefix chunk's first ``leaves`` leaf rows (all by default),
+    bulk.CHUNK_ROWS at a time: a chunk may stand for more leaves than a
+    test should hold at once."""
+    leaves = chunk.leaves if leaves is None else leaves
+    for lo in range(0, leaves, bulk.CHUNK_ROWS):
+        yield chunk.leaf_rows(np.arange(lo, min(lo + bulk.CHUNK_ROWS, leaves)))
 
 
 def leaf_refusals_oracle(g: Graph, chunks, first_only: bool = True):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import leaf_refusals_oracle, prefix_colors_oracle
+from oracles import leaf_refusals_oracle, leaf_slices, prefix_colors_oracle
 import strictcolor as sc
 from strictcolor import bulk, limits, streams
 from strictcolor.bulk import (
@@ -452,15 +452,6 @@ def head_leaves(chunks, limit):
 MAX_CHUNKS = 3000
 
 
-def leaf_slices(chunks):
-    """Each chunk's leaf rows, bulk.CHUNK_ROWS at a time: a chunk may
-    stand for more leaves than a test should hold at once."""
-    for chunk in chunks:
-        for lo in range(0, chunk.leaves, bulk.CHUNK_ROWS):
-            yield chunk.leaf_rows(np.arange(
-                lo, min(lo + bulk.CHUNK_ROWS, chunk.leaves)))
-
-
 @st.composite
 def refusal_cases(draw):
     """(graph, group sizes, caps, budget, first_only, chunk_rows).
@@ -523,7 +514,7 @@ class TestPrefixFilter:
                                   chunk_rows=chunk_rows)
 
         prefixes = stream()
-        leaves = leaf_slices(stream())
+        leaves = (rows for chunk in stream() for rows in leaf_slices(chunk))
         if budget is not None:
             prefixes = _head_rows(prefixes, budget)
             leaves = head_leaves(leaves, budget)
@@ -544,8 +535,9 @@ class TestPrefixFilter:
             return grouped_chunks(g.n, groups, parts=g.parts, caps=caps,
                                   chunk_rows=64)
 
-        want = leaf_refusals_oracle(g, leaf_slices(stream()),
-                                    first_only=False)
+        want = leaf_refusals_oracle(
+            g, (rows for chunk in stream() for rows in leaf_slices(chunk)),
+            first_only=False)
         assert want[0]
         with mock.patch.object(bulk, "CHUNK_ROWS", 3):
             assert find_refusals(g, stream(), first_only=False) == want

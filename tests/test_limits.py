@@ -93,10 +93,6 @@ CASES = [
     ("PARTITION_GENERIC_BOUND", "bounded at 200000, got 262144",
      lambda: lambda_partitionable(Graph(18, ()), IntegerPartition((1, 1))),
      {}),
-    ("PARTITION_GENERIC_BOUND", "part-aligned block candidate count is "
-     "bounded at 200000, got 262144",
-     lambda: lambda_partitionable(complete_multipartite([1] * 18),
-                                  IntegerPartition((1, 3))), {}),
     ("PROSPECT_ROWS", "1000 capped rows held no refusal",
      lambda: lambda_choosable(cycle(11), IntegerPartition((3,))),
      {"PROSPECT_ROWS": 1000}),
@@ -106,6 +102,10 @@ CASES = [
     ("AT_VECTORS", "exponent vectors of an Alon-Tarsi search is bounded at "
      "0, got 89",
      lambda: alon_tarsi(complete_multipartite([2, 4]), 3), {"AT_VECTORS": 0}),
+    ("PARTITION_GENERIC_BOUND", "part-aligned block candidate count is "
+     "bounded at 200000, got 262144",
+     lambda: lambda_partitionable(complete_multipartite([1] * 18),
+                                  IntegerPartition((1, 3))), {}),
 ]
 
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grouped_rows_oracle
+from oracles import grouped_rows_oracle, leaf_slices
 from strictcolor import bulk
 from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded
@@ -411,20 +411,13 @@ def pin_stream(pin, chunk_rows):
                           chunk_rows=chunk_rows)
 
 
-def sliced_rows(chunk, leaves):
-    """The chunk's first ``leaves`` leaf rows, bulk.CHUNK_ROWS at a time:
-    a chunk may stand for more leaves than a test should hold at once."""
-    for lo in range(0, leaves, bulk.CHUNK_ROWS):
-        yield chunk.leaf_rows(np.arange(lo, min(lo + bulk.CHUNK_ROWS, leaves)))
-
-
 def chunk_records(pin, chunk_rows):
     """Per pinned chunk of a host's stream: leaves, prefixes, palette and
     row digest."""
     records = []
     for c in islice(pin_stream(pin, chunk_rows), pin["chunks"]):
         sha = hashlib.sha256()
-        for rows in sliced_rows(c, c.leaves):
+        for rows in leaf_slices(c):
             sha.update(rows.astype("<i4").tobytes())
         records.append([c.leaves, len(c.count), c.palette.tolist(),
                         sha.hexdigest()[:16]])
@@ -447,7 +440,7 @@ def stream_digest(pin, chunk_rows):
             colors = np.zeros(split + chunk.lists.shape[1], dtype=bool)
         take = min(len(chunk.count), want - prefixes)
         covered = int(chunk.count[:take].sum())
-        for rows in sliced_rows(chunk, covered):
+        for rows in leaf_slices(chunk, covered):
             sha.update(rows.astype("<i4").tobytes())
             colors[rows[:, split:]] = True
         prefixes += take
