@@ -36,25 +36,25 @@ row, and blocks of maps sized so that their working set (picks, the
 accumulators and one gathered plane per vertex) stays under
 ``SWEEP_BYTES``; its blocks start at ``FIRST_BLOCK`` and double.  The
 prefix filter steps over a chunk in stretches of prefixes sized the same
-way, whole runs at a time when it shares work per run (below), and reads
-the leaves of the prefixes it selects ``CHUNK_ROWS`` at a time; on a
-chunk of ``CHUNK_ROWS`` prefixes it peaks under ``SWEEP_BYTES``, the
-positions it returns included.  Everything is exact integer comparison;
-numpy only supplies the bulk loops.
+way, whole runs (below) at a time, and reads the leaves of the prefixes
+it selects ``CHUNK_ROWS`` at a time; on a chunk of ``CHUNK_ROWS``
+prefixes it peaks under ``SWEEP_BYTES``, the positions it returns
+included.  Everything is exact integer comparison; numpy only supplies
+the bulk loops.
 
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
 never reach the mask: ``leaf_candidates`` settles them per prefix, from
 ``FIRST_BLOCK`` fixed choice vectors, and the decision skeleton
 (``listcolor.find_refusals``) masks only the leaves it keeps.  The stream
 is lexicographic, so prefixes that agree on vertices 0..n-3 come in runs
-(52 prefixes per run on K(2,2,2) with λ = {1,2}).  When a chunk's runs
-hold ``SHARE_RUN`` prefixes or more on average, the filter computes once
-per run, one 64-bit word per quantity with one bit per vector, which
-vectors are improper on those vertices and which put each color on a
-neighbor of vertex n-2 or of the last vertex; per prefix it only gathers
-vertex n-2's k colors.  Shorter runs, as on the capped streams of the
-refusal hunt (1.5 to 2.25 prefixes per run), go prefix by prefix,
-bit-sliced over the prefixes like the mask's rows.
+(52 prefixes per run on K(2,2,2) with λ = {1,2}).  The filter computes
+once per run, one 64-bit word per quantity with one bit per vector,
+which vectors are improper on those vertices and which put each color on
+a neighbor of vertex n-2 or of the last vertex; per prefix it only
+gathers vertex n-2's k colors.  A chunk with fewer than three leaves per
+prefix, as on the color-starved capped streams of the refusal hunt
+(about 2 on K(2,5,5) at caps (4, 1)), skips the filter: it would clear
+few of them, and its leaves all go to the mask.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from . import limits
 CHUNK_ROWS = 8192
 SWEEP_BYTES = 8 << 20
 FIRST_BLOCK = 64
-SHARE_RUN = 10  # prefixes per run from which the prefix filter shares
 WORD = np.dtype("<u8")
 
 
@@ -452,43 +451,6 @@ def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
     return inside
 
 
-def _row_colors(part: np.ndarray, slot: np.ndarray, size: int,
-                picks: np.ndarray, inner: np.ndarray,
-                around: np.ndarray) -> np.ndarray:
-    """G per prefix of an (m, n-1, k) stretch, computed prefix by prefix.
-
-    The vectors are swept bit-sliced over the prefixes, as colorable_mask
-    sweeps rows: conflict planes for the edges among vertices 0..n-2, and
-    per neighbor of the last vertex, slot and color, the prefixes holding
-    the color there.
-    """
-    rows, words = part.shape[0], -(-part.shape[0] // 64)
-    k = part.shape[2]
-    # covered[b, c]: the prefixes where vector b is improper or puts
-    # color c on a neighbor of the last vertex.  G is their AND over b.
-    covered = np.zeros((FIRST_BLOCK, size, words), dtype=WORD)
-    if around.size:
-        # seen[w, i, c]: the prefixes whose neighbor w has color c in
-        # slot i, padded to whole words with a color off the palette.
-        colors = np.full((around.size, k, words * 64), size, dtype=np.intp)
-        colors[:, :, :rows] = slot[part[:, around, :]].transpose(1, 2, 0)
-        tags = np.arange(size)[None, None, :, None]
-        seen = np.packbits((colors[:, :, None, :] == tags).reshape(
-            -1, words * 64), axis=1, bitorder="little").view(
-            WORD).reshape(around.size, k, size, words)
-        covered |= np.bitwise_or.reduce(
-            seen[np.arange(around.size)[:, None], picks[around]], axis=0)
-    if len(inner):
-        planes = _conflict_planes(part, inner)
-        covered |= np.bitwise_or.reduce(planes[
-            np.arange(len(inner))[:, None],
-            picks[inner[:, 0]] * k + picks[inner[:, 1]]], axis=0)[:, None]
-    fits = np.unpackbits(np.bitwise_and.reduce(covered, axis=0).view(
-        np.uint8), axis=1, count=rows, bitorder="little")
-    return np.bitwise_or.reduce(
-        fits.astype(WORD) << np.arange(size, dtype=WORD)[:, None], axis=0)
-
-
 def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
                    ) -> tuple[np.ndarray, np.ndarray] | None:
     """Per prefix G as a color bitmask, and the bit of every color value.
@@ -499,13 +461,11 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
     sorted pairs (u, v), u < v, as a Graph holds them, and n >= 2.
 
     A run is a maximal stretch of consecutive prefixes with the same
-    columns for vertices 0..n-3.  When the chunk's runs hold SHARE_RUN
-    prefixes or more on average, everything that depends on those
-    vertices alone is computed once per run (_shared_colors); otherwise
-    prefix by prefix (_row_colors).  Both give the same G on any chunk.
-    Either steps over the chunk in stretches whose working set stays
-    under about SWEEP_BYTES; the shared stretches end between runs,
-    unless a run alone is longer than a stretch and is cut.
+    columns for vertices 0..n-3, and everything that depends on those
+    vertices alone is computed once per run (_shared_colors); a run of
+    one prefix is still a run.  The chunk goes in stretches whose working
+    set stays under about SWEEP_BYTES, ending between runs unless a run
+    alone is longer than a stretch and is cut.
     """
     m, k = chunk.rows.shape[0], chunk.lists.shape[1]
     palette = chunk.palette
@@ -521,52 +481,34 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
                                  np.arange(size, dtype=np.uint64))
     inside = np.empty(m, dtype=WORD)
 
-    # Runs start where a column of vertices 0..n-3 changes.  The last
-    # columns change most often, so too many runs show early, and the
-    # other columns are left unread.
+    # Runs start where a column of vertices 0..n-3 changes.  Any column
+    # order finds the same runs; a forward loop measured slower through
+    # allocator placement alone.
     same = np.ones(max(m - 1, 0), dtype=bool)
     for j in reversed(range((n - 2) * k)):
-        if SHARE_RUN * (1 + same.size - np.count_nonzero(same)) > m:
-            break
         same &= chunk.rows[1:, j] == chunk.rows[:-1, j]
     heads = np.flatnonzero(np.concatenate(([m > 0], ~same)))
-    if m >= SHARE_RUN * heads.size:
-        plan = _filter_plan(k, n, tuple(edges))
-        # Per run: the representative prefix, the improper test's bytes
-        # and words, two color tables and their indices; per prefix: the
-        # indices, words and temporaries of the gathers and tests.
-        per_run = ((n - 1) * k * 4 + len(plan.upper) * k * k * 9
-                   + 16 * (size + 2 * plan.near.size * k + 1))
-        per_row = 8 * (8 + 3 * k + 2 * k * k)
-        step = max(64, int(SWEEP_BYTES // (per_run + per_row)))
-        at = 0
-        while at < m:
-            # A stretch ends at its last run start, unless it holds none.
-            stop = min(m, at + step)
-            starts = heads[np.searchsorted(heads, at, "right"):
-                           np.searchsorted(heads, stop, "right")]
-            if stop < m and starts.size:
-                stop, starts = int(starts[-1]), starts[:-1]
-            inside[at:stop] = _shared_colors(
-                prefixes[at:stop], np.concatenate(([0], starts - at)), slot,
-                size, plan)
-            at = stop
-        return inside, bit
-
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    inner = ends[ends[:, 1] < n - 1]
-    around = ends[ends[:, 1] == n - 1, 0]
-    picks = _filter_vectors(k, n)
-    # Per prefix: the conflict planes, the neighbor color bytes and their
-    # planes, and a few copies of every vector's gathered color planes.
-    per_row = (around.size * k * (size + 1)
-               + (len(inner) * (k * k + FIRST_BLOCK)
-                  + (around.size + 2) * FIRST_BLOCK * size) / 8
-               + k * k + size)
-    step = max(64, int(SWEEP_BYTES // per_row) // 64 * 64)
-    for at in range(0, m, step):
-        inside[at:at + step] = _row_colors(prefixes[at:at + step], slot,
-                                           size, picks, inner, around)
+    plan = _filter_plan(k, n, tuple(edges))
+    # Per run: the representative prefix, the improper test's bytes and
+    # words, two color tables and their indices; per prefix: the indices,
+    # words and temporaries of the gathers and tests.  A stretch is sized
+    # as if every prefix began a run.
+    per_run = ((n - 1) * k * 4 + len(plan.upper) * k * k * 9
+               + 16 * (size + 2 * plan.near.size * k + 1))
+    per_row = 8 * (8 + 3 * k + 2 * k * k)
+    step = max(64, int(SWEEP_BYTES // (per_run + per_row)))
+    at = 0
+    while at < m:
+        # A stretch ends at its last run start, unless it holds none.
+        stop = min(m, at + step)
+        starts = heads[np.searchsorted(heads, at, "right"):
+                       np.searchsorted(heads, stop, "right")]
+        if stop < m and starts.size:
+            stop, starts = int(starts[-1]), starts[:-1]
+        inside[at:stop] = _shared_colors(
+            prefixes[at:stop], np.concatenate(([0], starts - at)), slot,
+            size, plan)
+        at = stop
     return inside, bit
 
 
@@ -575,22 +517,22 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
     """Positions, within a prefix chunk, of leaves the prefix filter keeps.
 
     The filter reads FIRST_BLOCK fixed choice vectors on each prefix's
-    vertices 0..n-2 (_prefix_colors: once per run of prefixes sharing
-    vertices 0..n-3 when runs are long, else bit-sliced over the
-    prefixes), and keeps G, the AND over the vectors proper on the
+    vertices 0..n-2 (_prefix_colors, once per run of prefixes sharing
+    vertices 0..n-3), and keeps G, the AND over the vectors proper on the
     prefix of the colors they put on the last vertex's neighbors; with
     no proper vector, G is every color.  A leaf whose last list L is not
     inside G is colorable: a proper vector leaves a color of L free for
     the last vertex.  Only the leaves with L inside G are kept, in stream
     order; a prefix whose G has fewer than k colors keeps none, and its
-    leaves are not looked at.  A chunk with no more leaves than prefixes
-    keeps every leaf.
+    leaves are not looked at.  A chunk with fewer than three leaves per
+    prefix keeps every leaf.
     """
     if n == 0 or not edges:
         return np.zeros(0, dtype=np.intp)
-    if chunk.leaves <= chunk.rows.shape[0]:
-        # One leaf per prefix: the sweep over the prefixes would cost what
-        # the mask costs over the leaves.
+    if chunk.leaves < 3 * chunk.rows.shape[0]:
+        # Few leaves per prefix, as on the color-starved capped streams of
+        # the refusal hunt: the filter would clear few of them, at about
+        # what the mask costs over them all.
         return np.arange(chunk.leaves)
     found = _prefix_colors(chunk, n, edges)
     if found is None:

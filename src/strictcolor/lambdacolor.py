@@ -410,28 +410,6 @@ def check_partitionability_witness(g: Graph, lam: IntegerPartition,
     return True
 
 
-def color_via_partition(g: Graph, a: LambdaAssignment,
-                        w: PartitionabilityWitness) -> tuple[int, ...]:
-    """Proper coloring of a lam-assignment built block by block.
-
-    Each block is colored from its own group: the restricted lists have
-    exactly k_i colors and the block is k_i-choosable, so the sub-solve
-    cannot fail; a failure indicates a corrupt witness and raises.
-    """
-    coloring = [-1] * g.n
-    for ev, group in zip(w.blocks, a.groups):
-        verts = tuple(sorted(ev.vertices))
-        h = g.induced(verts)
-        sub = [tuple(sorted(set(a.lists[v]) & group)) for v in verts]
-        out = l_color(h, sub)
-        if not out.colorable:
-            raise RuntimeError(f"block {verts} refused its group colors; "
-                               "the partition witness is not valid")
-        for i, v in enumerate(verts):
-            coloring[v] = out.coloring[i]
-    return tuple(coloring)
-
-
 def _caps_chain(n: int, desc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Growing per-group color caps, smallest palettes first."""
     caps = list(desc)

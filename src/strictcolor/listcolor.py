@@ -428,9 +428,9 @@ def choice_number(g: Graph) -> int | Undetermined:
     with an edge is not (give both ends one list {1}), so the scan starts
     at 1 or 2.  Each k runs two rungs.  ``alon_tarsi`` proves upper
     bounds only: a certificate returns k, and no certificate proves
-    nothing.  Otherwise ``k_choosable`` decides k from the stream.  When both rungs stop at a limit, the
-    result is Undetermined with the established lower bound, and its
-    reason names each stop in order.
+    nothing.  Otherwise ``k_choosable`` decides k from the stream.  When
+    both rungs stop at a limit, the result is Undetermined with the
+    established lower bound, and its reason names each stop in order.
     """
     if g.n == 0:
         return 0

@@ -6,8 +6,9 @@ search, the refusals of a stream, the prefix filter's colors, the
 coefficients of the graph polynomial) by the slow direct route, so
 agreement between the two is testable.
 ``enumerate_lambda_assignments`` is the lam-assignment stream as objects,
-which only the tests read, and ``leaf_slices`` reads a prefix chunk's leaf
-rows in bounded slices.
+which only the tests read, ``leaf_slices`` reads a prefix chunk's leaf
+rows in bounded slices, and ``color_via_partition`` colors an assignment
+block by block from a partitionability witness.
 """
 
 from __future__ import annotations
@@ -341,6 +342,28 @@ def prefix_colors_oracle(chunk, n: int, edges) -> np.ndarray:
             fits = np.all(on | ~proper, axis=1).astype(np.uint64)
             inside[at:at + part.shape[0]] |= fits << np.uint64(c)
     return inside
+
+
+def color_via_partition(g: Graph, a: LambdaAssignment,
+                        w: PartitionabilityWitness) -> tuple[int, ...]:
+    """Proper coloring of a lam-assignment built block by block.
+
+    Each block is colored from its own group: the restricted lists have
+    exactly k_i colors and the block is k_i-choosable, so the sub-solve
+    cannot fail; a failure indicates a corrupt witness and raises.
+    """
+    coloring = [-1] * g.n
+    for ev, group in zip(w.blocks, a.groups):
+        verts = tuple(sorted(ev.vertices))
+        h = g.induced(verts)
+        sub = [tuple(sorted(set(a.lists[v]) & group)) for v in verts]
+        out = l_color(h, sub)
+        if not out.colorable:
+            raise RuntimeError(f"block {verts} refused its group colors; "
+                               "the partition witness is not valid")
+        for i, v in enumerate(verts):
+            coloring[v] = out.coloring[i]
+    return tuple(coloring)
 
 
 def enumerate_lambda_assignments(g: Graph, lam: IntegerPartition

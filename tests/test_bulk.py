@@ -542,6 +542,28 @@ class TestPrefixFilter:
         with mock.patch.object(bulk, "CHUNK_ROWS", 3):
             assert find_refusals(g, stream(), first_only=False) == want
 
+    @pytest.mark.parametrize("sizes, groups, caps, filtered", [
+        ((2, 5, 5), (2, 1), (4, 1), False),  # 16,409 leaves, 8,192 prefixes
+        ((2, 6), (2,), None, True),          # 47,932 leaves, 8,192 prefixes
+    ])
+    def test_skips_chunks_under_three_leaves_per_prefix(
+            self, monkeypatch, sizes, groups, caps, filtered):
+        g = complete_multipartite(sizes)
+        chunk = next(grouped_chunks(g.n, groups, parts=g.parts, caps=caps))
+        assert (chunk.leaves >= 3 * chunk.rows.shape[0]) == filtered
+        calls = []
+        inner = bulk._prefix_colors
+
+        def spy(*args):
+            calls.append(args[0])
+            return inner(*args)
+
+        monkeypatch.setattr(bulk, "_prefix_colors", spy)
+        kept = leaf_candidates(chunk, g.n, g.edges)
+        assert len(calls) == filtered
+        if not filtered:
+            assert kept.tolist() == list(range(chunk.leaves))
+
     def test_clears_only_colorable_leaves_past_color_63(self):
         # Group 1's window starts at 22 * 3 = 66, so the colors need the
         # compact palette; a 4^22 mask sweep is out of reach, so each
@@ -600,13 +622,11 @@ def expected_candidates(chunk, k, inside):
 
 def check_filter_colors(chunk, n, edges):
     """_prefix_colors against its definition, and the leaves it keeps,
-    with the work shared per run, also in stretches of 64 prefixes that
-    cut long runs, and prefix by prefix."""
+    in stretches under SWEEP_BYTES and in stretches of 64 prefixes that
+    cut long runs."""
     want = None
-    for share_run, budget in ((0, bulk.SWEEP_BYTES), (0, 0),
-                              (float("inf"), bulk.SWEEP_BYTES)):
-        with mock.patch.multiple(bulk, SHARE_RUN=share_run,
-                                 SWEEP_BYTES=budget):
+    for budget in (bulk.SWEEP_BYTES, 0):
+        with mock.patch.object(bulk, "SWEEP_BYTES", budget):
             found = bulk._prefix_colors(chunk, n, edges)
             kept = leaf_candidates(chunk, n, edges).tolist()
         if chunk.palette.size > 64:
@@ -620,9 +640,11 @@ def check_filter_colors(chunk, n, edges):
         flags[chunk.palette] = 1 << np.arange(chunk.palette.size,
                                               dtype=np.uint64)
         assert bit.tolist() == flags.tolist()
-        if chunk.leaves > chunk.rows.shape[0]:
+        if chunk.leaves >= 3 * chunk.rows.shape[0]:
             assert kept == expected_candidates(chunk, chunk.lists.shape[1],
                                                inside)
+        elif edges:
+            assert kept == list(range(chunk.leaves))
 
 
 @st.composite
@@ -674,8 +696,12 @@ def hand_made_chunks(draw):
         for _ in range(length):
             rows.append(np.concatenate([upper, rng.integers(0, span, size=k)]))
     rows = np.array(rows, dtype=np.int32).reshape(len(rows), (n - 1) * k)
-    count = rng.integers(1, 4, size=len(rows))
-    start = rng.integers(0, len(lists) - 2, size=len(rows))
+    # 1 to 3 leaves per prefix, or 3 to 5: the latter chunks pass the
+    # filter's three-leaves-per-prefix skip, so about half the draws
+    # check the kept leaves.
+    low = draw(st.sampled_from((1, 3)))
+    count = rng.integers(low, low + 3, size=len(rows))
+    start = rng.integers(0, len(lists) - count + 1)
     chunk = PrefixChunk(rows, start, count, lists, np.unique(lists),
                         int(count.sum()))
     return chunk, n, edges
@@ -684,7 +710,7 @@ def hand_made_chunks(draw):
 class TestFilterColors:
     """The prefix filter's G, per prefix, against its definition
     (oracles.prefix_colors_oracle), on stream chunks and hand-made ones,
-    shared per run and computed prefix by prefix."""
+    in stretches of whole runs and in stretches that cut them."""
 
     @settings(max_examples=60, deadline=None)
     @given(filter_streams())
@@ -717,19 +743,19 @@ class TestFilterColors:
         ((2, 2, 2, 2), (3,), None),   # 52 prefixes per run
     ])
     def test_memory_stays_bounded(self, sizes, groups, caps):
-        # A full chunk of CHUNK_ROWS prefixes, shared per run and as it
-        # comes.
+        # A full chunk of CHUNK_ROWS prefixes, through G alone and through
+        # leaf_candidates, which skips the filter on the K(2,5,5) chunk's
+        # 2 leaves per prefix.
         g = complete_multipartite(sizes)
         chunk = next(grouped_chunks(g.n, groups, parts=g.parts, caps=caps))
         assert len(chunk.count) == bulk.CHUNK_ROWS
-        for share_run in (0, bulk.SHARE_RUN):
-            with mock.patch.object(bulk, "SHARE_RUN", share_run):
-                tracemalloc.start()
-                try:
-                    leaf_candidates(chunk, g.n, g.edges)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+        for filter_chunk in (bulk._prefix_colors, leaf_candidates):
+            tracemalloc.start()
+            try:
+                filter_chunk(chunk, g.n, g.edges)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert peak < bulk.SWEEP_BYTES
 
 
@@ -822,7 +848,7 @@ FILTER_PINS = {
                     (8, 373_555, 1_453)),
     "search-strict": (lambda: [
         sc.decide_strict_search(complete_multipartite(s), 3)
-        for s in strict_profiles()], (8, 4_114, 4_098)),
+        for s in strict_profiles()], (8, 4_114, 4_114)),
 }
 
 

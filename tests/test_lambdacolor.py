@@ -11,7 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import enumerate_lambda_assignments, partitionable_oracle
+from oracles import (
+    color_via_partition,
+    enumerate_lambda_assignments,
+    partitionable_oracle,
+)
 from strictcolor import lambdacolor, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, chromatic_number, complete_multipartite, is_proper
@@ -24,7 +28,6 @@ from strictcolor.lambdacolor import (
     check_bad_witness,
     check_partitionability_witness,
     coarsen_grouping,
-    color_via_partition,
     descending_parts,
     lambda_choosable,
     lambda_partitionable,
