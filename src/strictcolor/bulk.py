@@ -24,10 +24,12 @@ t^P owner maps instead when there are fewer of them than k^n choice
 vectors, as on the capped streams of the refusal hunt (K(2,5,5) at caps
 (4, 1): 3^5 maps against 3^12 vectors), over member planes: bit r of
 plane (c, v) says color c is in row r's list of vertex v.  P counts the
-colors the rows were drawn from, fixed before any filtering, so the
-space depends on the input alone.  ``limits.CHOICE_CAP`` bounds the
-space the mask uses: k^n, the leaf count of the choice tree, or t^P,
-the width of the maps' shuffled matrix.
+colors of the stream's palette, which holds every color of its rows and
+is fixed before any filtering, so the space depends on the stream alone,
+not on where its chunks end or on what the filter keeps.
+``limits.CHOICE_CAP`` bounds the space the mask uses: k^n, the leaf
+count of the choice tree, or t^P, the width of the maps' shuffled
+matrix.
 
 Memory is bounded: the search holds the conflict planes, edges × k² bits
 per row, and at most n blocks of ``FIRST_BLOCK`` · k children, each with
@@ -252,30 +254,15 @@ def _sweep_maps(lists: np.ndarray, parts: Sequence[Sequence[int]],
     return colorable
 
 
-def _colors(*arrays: np.ndarray) -> np.ndarray:
-    """The distinct values of non-negative int arrays, sorted."""
-    present = np.zeros(max(int(a.max(initial=0)) for a in arrays) + 1,
-                       dtype=bool)
-    for a in arrays:
-        present[a] = True
-    return np.flatnonzero(present)
+def _colors(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-negative int array, sorted.
 
-
-def chunk_palette(chunk, n: int,
-                  parts: Sequence[Sequence[int]] | None) -> np.ndarray:
-    """The colors of a prefix chunk that colorable_mask chooses from.
-
-    They are fixed before the prefix filter runs, so the filter moves
-    neither the space nor CHOICE_CAP: the colors of the chunk's lists and
-    prefix rows.  The prefix rows are read only when the owner space can
-    win; when the lists' colors alone give t^P >= k^n, no prefix color
-    changes the choice, and those are returned as they are.
+    np.unique would do, but its first call imports numpy.ma, about 1 MB
+    of peak memory in a process that needs nothing else from it.
     """
-    palette = chunk.palette
-    k = chunk.lists.shape[1]
-    if parts is None or len(parts) ** palette.size >= k ** n:
-        return palette
-    return _colors(palette, chunk.rows)
+    present = np.zeros(int(values.max(initial=0)) + 1, dtype=bool)
+    present[values] = True
+    return np.flatnonzero(present)
 
 
 def colorable_mask(chunk: np.ndarray, n: int,
@@ -293,7 +280,7 @@ def colorable_mask(chunk: np.ndarray, n: int,
     then settled over the t^P owner maps (_sweep_maps) when t^P < k^n,
     and over choice vectors otherwise.  P is the size of ``palette``, the
     sorted colors the rows were drawn from, fixed before any filtering
-    (chunk_palette of a prefix chunk); by default the rows' own colors.
+    (a prefix chunk's palette); by default the rows' own colors.
 
     The result depends only on the rows, not on the space, the block
     sizes or the order of the search or the sweep.  Raises BoundExceeded
@@ -409,22 +396,15 @@ def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
     improper = np.bitwise_or.reduce(np.where(
         reps[:, upper[:, 0], :, None] == reps[:, upper[:, 1], None, :],
         both, np.uint64(0)).reshape(runs, -1), axis=1)
-    # One color index: the palette first, then the other colors near
-    # vertex n-2, then one index for every color left.
-    extra = np.zeros(slot.size, dtype=bool)
-    extra[reps[:, near]] = True
-    extra = np.flatnonzero(extra & (slot == size))
-    index = slot.copy()
-    index[index == size] = size + extra.size
-    index[extra] = size + np.arange(extra.size)
-    width = size + extra.size + 1
-    at = run_of[:, None] * width + index[part[:, t]]
+    # Colors by slot: the palette's, then one slot for any other color.
+    width = size + 1
+    at = run_of[:, None] * width + slot[part[:, t]]
     bad = improper[run_of]
-    table = _run_words(reps, near, index, width, words)
+    table = _run_words(reps, near, slot, width, words)
     for i in range(part.shape[2]):
         bad |= table[at[:, i]] & words[t, i]
     if not np.array_equal(near, far):
-        table = _run_words(reps, far, index, width, words)
+        table = _run_words(reps, far, slot, width, words)
     table = table.reshape(runs, width)
     inside = np.zeros(m, dtype=WORD)
     full = ~np.uint64(0)
@@ -444,9 +424,9 @@ def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
         own = np.bitwise_or.reduce(np.where(
             x[:, :, None] == x[:, None, :], words[t], np.uint64(0)), axis=2)
         hit = (bad[:, None] | table.ravel()[at] | own) == full
-        hit &= index[x] < size
+        hit &= slot[x] < size
         inside |= np.bitwise_or.reduce(np.where(hit, np.left_shift(
-            np.uint64(1), np.minimum(index[x], 63).astype(WORD)),
+            np.uint64(1), np.minimum(slot[x], 63).astype(WORD)),
             np.uint64(0)), axis=1)
     return inside
 

@@ -79,10 +79,10 @@ def l_color(g: Graph, lists) -> ColoringOutcome:
     assign = [-1] * n
     nodes = 0
 
-    def solve(masks: list[int], remaining: int) -> bool:
-        nonlocal nodes
-        if remaining == 0:
-            return True
+    def branch(masks: list[int], remaining: int):
+        """The vertex with the fewest colors left, the masks, the vertices
+        after it and an iterator over its colors, one per incidence
+        signature; None when some vertex has no color left."""
         v, fewest = -1, 1 << 60
         r = remaining
         while r:
@@ -93,7 +93,7 @@ def l_color(g: Graph, lists) -> ColoringOutcome:
             if count < fewest:
                 v, fewest = u, count
         if fewest == 0:
-            return False
+            return None
         others = remaining & ~(1 << v)
         reps: dict[int, int] = {}
         m = masks[v]
@@ -110,7 +110,19 @@ def l_color(g: Graph, lists) -> ColoringOutcome:
                 if masks[u] >> ci & 1:
                     sig |= 1 << u
             reps.setdefault(sig, ci)
-        for ci in reps.values():
+        return v, masks, others, iter(reps.values())
+
+    # Depth-first over an explicit stack of branch points, one per colored
+    # vertex: a path of 1,024 vertices would pass the recursion limit.
+    ok = n == 0
+    stack = [] if ok else [branch(masks0, (1 << n) - 1)]
+    while stack and not ok:
+        top = stack[-1]
+        if top is None:
+            stack.pop()
+            continue
+        v, masks, others, colors = top
+        for ci in colors:
             nodes += 1
             pruned = list(masks)
             dead = False
@@ -123,12 +135,13 @@ def l_color(g: Graph, lists) -> ColoringOutcome:
             if dead:
                 continue
             assign[v] = palette[ci]
-            if solve(pruned, others):
-                return True
-            assign[v] = -1
-        return False
-
-    ok = solve(masks0, (1 << n) - 1)
+            if others:
+                stack.append(branch(pruned, others))
+            else:
+                ok = True
+            break
+        else:
+            stack.pop()
     return ColoringOutcome(ok, tuple(assign) if ok else None, nodes)
 
 
@@ -206,8 +219,8 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     leaf whose last list is not inside its prefix's G, the colors that
     every proper filter vector puts on the last vertex's neighbors; a
     proper vector leaves such a leaf's last vertex a free color.  The
-    bulk mask settles the rest, with the host's parts and the chunk's
-    palette (``bulk.chunk_palette``), bulk.CHUNK_ROWS kept leaf rows at
+    bulk mask settles the rest, with the host's parts and the stream's
+    palette (``chunk.palette``), bulk.CHUNK_ROWS kept leaf rows at
     a time: a mask call per slice, and one per chunk even on no rows, so
     its space and CHOICE_CAP stop a decision whatever the filter does.
     Each row it refuses is decoded with row_lists and re-solved with
@@ -222,12 +235,11 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     offset = 0
     for chunk in chunks:
         positions = bulk.leaf_candidates(chunk, g.n, g.edges)
-        palette = bulk.chunk_palette(chunk, g.n, g.parts)
         for lo in range(0, max(positions.size, 1), bulk.CHUNK_ROWS):
             at = positions[lo:lo + bulk.CHUNK_ROWS]
             rows = chunk.leaf_rows(at)
             mask = bulk.colorable_mask(rows, g.n, g.edges, parts=g.parts,
-                                       palette=palette)
+                                       palette=chunk.palette)
             for i in np.flatnonzero(~mask):
                 lists = tuple(row_lists(tuple(int(x) for x in rows[i]), g.n))
                 confirm = l_color(g, lists)

@@ -288,10 +288,10 @@ def strict_to_json(d: StrictDecision) -> dict[str, Any]:
 
 
 def strict_from_json(obj: Mapping[str, Any]) -> StrictDecision:
-    _need(obj, ("k", "reason"), "a strictness decision needs "
+    _need(obj, ("k", "strict", "reason"), "a strictness decision needs "
           "\"k\", \"strict\" and \"reason\"")
     sizes = obj.get("sizes")
-    strict = obj.get("strict")
+    strict = obj["strict"]
     if strict is not None and not isinstance(strict, bool):
         raise ValueError(f"strict must be true, false or null, "
                          f"got {strict!r:.40}")

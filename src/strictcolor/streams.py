@@ -17,8 +17,8 @@ of equal size.  The stream therefore imposes three canonical constraints:
    in index order, when a vertex introduces f colors not seen before in the
    group's window, those colors are exactly the next f unused window
    values.
-2. Within each graph part, the combined per-vertex rows are lexicographically
-   non-decreasing from one vertex to the next.
+2. When vertices v-1 and v share a graph part, the combined per-vertex row
+   of v is lexicographically no smaller than that of v-1.
 3. For adjacent groups of equal size, the vertex-major sequence of
    window-relative choices of the earlier group is lexicographically no
    larger than that of the later group.
@@ -47,23 +47,25 @@ builds every base the stream reaches, each once, with its vertex rows,
 their next states and, above the last vertex, the leaves below each
 suffix of its rows: a state's leaf count is its base's at its offset.  A
 state of the last vertex is a prefix state: its vertex rows are the last
-columns of the leaves below every prefix in it.  The walk appends the
-rows of each last-vertex base to a table of lists when it first reaches a
-state of it, and emits each prefix row with the span of its state's lists
-there, the base's start plus the state's offset, instead of its leaves.
-A prefix's leaves are its row followed by each list of its span, in
-order, so a leaf's index in the stream is the leaves before its prefix
-plus its position in the span.  The table only grows, and each chunk
-holds a read-only view of it, so the spans of one chunk stay valid after
-the walk moves on.  A chunk's palette is the colors of that view.  A
-chunk closes at chunk_rows prefixes, whatever leaves they stand for, so
-each base above vertex n-2 also counts the prefixes below each suffix of
-its rows.  A subtree whose prefixes fit in a chunk is emitted whole: its
-prefix rows are assembled from its children's blocks, kept read-only in
-the narrowest integer type, and copied into the chunks with the prefix
-columns above them broadcast, as many rows at a time as the chunk has
-room for.  Subtrees with more prefixes than a chunk are walked one vertex
-row at a time.
+columns of the leaves below every prefix in it.  Each last-vertex base
+takes its start in a table of lists as it is built, each vertex-(n-2)
+base the start of each row's lists, and once the root is built the walk
+joins the rows of every last-vertex base into that one read-only table
+and takes its colors, sorted, as the palette.  Every chunk of the stream
+carries both.  The walk emits each prefix row with the span of its
+state's lists, the base's start plus the state's offset, instead of its
+leaves.  A prefix's leaves are its row followed by each list of its
+span, in order, so a leaf's index in the stream is the leaves before its
+prefix plus its position in the span.  A last vertex may reuse every
+color seen before it, so the palette holds every color of every row, and
+it does not depend on where chunks end.  A chunk closes at chunk_rows
+prefixes, whatever leaves they stand for, so each base above vertex n-2
+also counts the prefixes below each suffix of its rows.  A subtree whose
+prefixes fit in a chunk is emitted whole: its prefix rows are assembled
+from its children's blocks, kept read-only in the narrowest integer
+type, and copied into the chunks with the prefix columns above them
+broadcast, as many rows at a time as the chunk has room for.  Subtrees
+with more prefixes than a chunk are walked one vertex row at a time.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -101,11 +103,12 @@ class PrefixChunk(NamedTuple):
     row).  Prefix i's leaves are its row followed by each of
     ``lists[start[i]:start[i] + count[i]]``, in order, and the chunk's
     ``leaves`` are those of all its prefixes, ``count.sum()`` of them.
-    ``lists`` is a read-only int32 table of last-vertex lists that later
-    chunks may extend but never change, and ``palette`` the colors it
-    uses, sorted.  Nothing bounds the leaves a chunk stands for, so they
-    are read in slices of at most ``bulk.CHUNK_ROWS``: ``leaves_of`` and
-    ``leaf_rows`` of a slice of positions.
+    ``lists`` is the stream's read-only int32 table of last-vertex lists
+    and ``palette`` the colors it uses, sorted, which are every color of
+    the stream; every chunk of a stream holds the same two.  Nothing
+    bounds the leaves a chunk stands for, so they are read in slices of
+    at most ``bulk.CHUNK_ROWS``: ``leaves_of`` and ``leaf_rows`` of a
+    slice of positions.
     """
 
     rows: np.ndarray
@@ -172,10 +175,10 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     Each chunk holds at most chunk_rows prefixes, and every chunk but the
     last exactly that many; the leaves a chunk stands for are unbounded.
 
-    ``parts`` marks runs of interchangeable vertices (consecutive vertex
-    ranges, as produced by complete multipartite construction);
-    constraint 2 applies inside each part.  Without it every vertex is
-    its own part and only constraints 1 and 3 apply.
+    ``parts`` marks sets of interchangeable vertices, covering each
+    vertex exactly once; constraint 2 orders vertices v-1 and v when they
+    share a part.  Without it every vertex is its own part and only
+    constraints 1 and 3 apply.
 
     ``caps`` filters the stream to rows whose group-i colors stay within
     the first caps[i] values of that group's window.  Assignments hostile
@@ -227,10 +230,9 @@ class _Base:
     the base's rows from the offset on."""
 
     __slots__ = ("v", "heads", "rels", "kids", "per", "cum", "pcum",
-                 "start", "first", "placed")
+                 "start", "first")
 
-    def __init__(self, v: int, n: int, heads: np.ndarray, rels: tuple):
-        m = heads.shape[0]
+    def __init__(self, v: int, heads: np.ndarray, rels: tuple):
         self.v = v
         self.heads = heads  # the vertex rows, narrow
         self.rels = rels  # each row's per-group window-relative choices
@@ -241,13 +243,12 @@ class _Base:
         self.kids: list | None = None
         self.cum: list | None = None
         self.pcum: list | None = None
-        # Last vertex: the base's start in the lists table once appended.
+        # Last vertex: the base's start in the lists table.
         self.start: int | None = None
         # Vertex n-2: each row's leaf count, and the start of its lists in
-        # the table from row ``placed`` on.
+        # the table.
         self.per: np.ndarray | None = None
-        self.first = np.empty(m, dtype=np.intp) if v == n - 2 else None
-        self.placed = m
+        self.first: np.ndarray | None = None
 
 
 def _walk(n: int, sizes: tuple[int, ...],
@@ -255,16 +256,14 @@ def _walk(n: int, sizes: tuple[int, ...],
           caps: tuple[int, ...] | None, chunk_rows: int
           ) -> Iterator[PrefixChunk]:
     """The memoised walk of grouped_chunks, over checked arguments, n >= 1."""
-    if parts is None:
-        samepart = [False] * n
-    else:
-        flat = [v for part in parts for v in part]
-        if flat != list(range(n)):
-            raise ValueError("parts must be consecutive ranges covering 0..n-1")
-        samepart = [False] * n
-        for part in parts:
-            for v in list(part)[1:]:
-                samepart[v] = True
+    # samepart[v]: vertices v-1 and v share a part, so constraint 2
+    # orders their rows.
+    samepart = [False] * n
+    if parts is not None:
+        if sorted(v for part in parts for v in part) != list(range(n)):
+            raise ValueError("parts must cover each vertex exactly once")
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        samepart = [v > 0 and part_of[v - 1] == part_of[v] for v in range(n)]
 
     t = len(sizes)
     k = sum(sizes)
@@ -316,18 +315,27 @@ def _walk(n: int, sizes: tuple[int, ...],
     # relative choices are at least the previous vertex's, and the base's
     # rows come out of vertex_rows in that order, so they are a suffix of
     # the base's: a state is held as (base, offset).  A base is built, with
-    # the bases below it, the first time a state meets it.
+    # the bases below it, the first time a state meets it.  A last-vertex
+    # base takes the next rows of the lists table, in the order built, and
+    # a vertex-(n-2) base the start of each row's lists there.
     bases: dict[tuple, _Base] = {}
+    lasts: list[np.ndarray] = []
+    used = 0
 
     def base_at(v: int, seen: tuple[int, ...],
                 r3eq: tuple[bool, ...]) -> _Base:
+        nonlocal used
         key = (v, seen, r3eq)
         got = bases.get(key)
         if got is None:
             heads, rels, seens, ties = zip(*vertex_rows(seen, r3eq))
             heads = np.array(heads, dtype=narrow).reshape(len(rels), k)
-            got = bases[key] = _Base(v, n, heads, rels)
-            if v < n - 1:
+            got = bases[key] = _Base(v, heads, rels)
+            if v == n - 1:
+                got.start = used
+                used += len(rels)
+                lasts.append(heads)
+            else:
                 got.kids = []
                 for rel, nseen, tie in zip(rels, seens, ties):
                     nb = base_at(v + 1, nseen, tie)
@@ -337,6 +345,8 @@ def _walk(n: int, sizes: tuple[int, ...],
                                           initial=0))[::-1]
                 if v == n - 2:
                     got.per = -np.diff(got.cum)
+                    got.first = np.array([c.start + o for c, o in got.kids],
+                                         dtype=np.intp)
                 else:
                     got.pcum = list(accumulate(
                         map(prefixes, reversed(got.kids)), initial=0))[::-1]
@@ -354,49 +364,20 @@ def _walk(n: int, sizes: tuple[int, ...],
             return 1 if b.v == n - 1 else b.heads.shape[0] - off
         return b.pcum[off]
 
-    # The rows of every last-vertex base the walk has placed, table[:used],
-    # each appended once: a state's lists start at its base's start plus
-    # its offset.  present marks the colors of the table.  Rows are only
-    # appended, so a view of table[:used] never changes.
-    table = np.empty((0, k), dtype=np.int32)
-    used = 0
-    present = np.zeros(n * k, dtype=bool)
-
-    def table_start(b: _Base) -> int:
-        nonlocal table, used
-        if b.start is None:
-            m = b.heads.shape[0]
-            if used + m > len(table):
-                grown = np.empty((2 * (used + m), k), dtype=np.int32)
-                grown[:used] = table[:used]
-                table = grown
-            b.start = used
-            used += m
-            table[b.start:used] = b.heads
-            present[b.heads] = True
-        return b.start
-
-    def place(b: _Base, off: int) -> None:
-        """Place the lists of vertex-(n-2) state (b, off) in the table."""
-        for i in range(off, b.placed):
-            c, o = b.kids[i]
-            b.first[i] = table_start(c) + o
-        b.placed = min(b.placed, off)
-
     # Blocks of the subtrees that emitted blocks: the prefix rows over
-    # vertices v..n-2, each prefix's start in table and leaf count.  A
-    # vertex-(n-2) state's block is read from its base's; those above are
-    # built per state, from their children's, and kept read-only.
+    # vertices v..n-2, each prefix's start in the lists table and leaf
+    # count.  A vertex-(n-2) state's block is read from its base's; those
+    # above are built per state, from their children's, and kept
+    # read-only.
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def block(state, keep: bool = True):
         b, off = state
         if b.v == n - 1:
             return (np.zeros((1, 0), dtype=narrow),
-                    np.array([table_start(b) + off], dtype=np.intp),
+                    np.array([b.start + off], dtype=np.intp),
                     np.array([b.heads.shape[0] - off], dtype=np.intp))
         if b.v == n - 2:
-            place(b, off)
             return b.heads[off:], b.first[off:], b.per[off:]
         got = blocks.get(state)
         if got is not None:
@@ -415,6 +396,11 @@ def _walk(n: int, sizes: tuple[int, ...],
         return got
 
     root = (base_at(0, (0,) * t, eqpair), 0)
+    # Every base is built: the lists table and its colors, read-only and
+    # shared by every chunk.
+    lists = np.concatenate(lasts, dtype=np.int32)
+    lists.flags.writeable = False
+    palette = bulk._colors(lists)
     width = (n - 1) * k
     cap = min(chunk_rows, prefixes(root))
     buf = first = per = None
@@ -422,10 +408,8 @@ def _walk(n: int, sizes: tuple[int, ...],
 
     def flush() -> PrefixChunk:
         nonlocal buf, first, per, pos
-        lists = table[:used]
-        lists.flags.writeable = False
-        out = PrefixChunk(buf[:pos], first[:pos], per[:pos], lists,
-                          np.flatnonzero(present), int(per[:pos].sum()))
+        out = PrefixChunk(buf[:pos], first[:pos], per[:pos], lists, palette,
+                          int(per[:pos].sum()))
         buf = first = per = None
         pos = 0
         return out
@@ -464,8 +448,8 @@ def _walk(n: int, sizes: tuple[int, ...],
     finally:
         # walk, base_at and block call themselves, so only the cycle
         # collector would free them and what they hold: let go of it now.
-        buf = first = per = table = None
-        for memo in (choices, bases, blocks):
+        buf = first = per = None
+        for memo in (choices, bases, blocks, lasts):
             memo.clear()
 
 

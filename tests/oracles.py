@@ -7,8 +7,9 @@ coefficients of the graph polynomial) by the slow direct route, so
 agreement between the two is testable.
 ``enumerate_lambda_assignments`` is the lam-assignment stream as objects,
 which only the tests read, ``leaf_slices`` reads a prefix chunk's leaf
-rows in bounded slices, and ``color_via_partition`` colors an assignment
-block by block from a partitionability witness.
+rows in bounded slices, ``color_via_partition`` colors an assignment
+block by block from a partitionability witness, and ``l_color_oracle``
+is the list coloring search written recursively.
 """
 
 from __future__ import annotations
@@ -30,9 +31,82 @@ from strictcolor.lambdacolor import (
     _stream_assignment,
     descending_parts,
 )
-from strictcolor.listcolor import l_color
+from strictcolor.listcolor import ColoringOutcome, _palette_masks, l_color
 from strictcolor.partitions import IntegerPartition
 from strictcolor.streams import enumerate_grouped, group_offsets, row_lists
+
+
+def l_color_oracle(g: Graph, lists) -> ColoringOutcome:
+    """Reference l_color: the same search, recursing once per vertex.
+
+    ``listcolor.l_color`` runs it over an explicit stack; both must return
+    the same coloring and node count.
+
+    Backtracking with minimum-remaining-values vertex choice, forward
+    checking along edges, and value symmetry merging: colors that occur in
+    exactly the same still-uncolored lists are interchangeable, so only
+    one per incidence signature is branched on.  nodes_searched counts
+    color assignment attempts.
+    """
+    n = g.n
+    if len(lists) != n:
+        raise ValueError(f"expected {n} lists, got {len(lists)}")
+    lists = [tuple(lst) for lst in lists]
+    palette, masks0 = _palette_masks(lists)
+    assign = [-1] * n
+    nodes = 0
+
+    def solve(masks: list[int], remaining: int) -> bool:
+        nonlocal nodes
+        if remaining == 0:
+            return True
+        v, fewest = -1, 1 << 60
+        r = remaining
+        while r:
+            low = r & -r
+            u = low.bit_length() - 1
+            r ^= low
+            count = masks[u].bit_count()
+            if count < fewest:
+                v, fewest = u, count
+        if fewest == 0:
+            return False
+        others = remaining & ~(1 << v)
+        reps: dict[int, int] = {}
+        m = masks[v]
+        while m:
+            low = m & -m
+            ci = low.bit_length() - 1
+            m ^= low
+            sig = 0
+            rr = others
+            while rr:
+                lo2 = rr & -rr
+                u = lo2.bit_length() - 1
+                rr ^= lo2
+                if masks[u] >> ci & 1:
+                    sig |= 1 << u
+            reps.setdefault(sig, ci)
+        for ci in reps.values():
+            nodes += 1
+            pruned = list(masks)
+            dead = False
+            for u in g.neighbors(v):
+                if others >> u & 1:
+                    pruned[u] &= ~(1 << ci)
+                    if pruned[u] == 0:
+                        dead = True
+                        break
+            if dead:
+                continue
+            assign[v] = palette[ci]
+            if solve(pruned, others):
+                return True
+            assign[v] = -1
+        return False
+
+    ok = solve(masks0, (1 << n) - 1)
+    return ColoringOutcome(ok, tuple(assign) if ok else None, nodes)
 
 
 def part_of(g: Graph, v: int) -> int:
@@ -127,10 +201,10 @@ def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
     as its oracle: the chunked stream must hold exactly these rows, in
     this order, and raise the same errors.
 
-    ``parts`` marks runs of interchangeable vertices (consecutive vertex
-    ranges, as produced by complete multipartite construction); constraint 2
-    applies inside each part.  Without it every vertex is its own part and
-    only constraints 1 and 3 apply.
+    ``parts`` marks sets of interchangeable vertices, covering each vertex
+    exactly once; constraint 2 orders vertices v-1 and v when they share
+    a part.  Without it every vertex is its own part and only constraints
+    1 and 3 apply.
 
     ``caps`` filters the stream to rows whose group-i colors stay within
     the first caps[i] values of that group's window.  Assignments hostile
@@ -164,16 +238,12 @@ def grouped_rows_oracle(n: int, group_sizes: Sequence[int],
         yield ()
         return
 
-    if parts is None:
-        samepart = [False] * n
-    else:
-        flat = [v for part in parts for v in part]
-        if flat != list(range(n)):
-            raise ValueError("parts must be consecutive ranges covering 0..n-1")
-        samepart = [False] * n
-        for part in parts:
-            for v in list(part)[1:]:
-                samepart[v] = True
+    samepart = [False] * n
+    if parts is not None:
+        if sorted(v for part in parts for v in part) != list(range(n)):
+            raise ValueError("parts must cover each vertex exactly once")
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        samepart = [v > 0 and part_of[v - 1] == part_of[v] for v in range(n)]
 
     t = len(sizes)
     offs = group_offsets(n, sizes)

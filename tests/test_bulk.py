@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 import tracemalloc
 from itertools import combinations, islice, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -675,8 +677,13 @@ def filter_streams(draw):
 
 @st.composite
 def hand_made_chunks(draw):
-    """(chunk, n, edges): prefixes in runs over random colors, and a last
-    list table whose palette may near or pass 64 colors."""
+    """(chunk, n, edges): prefixes in runs over random colors of the
+    palette, and a last list table whose palette may near or pass 64
+    colors.
+
+    On a stream every prefix color is in the palette, since a last vertex
+    may reuse any color seen before it, and the filter indexes colors by
+    the palette alone, so the prefixes draw from it too."""
     n = draw(st.integers(2, 5))
     k = draw(st.integers(1, 3))
     pairs = list(combinations(range(n), 2))
@@ -688,13 +695,13 @@ def hand_made_chunks(draw):
                             rng.choice(colors, size=6 * k)]).reshape(-1, k)
     lists = np.sort(table, axis=1).astype(np.int32)
     lists.flags.writeable = False
-    span = draw(st.integers(1, 130))
+    pool = colors[:draw(st.integers(1, size))]
     runs = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
     rows = []
     for length in runs:
-        upper = rng.integers(0, span, size=(n - 2) * k)
+        upper = rng.choice(pool, size=(n - 2) * k)
         for _ in range(length):
-            rows.append(np.concatenate([upper, rng.integers(0, span, size=k)]))
+            rows.append(np.concatenate([upper, rng.choice(pool, size=k)]))
     rows = np.array(rows, dtype=np.int32).reshape(len(rows), (n - 1) * k)
     # 1 to 3 leaves per prefix, or 3 to 5: the latter chunks pass the
     # filter's three-leaves-per-prefix skip, so about half the draws
@@ -757,6 +764,48 @@ class TestFilterColors:
             finally:
                 tracemalloc.stop()
             assert peak < bulk.SWEEP_BYTES
+
+
+def check_stream_palette(stream_of, chunks):
+    """The first ``chunks`` chunks of a stream read at chunk_rows 3, 4099
+    and the default: every chunk shares the stream's one read-only lists
+    table, and its palette is the same array whatever the chunking, the
+    colors of that table, and holds every prefix color."""
+    want = None
+    for chunk_rows in (3, 4099, bulk.CHUNK_ROWS):
+        lists = None
+        for chunk in islice(stream_of(chunk_rows), chunks):
+            if lists is None:
+                lists = chunk.lists
+                assert not lists.flags.writeable
+            assert chunk.lists is lists
+            if want is None:
+                want = np.unique(lists)
+            assert np.array_equal(chunk.palette, want)
+            assert np.array_equal(chunk.palette, np.unique(chunk.lists))
+            assert np.isin(chunk.rows, chunk.palette).all()
+
+
+class TestStreamPalette:
+    """One lists table and one palette per stream, so the mask's space
+    and the filter's colors do not depend on where chunks end."""
+
+    @pytest.mark.parametrize("pin", json.loads(
+        Path(__file__).with_name("stream_pins.json").read_text()),
+        ids=lambda pin: pin["name"])
+    def test_pinned_streams(self, pin):
+        g = complete_multipartite(tuple(pin["sizes"]))
+        check_stream_palette(lambda rows: grouped_chunks(
+            g.n, tuple(pin["groups"]), parts=g.parts,
+            caps=pin["caps"] and tuple(pin["caps"]), chunk_rows=rows), 40)
+
+    @settings(max_examples=40, deadline=None)
+    @given(filter_streams())
+    def test_filter_streams(self, case):
+        g, sizes, caps, _, first, count = case
+        check_stream_palette(lambda rows: grouped_chunks(
+            g.n, sizes, parts=g.parts, caps=caps, chunk_rows=rows),
+            first + count)
 
 
 class TestBlockBounds:

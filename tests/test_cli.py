@@ -150,6 +150,44 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["bad_lists"]
 
+    @pytest.mark.parametrize("doc", [
+        # K(1,2) with its middle vertex as the part of one
+        {"n": 3, "edges": [[0, 1], [1, 2]], "parts": [[1], [0, 2]]},
+        # K(2,4) with its parts interleaved: not 2-choosable
+        {"n": 6, "edges": [[0, 1], [0, 3], [0, 4], [0, 5], [1, 2], [2, 3],
+                           [2, 4], [2, 5]],
+         "parts": [[0, 2], [1, 3, 4, 5]]},
+    ], ids=["K12", "K24"])
+    @pytest.mark.parametrize("argv", [
+        ("k-choosable", "--k", "2"),
+        ("lambda-choosable", "--lambda", "2", "--method", "exhaustive"),
+    ], ids=["k-choosable", "lambda-choosable"])
+    def test_parts_need_not_be_vertex_ranges(self, capsys, tmp_path, doc,
+                                             argv):
+        # The same verdict as the graph without its parts.
+        verdicts = []
+        for name, obj in (("parts", doc), ("plain", {"n": doc["n"],
+                                                     "edges": doc["edges"]})):
+            gf = tmp_path / f"{name}.json"
+            gf.write_text(json.dumps(obj))
+            code, out, err = run_cli(capsys, "check", *argv[:1], "--graph",
+                                     str(gf), *argv[1:])
+            assert code in (0, 1), err
+            verdicts.append((code, json.loads(out)["choosable"]))
+        assert verdicts[0] == verdicts[1]
+
+    def test_list_color_long_path(self, capsys, tmp_path):
+        n = 1024  # READ_VERTEX_BOUND
+        path = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        gf = write_graph(tmp_path / "g.json", path)
+        lf = write_lists(tmp_path / "l.json", ((1, 2),) * n)
+        code, out, err = run_cli(capsys, "check", "list-color",
+                                 "--graph", gf, "--lists", lf)
+        assert code == 0, err
+        verdict = json.loads(out)
+        assert is_proper(path, [verdict["coloring"][str(v)]
+                                for v in range(n)])
+
     def test_usage_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", "list-color",
                                "--graph", str(tmp_path / "missing.json"),

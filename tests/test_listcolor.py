@@ -16,7 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import eulerian_difference_oracle, graph_polynomial_oracle
+from oracles import (
+    eulerian_difference_oracle,
+    graph_polynomial_oracle,
+    l_color_oracle,
+)
 from strictcolor import bulk, limits
 from strictcolor.errors import BoundExceeded, Undetermined
 from strictcolor.graphs import Graph, complete_multipartite, is_proper
@@ -53,6 +57,20 @@ HJ_K24_LISTS = ((1, 2), (3, 4), (1, 3), (1, 4), (2, 3), (2, 4))
 
 # ---------------------------------------------------------------- l_color
 
+@st.composite
+def coloring_cases(draw):
+    """(graph, lists): up to 9 vertices, random edges, lists of 0 to 4
+    colors out of 6."""
+    n = draw(st.integers(0, 9))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.sampled_from((0.2, 0.5, 0.9)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g = Graph(n, tuple(e for e in pairs if rng.random() < density))
+    lists = [tuple(rng.sample(range(6), rng.choice((0, 1, 2, 2, 3, 3, 4))))
+             for _ in range(n)]
+    return g, lists
+
+
 class TestLColor:
     def test_trivial_cases(self):
         g = Graph(1, ())
@@ -84,6 +102,22 @@ class TestLColor:
             if out.colorable:
                 assert is_proper(g, list(out.coloring))
                 assert all(out.coloring[v] in lists[v] for v in range(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(coloring_cases())
+    @example((Graph(0, ()), []))
+    @example((complete_multipartite([2, 4]), list(HJ_K24_LISTS)))
+    def test_matches_recursive_search(self, case):
+        # The same branching order as the recursive search: the same
+        # coloring and node count, which the CLI prints.
+        g, lists = case
+        assert l_color(g, lists) == l_color_oracle(g, lists)
+
+    def test_long_path_passes_the_recursion_limit(self):
+        n = 1024
+        g = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        out = l_color(g, [(1, 2)] * n)
+        assert out.colorable and is_proper(g, list(out.coloring))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,14 @@ class TestCertificates:
         with pytest.raises(ValueError, match=field):
             ser.strict_from_json(obj)
 
+    @pytest.mark.parametrize("field", ["k", "strict", "reason"])
+    def test_strict_fields_are_required(self, field):
+        # A decision without "strict" must not read as undecided.
+        obj = ser.strict_to_json(decide_strict_cmp((2, 5, 5)))
+        del obj[field]
+        with pytest.raises(ValueError, match='"strict"'):
+            ser.strict_from_json(obj)
+
     def test_unknown_certificate_shape_rejected(self):
         obj = ser.strict_to_json(decide_strict_cmp((2, 5, 5)))
         obj["certificate"] = {"surprise": 1}

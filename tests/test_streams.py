@@ -131,6 +131,13 @@ COVERAGE_CASES = [
     (4, (1,), ((0, 1), (2, 3))),
     (3, (1, 1), ((0, 1), (2,))),
     (2, (1, 1, 1), None),
+    # parts that are not vertex ranges
+    (3, (1,), ((1,), (0, 2))),
+    (3, (2,), ((0, 2), (1,))),
+    (3, (1, 1), ((0, 2), (1,))),
+    (4, (1,), ((0, 2), (1, 3))),
+    (4, (1,), ((0, 2, 3), (1,))),
+    (4, (1, 1), ((0, 2), (1,), (3,))),
 ]
 
 
@@ -223,7 +230,7 @@ def test_empty_and_errors():
     with pytest.raises(ValueError):
         list(enumerate_grouped(2, (0,)))
     with pytest.raises(ValueError):
-        list(enumerate_grouped(3, (1,), parts=((0, 2), (1,))))
+        list(enumerate_grouped(3, (1,), parts=((0, 2), (1, 2))))
     with pytest.raises(BoundExceeded):
         list(enumerate_grouped(16, (2,)))
 
@@ -542,7 +549,7 @@ class TestChunkErrors:
         ((2, ()), {}),
         ((2, (1, 2)), {}),
         ((2, (0,)), {}),
-        ((3, (1,)), {"parts": ((0, 2), (1,))}),
+        ((3, (1,)), {"parts": ((0, 2), (1, 2))}),
         ((3, (2, 1)), {"caps": (1, 1)}),
         ((3, (2, 1)), {"caps": (2,)}),
         ((-1, (1,)), {}),
