@@ -240,7 +240,10 @@ def _claim_unit_equivalence() -> tuple[bool, str]:
 def cmd_verify_claims(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot use --out {out_dir}: {exc}") from None
     claims: list[tuple[str, Callable[[], tuple[bool, str]]]] = []
     for k in range(3, args.k_max + 1):
         for name, make in WITNESS_MAKERS:
@@ -277,7 +280,11 @@ def cmd_verify_claims(args: argparse.Namespace) -> int:
     report = {"entries": entries,
               "ok": all(e["status"] == "pass" for e in entries)}
     if out_dir is not None:
-        (out_dir / "report.json").write_text(ser.dump(report))
+        try:
+            (out_dir / "report.json").write_text(ser.dump(report))
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_dir / 'report.json'}: "
+                             f"{exc}") from None
     _emit(report)
     return OK if report["ok"] else NO
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import limits
@@ -427,38 +428,20 @@ def _caps_chain(n: int, desc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def _stream_refusal(g: Graph, lam: IntegerPartition, chunks,
-                    before: int = 0) -> tuple["LambdaVerdict | None", int]:
+                    limit: int | None = None
+                    ) -> tuple["LambdaVerdict | None", int]:
     """The first confirmed refusal in a lam-assignment prefix stream.
 
     Returns the exhaustive-provenance negative verdict (or None) and the
-    running row count, which starts from ``before`` rows already examined.
+    rows examined, reading at most ``limit`` rows (find_refusals).
     """
-    refusals, examined = find_refusals(g, chunks)
-    checked = before + examined
+    refusals, examined = find_refusals(g, chunks, limit=limit)
     if not refusals:
-        return None, checked
+        return None, examined
     _, lists, nodes = refusals[0]
     witness = BadAssignmentWitness(_stream_assignment(g, lam, lists), nodes)
-    return LambdaVerdict(False, "exhaustive", classes_checked=checked,
-                         witness=witness), checked
-
-
-def _head_rows(chunks, limit: int) -> Iterator:
-    """The prefix chunks of a stream's first ``limit`` leaf rows.
-
-    The chunk that reaches the limit is cut to stand for only the leaves
-    before it.
-    """
-    for chunk in chunks:
-        last = chunk.leaves >= limit
-        held = [chunk.cut(limit) if last else chunk]
-        limit -= chunk.leaves
-        # Hold no reference while suspended, so the chunk is freed once
-        # the caller lets go of it, before the walk builds the next.
-        del chunk
-        yield held.pop()
-        if last:
-            return
+    return LambdaVerdict(False, "exhaustive", classes_checked=examined,
+                         witness=witness), examined
 
 
 def _prospect_bad_row(g: Graph, lam: IntegerPartition
@@ -467,28 +450,27 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition
 
     The full stream visits rows in lexicographic order, which buries
     color-starved assignments arbitrarily deep; walking the same stream
-    under growing palette caps surfaces them within PROSPECT_ROWS rows.
-    Any hit is re-confirmed by the solver and returned as a witness;
-    coming back empty-handed proves nothing, and the hunt returns the
-    limit that stopped it (None if none did) for the ladder's reason.
+    under growing palette caps (_caps_chain), read as one chain of at
+    most PROSPECT_ROWS rows, surfaces them.  Any hit is re-confirmed by
+    the solver and returned as a witness; coming back empty-handed proves
+    nothing, and the hunt returns the limit that stopped it for the
+    ladder's reason: PROSPECT_ROWS exactly when it read its whole budget,
+    None when the chain ended first.
     """
     if g.n == 0:
         return None
     n, desc = g.n, descending_parts(lam)
     budget = limits.PROSPECT_ROWS
-    examined = 0
+    capped = chain.from_iterable(
+        grouped_chunks(n, desc, parts=g.parts, caps=caps)
+        for caps in _caps_chain(n, desc))
     try:
-        for caps in _caps_chain(n, desc):
-            if examined >= budget:
-                return f"PROSPECT_ROWS: {budget} capped rows held no refusal"
-            stream = grouped_chunks(n, desc, parts=g.parts, caps=caps)
-            found, examined = _stream_refusal(
-                g, lam, _head_rows(stream, budget - examined), examined)
-            if found is not None:
-                return found
+        found, examined = _stream_refusal(g, lam, capped, budget)
     except BoundExceeded as exc:
         return str(exc)
-    return None
+    if found is None and examined == budget:
+        return f"PROSPECT_ROWS: {budget} capped rows held no refusal"
+    return found
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def find_refusals(g: Graph, chunks, first_only: bool = True):
+def find_refusals(g: Graph, chunks, first_only: bool = True,
+                  limit: int | None = None):
     """Rows of a canonical stream that no proper coloring satisfies.
 
     ``chunks`` is the stream's PrefixChunks (``grouped_chunks(...)``).
@@ -228,13 +229,17 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
     row the solver colors raises RuntimeError.  Returns ``(refusals,
     rows_examined)``: refusals are ``(index, lists, nodes_searched)`` with
     the stream's own 0-based colors and leaf indices, only the first one
-    when first_only, and rows_examined is index + 1 after that early
-    stop, the stream's leaf count otherwise.
+    when first_only.  Given a limit, only the stream's first ``limit``
+    leaves are read, and no chunk past them is pulled.  rows_examined is
+    index + 1 after a first_only stop, ``limit`` when the limit stopped
+    the read, the stream's leaf count otherwise.
     """
     refusals = []
     offset = 0
     for chunk in chunks:
         positions = bulk.leaf_candidates(chunk, g.n, g.edges)
+        if limit is not None:
+            positions = positions[positions < limit - offset]
         for lo in range(0, max(positions.size, 1), bulk.CHUNK_ROWS):
             at = positions[lo:lo + bulk.CHUNK_ROWS]
             rows = chunk.leaf_rows(at)
@@ -253,6 +258,8 @@ def find_refusals(g: Graph, chunks, first_only: bool = True):
                     return refusals, index + 1
         offset += chunk.leaves
         del chunk, rows  # let go of them before the walk builds the next
+        if limit is not None and offset >= limit:
+            return refusals, limit
     return refusals, offset
 
 

@@ -66,6 +66,8 @@ from its children's blocks, kept read-only in the narrowest integer
 type, and copied into the chunks with the prefix columns above them
 broadcast, as many rows at a time as the chunk has room for.  Subtrees
 with more prefixes than a chunk are walked one vertex row at a time.
+The walk builds, assembles and descends over explicit stacks, so its
+call depth does not grow with n.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -155,15 +157,6 @@ class PrefixChunk(NamedTuple):
         out[:, :split] = self.rows[prefix]
         out[:, split:] = self.lists[table]
         return out
-
-    def cut(self, leaves: int) -> "PrefixChunk":
-        """The chunk of only its first ``leaves`` leaves (at most all)."""
-        ends = np.cumsum(self.count)
-        keep = int(np.searchsorted(ends, leaves)) + 1
-        count = self.count[:keep].copy()
-        count[-1] -= ends[keep - 1] - leaves
-        return self._replace(rows=self.rows[:keep], start=self.start[:keep],
-                             count=count, leaves=leaves)
 
 
 def grouped_chunks(n: int, group_sizes: Sequence[int],
@@ -314,43 +307,34 @@ def _walk(n: int, sizes: tuple[int, ...],
     # depend on.  Its rows are those of the base (v, seen, r3eq) whose
     # relative choices are at least the previous vertex's, and the base's
     # rows come out of vertex_rows in that order, so they are a suffix of
-    # the base's: a state is held as (base, offset).  A base is built, with
-    # the bases below it, the first time a state meets it.  A last-vertex
-    # base takes the next rows of the lists table, in the order built, and
-    # a vertex-(n-2) base the start of each row's lists there.
+    # the base's: a state is held as (base, offset).  A base is built the
+    # first time a state meets it, and the bases below it right after,
+    # depth first.  A last-vertex base takes the next rows of the lists
+    # table, in the order built, and a vertex-(n-2) base the start of each
+    # row's lists there.
     bases: dict[tuple, _Base] = {}
     lasts: list[np.ndarray] = []
     used = 0
 
-    def base_at(v: int, seen: tuple[int, ...],
-                r3eq: tuple[bool, ...]) -> _Base:
+    def base_at(v: int, seen: tuple[int, ...], r3eq: tuple[bool, ...]):
+        """The base of (v, seen, r3eq) and, when this call built it above
+        the last vertex, each row's relative choices and next (seen,
+        r3eq), still to be read."""
         nonlocal used
         key = (v, seen, r3eq)
         got = bases.get(key)
-        if got is None:
-            heads, rels, seens, ties = zip(*vertex_rows(seen, r3eq))
-            heads = np.array(heads, dtype=narrow).reshape(len(rels), k)
-            got = bases[key] = _Base(v, heads, rels)
-            if v == n - 1:
-                got.start = used
-                used += len(rels)
-                lasts.append(heads)
-            else:
-                got.kids = []
-                for rel, nseen, tie in zip(rels, seens, ties):
-                    nb = base_at(v + 1, nseen, tie)
-                    got.kids.append((nb, bisect_left(nb.rels, rel)
-                                     if samepart[v + 1] else 0))
-                got.cum = list(accumulate(map(count, reversed(got.kids)),
-                                          initial=0))[::-1]
-                if v == n - 2:
-                    got.per = -np.diff(got.cum)
-                    got.first = np.array([c.start + o for c, o in got.kids],
-                                         dtype=np.intp)
-                else:
-                    got.pcum = list(accumulate(
-                        map(prefixes, reversed(got.kids)), initial=0))[::-1]
-        return got
+        if got is not None:
+            return got, None
+        heads, rels, seens, ties = zip(*vertex_rows(seen, r3eq))
+        heads = np.array(heads, dtype=narrow).reshape(len(rels), k)
+        got = bases[key] = _Base(v, heads, rels)
+        if v == n - 1:
+            got.start = used
+            used += len(rels)
+            lasts.append(heads)
+            return got, None
+        got.kids = []
+        return got, zip(rels, seens, ties)
 
     def count(state) -> int:
         """The leaves below a state."""
@@ -364,45 +348,88 @@ def _walk(n: int, sizes: tuple[int, ...],
             return 1 if b.v == n - 1 else b.heads.shape[0] - off
         return b.pcum[off]
 
+    # Build every base depth first, over an explicit stack of the bases
+    # whose rows are still being read: a base's counts are taken once
+    # every base below it is built.
+    root, todo = base_at(0, (0,) * t, eqpair)
+    stack = [(root, todo)] if todo is not None else []
+    while stack:
+        b, todo = stack[-1]
+        for rel, nseen, tie in todo:
+            nb, below = base_at(b.v + 1, nseen, tie)
+            b.kids.append((nb, bisect_left(nb.rels, rel)
+                           if samepart[b.v + 1] else 0))
+            if below is not None:
+                stack.append((nb, below))
+                break
+        else:
+            stack.pop()
+            b.cum = list(accumulate(map(count, reversed(b.kids)),
+                                    initial=0))[::-1]
+            if b.v == n - 2:
+                b.per = -np.diff(b.cum)
+                b.first = np.array([c.start + o for c, o in b.kids],
+                                   dtype=np.intp)
+            else:
+                b.pcum = list(accumulate(
+                    map(prefixes, reversed(b.kids)), initial=0))[::-1]
+
     # Blocks of the subtrees that emitted blocks: the prefix rows over
     # vertices v..n-2, each prefix's start in the lists table and leaf
     # count.  A vertex-(n-2) state's block is read from its base's; those
-    # above are built per state, from their children's, and kept
-    # read-only.
+    # above are built per state, from their children's, and those below
+    # the emitted state kept read-only.
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def block(state, keep: bool = True):
+    def low(state):
+        """The block of a state of vertex n-2 or n-1."""
         b, off = state
         if b.v == n - 1:
             return (np.zeros((1, 0), dtype=narrow),
                     np.array([b.start + off], dtype=np.intp),
                     np.array([b.heads.shape[0] - off], dtype=np.intp))
-        if b.v == n - 2:
-            return b.heads[off:], b.first[off:], b.per[off:]
+        return b.heads[off:], b.first[off:], b.per[off:]
+
+    def block(state):
+        if state[0].v >= n - 2:
+            return low(state)
         got = blocks.get(state)
         if got is not None:
             return got
-        subs = [block(c) for c in b.kids[off:]]
-        lens = [sub[1].shape[0] for sub in subs]
-        rows = np.empty((sum(lens), (n - 1 - b.v) * k), dtype=narrow)
-        rows[:, :k] = np.repeat(b.heads[off:], lens, axis=0)
-        np.concatenate([sub[0] for sub in subs], out=rows[:, k:])
-        got = (rows, np.concatenate([sub[1] for sub in subs]),
-               np.concatenate([sub[2] for sub in subs]))
-        if keep:
-            for part in got:
-                part.flags.writeable = False
-            blocks[state] = got
+        # The blocks below it first, over an explicit stack of states.
+        todo = [state]
+        while todo:
+            b, off = here = todo[-1]
+            if here in blocks:
+                todo.pop()
+                continue
+            wait = [c for c in b.kids[off:]
+                    if c[0].v < n - 2 and c not in blocks]
+            if wait:
+                todo.extend(wait)
+                continue
+            todo.pop()
+            subs = [low(c) if c[0].v == n - 2 else blocks[c]
+                    for c in b.kids[off:]]
+            lens = [sub[1].shape[0] for sub in subs]
+            rows = np.empty((sum(lens), (n - 1 - b.v) * k), dtype=narrow)
+            rows[:, :k] = np.repeat(b.heads[off:], lens, axis=0)
+            np.concatenate([sub[0] for sub in subs], out=rows[:, k:])
+            got = (rows, np.concatenate([sub[1] for sub in subs]),
+                   np.concatenate([sub[2] for sub in subs]))
+            if todo:
+                for part in got:
+                    part.flags.writeable = False
+                blocks[here] = got
         return got
 
-    root = (base_at(0, (0,) * t, eqpair), 0)
     # Every base is built: the lists table and its colors, read-only and
     # shared by every chunk.
     lists = np.concatenate(lasts, dtype=np.int32)
     lists.flags.writeable = False
     palette = bulk._colors(lists)
     width = (n - 1) * k
-    cap = min(chunk_rows, prefixes(root))
+    cap = min(chunk_rows, prefixes((root, 0)))
     buf = first = per = None
     pos = 0
 
@@ -414,43 +441,40 @@ def _walk(n: int, sizes: tuple[int, ...],
         pos = 0
         return out
 
-    def walk(state, prefix: list[int]) -> Iterator[PrefixChunk]:
-        """Emit the prefixes below prefix: whole if they fit a chunk."""
-        nonlocal buf, first, per, pos
-        b, off = state
-        if b.v < n - 1 and prefixes(state) > chunk_rows:
-            for c, head in zip(b.kids[off:], b.heads[off:].tolist()):
-                yield from walk(c, prefix + head)
-            return
-        rows, sub_first, sub_per = block(state, keep=False)
-        done, stop = 0, rows.shape[0]
-        split = len(prefix)
-        while done < stop:
-            if buf is None:
-                # int32 spans: a table of 2^31 lists would not fit in memory.
-                buf = np.empty((cap, width), dtype=np.int32)
-                first = np.empty(cap, dtype=np.int32)
-                per = np.empty(cap, dtype=np.int32)
-            take = min(stop - done, cap - pos)
-            buf[pos:pos + take, :split] = prefix
-            buf[pos:pos + take, split:] = rows[done:done + take]
-            first[pos:pos + take] = sub_first[done:done + take]
-            per[pos:pos + take] = sub_per[done:done + take]
-            pos += take
-            done += take
-            if pos == cap:
-                yield flush()
-
-    try:
-        yield from walk(root, [])
-        if pos:
-            yield flush()
-    finally:
-        # walk, base_at and block call themselves, so only the cycle
-        # collector would free them and what they hold: let go of it now.
-        buf = first = per = None
-        for memo in (choices, bases, blocks, lasts):
-            memo.clear()
+    # Emit the prefixes in order, over an explicit stack of the rows still
+    # to descend: a subtree whose prefixes fit in a chunk whole, a larger
+    # one a vertex row at a time.
+    stack = [iter([((root, 0), [])])]
+    while stack:
+        for state, prefix in stack[-1]:
+            b, off = state
+            if b.v < n - 1 and prefixes(state) > chunk_rows:
+                stack.append(zip(b.kids[off:], map(
+                    prefix.__add__, b.heads[off:].tolist())))
+                break
+            rows, sub_first, sub_per = block(state)
+            done, stop = 0, rows.shape[0]
+            split = len(prefix)
+            while done < stop:
+                if buf is None:
+                    # int32 spans: a table of 2^31 lists would not fit in
+                    # memory.
+                    buf = np.empty((cap, width), dtype=np.int32)
+                    first = np.empty(cap, dtype=np.int32)
+                    per = np.empty(cap, dtype=np.int32)
+                take = min(stop - done, cap - pos)
+                buf[pos:pos + take, :split] = prefix
+                buf[pos:pos + take, split:] = rows[done:done + take]
+                first[pos:pos + take] = sub_first[done:done + take]
+                per[pos:pos + take] = sub_per[done:done + take]
+                pos += take
+                done += take
+                if pos == cap:
+                    yield flush()
+        else:
+            stack.pop()
+    if pos:
+        yield flush()
 
 
 def enumerate_grouped(n: int, group_sizes: Sequence[int],

@@ -26,7 +26,6 @@ from strictcolor.bulk import (
 )
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import Graph, complete_multipartite
-from strictcolor.lambdacolor import _head_rows
 from strictcolor.listcolor import find_refusals, l_color, l_color_multipartite
 from strictcolor.streams import (
     PrefixChunk,
@@ -318,8 +317,10 @@ class TestOwnerMaps:
         """
         sizes, groups, caps, head, seed = case
         g = complete_multipartite(sizes)
-        leaves = np.concatenate([c.leaf_rows() for c in _head_rows(
-            grouped_chunks(g.n, groups, parts=g.parts, caps=caps), head)])
+        leaves = np.concatenate(list(head_leaves(
+            (rows for c in grouped_chunks(g.n, groups, parts=g.parts,
+                                          caps=caps)
+             for rows in leaf_slices(c)), head)))
         solver = np.array([l_color(g, row_lists(tuple(r), g.n)).colorable
                            for r in leaves.tolist()], dtype=bool)
         rng = np.random.default_rng(seed)
@@ -515,12 +516,10 @@ class TestPrefixFilter:
             return grouped_chunks(g.n, sizes, parts=g.parts, caps=caps,
                                   chunk_rows=chunk_rows)
 
-        prefixes = stream()
         leaves = (rows for chunk in stream() for rows in leaf_slices(chunk))
         if budget is not None:
-            prefixes = _head_rows(prefixes, budget)
             leaves = head_leaves(leaves, budget)
-        assert (find_refusals(g, prefixes, first_only=first_only)
+        assert (find_refusals(g, stream(), first_only, limit=budget)
                 == leaf_refusals_oracle(g, leaves, first_only=first_only))
 
     @pytest.mark.parametrize("sizes, groups, caps", [

@@ -188,6 +188,30 @@ class TestCheck:
         assert is_proper(path, [verdict["coloring"][str(v)]
                                 for v in range(n)])
 
+    @pytest.mark.parametrize("argv,code,witness", [
+        (("--lambda", "1"), 1, True),
+        (("--lambda", "1,1"), 2, False),
+    ], ids=["refused", "undecided"])
+    def test_lambda_choosable_long_path(self, capsys, tmp_path, argv, code,
+                                        witness):
+        # The walk builds the bases of a capped stream on every vertex of
+        # the path without recursing per vertex.
+        n = 1024  # READ_VERTEX_BOUND
+        gf = write_graph(tmp_path / "g.json",
+                         Graph(n, tuple((v, v + 1) for v in range(n - 1))))
+        got, out, err = run_cli(capsys, "check", "lambda-choosable",
+                                "--graph", gf, *argv)
+        assert got == code, err
+        verdict = json.loads(out)
+        if witness:
+            lists = verdict["witness"]["assignment"]["lists"]
+            assert len(lists) == n
+            assert verdict["choosable"] is False
+        else:
+            assert verdict["choosable"] is None
+            assert err.startswith("undecided: PARTITION_GENERIC_BOUND: ")
+            assert "GROUPED_BOUND: " in verdict["reason"]
+
     def test_usage_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", "list-color",
                                "--graph", str(tmp_path / "missing.json"),
@@ -446,6 +470,23 @@ class TestEntryPoint:
 
 
 class TestVerifyClaims:
+    @pytest.mark.parametrize("where", ["file", "under-a-file",
+                                       "report-is-a-directory"])
+    def test_unusable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = {"file": taken, "under-a-file": taken / "x",
+               "report-is-a-directory": tmp_path / "certs"}[where]
+        want = f"error: cannot use --out {out}: "
+        if where == "report-is-a-directory":
+            (out / "report.json").mkdir(parents=True)
+            want = f"error: cannot write {out / 'report.json'}: "
+        code, stdout, err = run_cli(capsys, "--quiet", "verify-claims",
+                                    "--k-max", "3", "--out", str(out))
+        assert (code, stdout) == (64, "")
+        assert err.startswith(want)
+        assert "Traceback" not in err
+
     def test_report_certificates_and_tampering(self, capsys, tmp_path):
         out_dir = tmp_path / "certs"
         code, out, _ = run_cli(capsys, "--quiet", "verify-claims",

@@ -517,20 +517,49 @@ class TestProspectBudget:
     ])
     def test_budget_is_cut_exactly(self, monkeypatch, sizes, budget, masked,
                                    checked):
-        seen = []
+        seen, entered = [], []
         find = lambdacolor.find_refusals
+        chunks = lambdacolor.grouped_chunks
 
         def counting(*args, **kwargs):
             refusals, examined = find(*args, **kwargs)
             seen.append(examined)
             return refusals, examined
 
+        def caps_of(*args, **kwargs):
+            entered.append(kwargs["caps"])
+            return chunks(*args, **kwargs)
+
         monkeypatch.setattr(lambdacolor, "find_refusals", counting)
+        monkeypatch.setattr(lambdacolor, "grouped_chunks", caps_of)
         monkeypatch.setattr(limits, "PROSPECT_ROWS", budget)
-        v = _prospect_bad_row(complete_multipartite(sizes), P((1, 2)))
-        assert seen == masked
+        g = complete_multipartite(sizes)
+        v = _prospect_bad_row(g, P((1, 2)))
+        assert seen == [sum(masked)]
+        # Each caps stream entered is read whole, but the last to the
+        # budget.
+        left, per = sum(masked), []
+        for caps in entered:
+            per.append(min(left, sum(c.leaves for c in chunks(
+                g.n, (2, 1), parts=g.parts, caps=caps))))
+            left -= per[-1]
+        assert per == masked
         # Without a hit, v is the reason the hunt stopped (a str).
         assert getattr(v, "classes_checked", None) == checked
+
+    @pytest.mark.parametrize("budget,stopped", [
+        (303, True), (304, True), (305, False)])
+    def test_reason_when_the_whole_budget_was_read(self, monkeypatch, budget,
+                                                  stopped):
+        # K(1,2)'s seven {1,2} caps streams hold 1+6+21+48+61+81+86 = 304
+        # leaves and no refusal.
+        monkeypatch.setattr(limits, "PROSPECT_ROWS", budget)
+        v = _prospect_bad_row(complete_multipartite((1, 2)), P((1, 2)))
+        if stopped:
+            assert v == (f"PROSPECT_ROWS: {budget} capped rows held no "
+                         "refusal")
+        else:
+            assert v is None
 
 
 class TestPartitionImpliesChoosable:
