@@ -74,28 +74,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, ordered by least vertex."""
-        seen = 0
-        out = []
-        for start in range(self.n):
-            if seen >> start & 1:
-                continue
-            comp = 1 << start
-            frontier = 1 << start
-            while frontier:
-                grown = comp
-                v = frontier
-                while v:
-                    low = v & -v
-                    grown |= self.adj[low.bit_length() - 1]
-                    v ^= low
-                frontier = grown & ~comp
-                comp = grown
-            seen |= comp
-            out.append(tuple(u for u in range(self.n) if comp >> u & 1))
-        return out
-
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph on the given vertices, relabeled in sorted order."""
         keep = sorted(set(vertices))
@@ -103,23 +81,6 @@ class Graph:
         edges = tuple((index[u], index[v]) for u, v in self.edges
                       if u in index and v in index)
         return Graph(len(keep), edges)
-
-    def is_bipartite(self) -> bool:
-        side = [-1] * self.n
-        for start in range(self.n):
-            if side[start] != -1:
-                continue
-            side[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in self.neighbors(v):
-                    if side[u] == -1:
-                        side[u] = 1 - side[v]
-                        queue.append(u)
-                    elif side[u] == side[v]:
-                        return False
-        return True
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:

@@ -9,6 +9,8 @@ through ``enforce``, whose message starts with the limit's name, so every
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from .errors import BoundExceeded
 
 MULTIPARTITE_BOUND = 64  # vertices: graphs.complete_multipartite
@@ -26,8 +28,13 @@ READ_VERTEX_BOUND = 1024  # vertices of a graph file: serialize.graph_from_json
 
 
 def enforce(name: str, size: int, what: str) -> None:
-    """Raise BoundExceeded, naming the limit, when size is over it."""
+    """Raise BoundExceeded, naming the limit, when size is over it.
+
+    A size of more than 15 digits is written with four significant
+    digits, rounded exactly from the int (2^1024 as ``1.798e+308``).
+    """
     limit = globals()[name]
     if size > limit:
+        got = f"{Decimal(size):.3e}" if size >= 10 ** 15 else size
         raise BoundExceeded(f"{name}: {what} is bounded at {limit}, "
-                            f"got {size}")
+                            f"got {got}")

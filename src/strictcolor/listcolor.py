@@ -470,54 +470,53 @@ def choice_number(g: Graph) -> int | Undetermined:
             return k
 
 
-def _core_vertices(g: Graph) -> set[int]:
-    """Vertices surviving repeated deletion of degree <= 1 vertices."""
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    queue = [v for v in alive if deg[v] <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.remove(v)
-        for u in g.neighbors(v):
-            if u in alive:
-                deg[u] -= 1
-                if deg[u] <= 1:
-                    queue.append(u)
-    return alive
-
-
 def two_choosable_fast(g: Graph) -> bool:
     """Structural 2-choosability test.
 
     A graph is 2-choosable exactly when the core of every component
     (after shaving degree <= 1 vertices) is empty, an even cycle, or two
     vertices joined by three paths of lengths 2, 2 and even (Erdos,
-    Rubin, Taylor 1979).  No list enumeration happens here, which is the
+    Rubin, Taylor 1979).  Shaving keeps a component connected, so the
+    cores are the components of what it leaves; all is read from the
+    adjacency bitmasks.  No list enumeration happens here, which is the
     point: the exhaustive route exists separately for cross-checking.
     """
-    for comp in g.components():
-        h = g.induced(comp)
-        core = _core_vertices(h)
-        if not core:
-            continue
-        hh = h.induced(core)
-        degs = [hh.degree(v) for v in range(hh.n)]
-        if all(d == 2 for d in degs):
+    adj = g.adj
+    alive = (1 << g.n) - 1
+    shave = [v for v in range(g.n) if adj[v].bit_count() <= 1]
+    while shave:
+        v = shave.pop()
+        if alive >> v & 1:
+            alive ^= 1 << v
+            u = (adj[v] & alive).bit_length() - 1  # v's one neighbour left, or -1
+            if u >= 0 and (adj[u] & alive).bit_count() <= 1:
+                shave.append(u)
+    while alive:
+        root = (alive & -alive).bit_length() - 1
+        comp, core = 1 << root, [root]
+        for v in core:
+            new = adj[v] & alive & ~comp
+            comp |= new
+            while new:
+                low = new & -new
+                core.append(low.bit_length() - 1)
+                new ^= low
+        alive ^= comp
+        degs = [(adj[v] & comp).bit_count() for v in core]
+        hubs = [v for v, d in zip(core, degs) if d != 2]
+        if not hubs:
             # A connected 2-regular core is a single cycle.
-            if hh.n % 2:
+            if len(core) % 2:
                 return False
             continue
-        if sorted(degs)[-1] != 3 or degs.count(3) != 2 or degs.count(2) != hh.n - 2:
+        if len(hubs) != 2 or degs.count(3) != 2:
             return False
-        a, b = (v for v in range(hh.n) if degs[v] == 3)
+        a, b = hubs
         lengths = []
-        for start in hh.neighbors(a):
+        for start in (w for w in g.neighbors(a) if comp >> w & 1):
             prev, cur, steps = a, start, 1
-            while cur != b and hh.degree(cur) == 2:
-                nxt = next(w for w in hh.neighbors(cur) if w != prev)
-                prev, cur = cur, nxt
+            while cur != a and cur != b:
+                prev, cur = cur, (adj[cur] & comp & ~(1 << prev)).bit_length() - 1
                 steps += 1
             if cur != b:
                 return False

@@ -503,3 +503,64 @@ def eulerian_difference_oracle(g: Graph, t: Sequence[int]) -> int:
         if not any(balance):
             difference += -1 if sum(keep) % 2 else 1
     return abs(difference)
+
+
+def two_choosable_oracle(g: Graph) -> bool:
+    """Reference two_choosable_fast: one induced Graph per component and core.
+
+    Each component (found by a depth-first walk) is shaved of degree <= 1
+    vertices with a degree table, and its core, rebuilt as a Graph, is
+    classified as empty, an even cycle, or a theta(2, 2, 2m) by walking
+    the paths out of one degree-3 hub.
+    """
+    seen: set[int] = set()
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp, stack = {root}, [root]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        h = g.induced(comp)
+        alive = set(range(h.n))
+        deg = {v: h.degree(v) for v in alive}
+        queue = [v for v in alive if deg[v] <= 1]
+        while queue:
+            v = queue.pop()
+            if v not in alive:
+                continue
+            alive.remove(v)
+            for u in h.neighbors(v):
+                if u in alive:
+                    deg[u] -= 1
+                    if deg[u] <= 1:
+                        queue.append(u)
+        if not alive:
+            continue
+        hh = h.induced(alive)
+        degs = [hh.degree(v) for v in range(hh.n)]
+        if all(d == 2 for d in degs):
+            if hh.n % 2:
+                return False
+            continue
+        if (sorted(degs)[-1] != 3 or degs.count(3) != 2
+                or degs.count(2) != hh.n - 2):
+            return False
+        a, b = (v for v in range(hh.n) if degs[v] == 3)
+        lengths = []
+        for start in hh.neighbors(a):
+            prev, cur, steps = a, start, 1
+            while cur != b and hh.degree(cur) == 2:
+                nxt = next(w for w in hh.neighbors(cur) if w != prev)
+                prev, cur = cur, nxt
+                steps += 1
+            if cur != b:
+                return False
+            lengths.append(steps)
+        lengths.sort()
+        if lengths[:2] != [2, 2] or lengths[2] % 2:
+            return False
+    return True

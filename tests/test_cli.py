@@ -211,6 +211,9 @@ class TestCheck:
             assert verdict["choosable"] is None
             assert err.startswith("undecided: PARTITION_GENERIC_BOUND: ")
             assert "GROUPED_BOUND: " in verdict["reason"]
+            # 2^1024 choice vectors, not its 309 digits.
+            assert "got 1.798e+308" in verdict["reason"]
+            assert len(verdict["reason"]) < 400
 
     def test_usage_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", "list-color",

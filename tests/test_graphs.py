@@ -72,24 +72,10 @@ class TestGraph:
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3 and g.degree(1) == 1
 
-    def test_components(self):
-        g = Graph(6, ((0, 1), (1, 2), (4, 5)))
-        assert g.components() == [(0, 1, 2), (3,), (4, 5)]
-        assert Graph(0, ()).components() == []
-
     def test_induced_relabels(self):
         g = Graph(5, ((0, 2), (2, 4), (1, 3)))
         h = g.induced([0, 2, 4])
         assert h.n == 3 and h.edges == ((0, 1), (1, 2))
-
-    def test_bipartite(self):
-        assert Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0))).is_bipartite()
-        assert not Graph(3, ((0, 1), (1, 2), (2, 0))).is_bipartite()
-        assert Graph(3, ()).is_bipartite()
-
-    def test_bipartite_matches_two_colorability(self):
-        for g in graphs_on(4):
-            assert g.is_bipartite() == (chromatic_oracle(g) <= 2)
 
 
 # ---------------------------------------------------------------- multipartite

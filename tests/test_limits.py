@@ -162,6 +162,17 @@ def test_cli_undecided_line_starts_with_the_limit(capsys, argv, limit):
     assert err.startswith(f"undecided: {limit}: ")
 
 
+def test_sizes_past_15_digits_are_written_in_scientific_form():
+    # Four significant digits, rounded from the exact int: 3^2000 is past
+    # what a float holds.  Sizes of up to 15 digits are written in full.
+    for size, got in [(2 ** 1024, "1.798e+308"), (3 ** 2000, "1.748e+954"),
+                      (10 ** 15, "1.000e+15"), (10 ** 15 - 1, "9" * 15)]:
+        with pytest.raises(BoundExceeded) as info:
+            limits.enforce("CHOICE_CAP", size, "a size")
+        assert str(info.value) == (f"CHOICE_CAP: a size is bounded at "
+                                   f"2000000, got {got}")
+
+
 def test_limit_values():
     assert {name: getattr(limits, name) for name in LIMITS} == LIMITS
 

@@ -20,6 +20,7 @@ from oracles import (
     eulerian_difference_oracle,
     graph_polynomial_oracle,
     l_color_oracle,
+    two_choosable_oracle,
 )
 from strictcolor import bulk, limits
 from strictcolor.errors import BoundExceeded, Undetermined
@@ -418,6 +419,73 @@ class TestAlonTarsi:
 
 # ---------------------------------------------------------------- structural
 
+def theta(*lengths):
+    """Hubs 0 and 1 joined by paths of the given lengths."""
+    edges, n = [], 2
+    for length in lengths:
+        walk = [0, *range(n, n + length - 1), 1]
+        n += length - 1
+        edges += zip(walk, walk[1:])
+    return Graph(n, tuple(edges))
+
+
+def union(*graphs):
+    """Disjoint union, each graph's vertices shifted past the ones before."""
+    edges, n = [], 0
+    for h in graphs:
+        edges += ((u + n, v + n) for u, v in h.edges)
+        n += h.n
+    return Graph(n, tuple(edges))
+
+
+# C_4 (vertices 0..3) and C_6 (4..9) joined by the path 0-10-11-4.
+HANDCUFF = Graph(12, union(cycle(4), cycle(6)).edges
+                 + ((0, 10), (10, 11), (11, 4)))
+
+# (graph, 2-choosable): past the exhaustive checks' few vertices.
+FAMILIES = {
+    "C63": (cycle(63), False),
+    "C64": (cycle(64), True),
+    "theta-2-2-40": (theta(2, 2, 40), True),
+    "theta-2-2-41": (theta(2, 2, 41), False),
+    "theta-1-2-2": (theta(1, 2, 2), False),
+    "even-cycles-on-a-path": (HANDCUFF, False),
+    "C64+theta-2-2-40": (union(cycle(64), theta(2, 2, 40)), True),
+    "C64+theta-2-2-40+C63": (
+        union(cycle(64), theta(2, 2, 40), cycle(63)), False),
+    "theta-2-2-40+theta-2-2-41": (
+        union(theta(2, 2, 40), theta(2, 2, 41)), False),
+    "theta-1-2-2+C64": (union(theta(1, 2, 2), cycle(64)), False),
+    "C64+even-cycles-on-a-path": (union(cycle(64), HANDCUFF), False),
+}
+
+
+@st.composite
+def core_graphs(draw):
+    """Up to 14 vertices: hub pairs joined by one to three paths (paths,
+    cycles, thetas), pendant vertices and a few extra edges, relabelled;
+    or random edges."""
+    if draw(st.booleans()):
+        return draw(small_graphs(max_n=14, max_edges=20))
+    edges, n = [], 0
+    for lengths in draw(st.lists(st.lists(st.integers(1, 6), min_size=1,
+                                          max_size=3), max_size=4)):
+        if n + 2 + sum(lengths) - len(lengths) > 14:
+            break
+        piece = theta(*lengths)
+        edges += ((u + n, v + n) for u, v in piece.edges)
+        n += piece.n
+    for _ in range(draw(st.integers(0, 3))):
+        if 0 < n < 14:
+            edges.append((draw(st.integers(0, n - 1)), n))
+            n += 1
+    if n > 1:
+        pairs = list(combinations(range(n), 2))
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    order = draw(st.permutations(range(n)))
+    return Graph(n, tuple((order[u], order[v]) for u, v in edges))
+
+
 class TestTwoChoosable:
     def test_family_members(self):
         assert two_choosable_fast(Graph(0, ()))
@@ -463,3 +531,26 @@ class TestTwoChoosable:
         assert two_choosable_fast(g1)
         g2 = Graph(10, g1.edges + ((7, 8), (8, 9), (9, 7)))
         assert not two_choosable_fast(g2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(core_graphs())
+    def test_matches_the_oracle(self, g):
+        assert two_choosable_fast(g) == two_choosable_oracle(g)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_families_build_no_graph(self, monkeypatch, name):
+        # The classification reads g.adj: no induced subgraph, no Graph.
+        g, expected = FAMILIES[name]
+        assert two_choosable_oracle(g) == expected
+        built = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                built.append(method.__name__)
+                return method(self, *args)
+            return wrapper
+
+        for method in ("induced", "__post_init__"):
+            monkeypatch.setattr(Graph, method, counted(getattr(Graph, method)))
+        assert two_choosable_fast(g) == expected
+        assert built == []
