@@ -37,8 +37,9 @@ one bit per row.  The map sweep holds the member planes, P × n bits per
 row, and blocks of maps sized so that their working set (picks, the
 accumulators and one gathered plane per vertex) stays under
 ``SWEEP_BYTES``; its blocks start at ``FIRST_BLOCK`` and double.  The
-prefix filter steps over a chunk in stretches of prefixes sized the same
-way, whole runs (below) at a time, and reads the leaves of the prefixes
+prefix filter steps over a chunk in stretches sized by their prefixes
+and runs (below) to stay under ``SWEEP_BYTES``, ending between runs
+unless one run alone does not fit, and reads the leaves of the prefixes
 it selects ``CHUNK_ROWS`` at a time; on a chunk of ``CHUNK_ROWS``
 prefixes it peaks under ``SWEEP_BYTES``, the positions it returns
 included.  Everything is exact integer comparison; numpy only supplies
@@ -47,23 +48,25 @@ the bulk loops.
 Streams come as prefix chunks (``streams.PrefixChunk``), and most leaves
 never reach the mask: ``leaf_candidates`` settles them per prefix, from
 ``FIRST_BLOCK`` fixed choice vectors, and the decision skeleton
-(``listcolor.find_refusals``) masks only the leaves it keeps.  The stream
-is lexicographic, so prefixes that agree on vertices 0..n-3 come in runs
-(52 prefixes per run on K(2,2,2) with λ = {1,2}).  The filter computes
-once per run, one 64-bit word per quantity with one bit per vector,
-which vectors are improper on those vertices and which put each color on
-a neighbor of vertex n-2 or of the last vertex; per prefix it only
-gathers vertex n-2's k colors.  A chunk with fewer than three leaves per
-prefix, as on the color-starved capped streams of the refusal hunt
-(about 2 on K(2,5,5) at caps (4, 1)), skips the filter: it would clear
-few of them, and its leaves all go to the mask.
+(``listcolor.find_refusals``) masks only the leaves it keeps.  A chunk
+comes in runs, one per state of vertex n-2 the walk reached: the
+prefixes of a run agree on vertices 0..n-3, which the chunk holds once
+per run, and differ on vertex n-2, which it holds per prefix (53.1
+prefixes per run on K(2,2,2) with λ = {1,2}: 138,922 prefixes in 2,614
+runs).  The filter computes once per run, from the run's columns, one
+64-bit word per quantity with one bit per vector, which vectors are
+improper on those vertices and which put each color on a neighbor of
+vertex n-2 or of the last vertex; per prefix it only gathers vertex
+n-2's k colors, from the chunk's vertex-(n-2) rows.  A chunk with fewer
+than three leaves per prefix, as on the color-starved capped streams of
+the refusal hunt (about 2 on K(2,5,5) at caps (4, 1)), skips the filter:
+it would clear few of them, and its leaves all go to the mask.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -376,32 +379,34 @@ def _run_words(reps: np.ndarray, vertices: np.ndarray, index: np.ndarray,
     return table
 
 
-def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
-                   size: int, plan: _FilterPlan) -> np.ndarray:
-    """G per prefix of an (m, n-1, k) stretch of whole runs, one word each.
+def _shared_colors(reps: np.ndarray, heads: np.ndarray, x: np.ndarray,
+                   slot: np.ndarray, size: int, plan: _FilterPlan
+                   ) -> np.ndarray:
+    """G per prefix of a stretch of whole runs, one word each.
 
-    Per run, once: the vectors improper on vertices 0..n-3, and per color
-    the vectors putting it on a neighbor of vertex n-2 (``near``) and of
-    the last vertex (``far``).  Per prefix: vertex n-2's k colors gather
-    the vectors it makes improper, and a color is in G when its word
-    covers every proper vector; it is tested only in runs where it
-    covers the vectors proper on all their prefixes, and vertex n-2's
-    own colors are tested too when it sees the last vertex.
+    ``reps`` holds each run's vertices 0..n-3, (runs, n-2, k), ``heads``
+    each run's first prefix in the stretch and ``x`` each prefix's vertex
+    n-2, (m, k).  Per run, once: the vectors improper on vertices 0..n-3,
+    and per color the vectors putting it on a neighbor of vertex n-2
+    (``near``) and of the last vertex (``far``).  Per prefix: vertex
+    n-2's k colors gather the vectors it makes improper, and a color is
+    in G when its word covers every proper vector; it is tested only in
+    runs where it covers the vectors proper on all their prefixes, and
+    vertex n-2's own colors are tested too when it sees the last vertex.
     """
     words, upper, both, near, far, beside = plan
-    m, t = part.shape[0], part.shape[1] - 1
+    m, t = x.shape[0], reps.shape[1]
     runs = heads.size
     run_of = np.repeat(np.arange(runs), np.diff(heads, append=m))
-    reps = part[heads]
     improper = np.bitwise_or.reduce(np.where(
         reps[:, upper[:, 0], :, None] == reps[:, upper[:, 1], None, :],
         both, np.uint64(0)).reshape(runs, -1), axis=1)
     # Colors by slot: the palette's, then one slot for any other color.
     width = size + 1
-    at = run_of[:, None] * width + slot[part[:, t]]
+    at = run_of[:, None] * width + slot[x]
     bad = improper[run_of]
     table = _run_words(reps, near, slot, width, words)
-    for i in range(part.shape[2]):
+    for i in range(x.shape[1]):
         bad |= table[at[:, i]] & words[t, i]
     if not np.array_equal(near, far):
         table = _run_words(reps, far, slot, width, words)
@@ -420,7 +425,6 @@ def _shared_colors(part: np.ndarray, heads: np.ndarray, slot: np.ndarray,
         got |= ((table[:, c][of] | gone) == full).astype(WORD) << np.uint64(c)
     inside[sel] = got
     if beside:
-        x = part[:, t]
         own = np.bitwise_or.reduce(np.where(
             x[:, :, None] == x[:, None, :], words[t], np.uint64(0)), axis=2)
         hit = (bad[:, None] | table.ravel()[at] | own) == full
@@ -440,54 +444,51 @@ def _prefix_colors(chunk, n: int, edges: Sequence[tuple[int, int]]
     bit.  None when the lists use more than 64 colors.  ``edges`` are
     sorted pairs (u, v), u < v, as a Graph holds them, and n >= 2.
 
-    A run is a maximal stretch of consecutive prefixes with the same
-    columns for vertices 0..n-3, and everything that depends on those
-    vertices alone is computed once per run (_shared_colors); a run of
-    one prefix is still a run.  The chunk goes in stretches whose working
-    set stays under about SWEEP_BYTES, ending between runs unless a run
-    alone is longer than a stretch and is cut.
+    Everything that depends on vertices 0..n-3 alone is computed once per
+    run of the chunk (_shared_colors), read from the run's columns, and
+    per prefix only vertex n-2's columns are read.  The chunk goes in
+    stretches whose working set, counted per prefix and per run, stays
+    under about SWEEP_BYTES, ending between runs unless a run alone does
+    not fit and is cut.
     """
-    m, k = chunk.rows.shape[0], chunk.lists.shape[1]
+    m, k = chunk.lower.shape[0], chunk.lists.shape[1]
     palette = chunk.palette
     if palette.size > 64:
         return None
-    prefixes = chunk.rows.reshape(m, n - 1, k)
     size = palette.size
-    top = max(int(palette[-1]), int(prefixes.max()) if prefixes.size else 0)
+    top = max(int(palette[-1]), int(chunk.upper.max(initial=0)),
+              int(chunk.lower.max(initial=0)))
     slot = np.full(top + 1, size, dtype=np.intp)
     slot[palette] = np.arange(size)
     bit = np.zeros(top + 1, dtype=WORD)
     bit[palette] = np.left_shift(np.uint64(1),
                                  np.arange(size, dtype=np.uint64))
     inside = np.empty(m, dtype=WORD)
-
-    # Runs start where a column of vertices 0..n-3 changes.  Any column
-    # order finds the same runs; a forward loop measured slower through
-    # allocator placement alone.
-    same = np.ones(max(m - 1, 0), dtype=bool)
-    for j in reversed(range((n - 2) * k)):
-        same &= chunk.rows[1:, j] == chunk.rows[:-1, j]
-    heads = np.flatnonzero(np.concatenate(([m > 0], ~same)))
+    heads = chunk.heads
+    reps = chunk.upper.reshape(heads.size, n - 2, k)
     plan = _filter_plan(k, n, tuple(edges))
-    # Per run: the representative prefix, the improper test's bytes and
-    # words, two color tables and their indices; per prefix: the indices,
-    # words and temporaries of the gathers and tests.  A stretch is sized
-    # as if every prefix began a run.
-    per_run = ((n - 1) * k * 4 + len(plan.upper) * k * k * 9
+    # Per run: the improper test's bytes, its words and their reduction,
+    # two color tables and their indices; per prefix: the indices, words
+    # and temporaries of the gathers and tests.
+    per_run = (len(plan.upper) * k * k * 17
                + 16 * (size + 2 * plan.near.size * k + 1))
     per_row = 8 * (8 + 3 * k + 2 * k * k)
-    step = max(64, int(SWEEP_BYTES // (per_run + per_row)))
     at = 0
     while at < m:
-        # A stretch ends at its last run start, unless it holds none.
-        stop = min(m, at + step)
-        starts = heads[np.searchsorted(heads, at, "right"):
-                       np.searchsorted(heads, stop, "right")]
-        if stop < m and starts.size:
-            stop, starts = int(starts[-1]), starts[:-1]
+        # Runs r-1.. hold the stretch from prefix at.  It ends where a
+        # later run starts, or with the chunk, at the last such end whose
+        # working set fits, and inside run r-1 when none does.
+        r = int(np.searchsorted(heads, at, "right"))
+        ends = np.append(heads[r:], m)
+        used = per_row * (ends - at) + per_run * np.arange(1, ends.size + 1)
+        runs = int(np.searchsorted(used, SWEEP_BYTES, "right"))
+        stop = int(ends[runs - 1]) if runs else min(int(ends[0]), at + max(
+            64, (SWEEP_BYTES - per_run) // per_row))
+        runs = max(runs, 1)
         inside[at:stop] = _shared_colors(
-            prefixes[at:stop], np.concatenate(([0], starts - at)), slot,
-            size, plan)
+            reps[r - 1:r - 1 + runs],
+            np.concatenate(([0], heads[r:r - 1 + runs] - at)),
+            chunk.lower[at:stop], slot, size, plan)
         at = stop
     return inside, bit
 
@@ -509,7 +510,7 @@ def leaf_candidates(chunk, n: int, edges: Sequence[tuple[int, int]]
     """
     if n == 0 or not edges:
         return np.zeros(0, dtype=np.intp)
-    if chunk.leaves < 3 * chunk.rows.shape[0]:
+    if chunk.leaves < 3 * len(chunk.count):
         # Few leaves per prefix, as on the color-starved capped streams of
         # the refusal hunt: the filter would clear few of them, at about
         # what the mask costs over them all.
@@ -550,6 +551,8 @@ def mask_chunks(chunks: Iterable[np.ndarray], n: int,
 
     # Submit a bounded window of chunks so the stream is never fully
     # materialized, and yield results strictly in submission order.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         inflight: deque[tuple[np.ndarray, Future]] = deque()
         offset = 0

@@ -44,30 +44,39 @@ choices are at least the previous vertex's.  A base's rows come in that
 order, so they are a suffix of them, found by bisection, and the walk
 holds a state as a base and an offset.  Before its first chunk the walk
 builds every base the stream reaches, each once, with its vertex rows,
-their next states and, above the last vertex, the leaves below each
-suffix of its rows: a state's leaf count is its base's at its offset.  A
-state of the last vertex is a prefix state: its vertex rows are the last
-columns of the leaves below every prefix in it.  Each last-vertex base
-takes its start in a table of lists as it is built, each vertex-(n-2)
-base the start of each row's lists, and once the root is built the walk
-joins the rows of every last-vertex base into that one read-only table
-and takes its colors, sorted, as the palette.  Every chunk of the stream
-carries both.  The walk emits each prefix row with the span of its
-state's lists, the base's start plus the state's offset, instead of its
-leaves.  A prefix's leaves are its row followed by each list of its
-span, in order, so a leaf's index in the stream is the leaves before its
-prefix plus its position in the span.  A last vertex may reuse every
+their next states (none for the last vertex) and, above the last vertex,
+the leaves below each suffix of its rows: a state's leaf count is its
+base's at its offset.  A state of the last vertex is a prefix state: its
+vertex rows are the last columns of the leaves below every prefix in it.
+The bases of the last two vertices each take their start in a table as
+they are built: last-vertex bases in the table of lists, vertex-(n-2)
+bases in the table of vertex-(n-2) rows, which holds with each row the
+span of its next state's lists, the base's start plus the state's
+offset.  Once the root is built the walk joins the rows of every
+last-vertex base into the one read-only lists table and takes its
+colors, sorted, as the palette; every chunk of the stream carries both.
+A prefix's leaves are its row followed by each list of its span, in
+order, so a leaf's index in the stream is the leaves before its prefix
+plus its position in the span.  A last vertex may reuse every
 color seen before it, so the palette holds every color of every row, and
-it does not depend on where chunks end.  A chunk closes at chunk_rows
-prefixes, whatever leaves they stand for, so each base above vertex n-2
-also counts the prefixes below each suffix of its rows.  A subtree whose
-prefixes fit in a chunk is emitted whole: its prefix rows are assembled
-from its children's blocks, kept read-only in the narrowest integer
-type, and copied into the chunks with the prefix columns above them
-broadcast, as many rows at a time as the chunk has room for.  Subtrees
-with more prefixes than a chunk are walked one vertex row at a time.
-The walk builds, assembles and descends over explicit stacks, so its
-call depth does not grow with n.
+it does not depend on where chunks end.
+
+The walk emits the prefixes in runs: a state of vertex n-2 is one run,
+whose prefixes share the columns of vertices 0..n-3 and are a span of
+the vertex-(n-2) table.  A chunk holds each run's columns once, with the
+position of its first prefix, and gathers per prefix only the vertex-(n-2)
+row, its lists' span and its leaf count from the table.  A chunk closes at
+chunk_rows prefixes, whatever leaves they stand for, so each base above
+vertex n-2 also counts the prefixes below each suffix of its rows; a run
+cut by a chunk end goes on at position 0 of the next chunk.  A subtree
+whose prefixes fit in a chunk is emitted whole: its runs are assembled
+from its children's blocks, kept read-only in the narrowest integer type
+(a vertex-(n-3) state's runs are its base's rows and spans from its
+offset on), and copied into the chunks with the prefix columns above them
+broadcast, as many runs at a time as the chunk has room for.  Subtrees
+with more prefixes than a chunk are walked one vertex row at a time, down
+to vertex n-3.  The walk builds, assembles and descends over explicit
+stacks, so its call depth does not grow with n.
 
 The decision skeleton reads these prefix chunks: the prefix filter of
 ``bulk`` clears, per prefix, every leaf whose last list holds a color that
@@ -80,7 +89,7 @@ chunk's ``leaf_rows`` flattened in slices of that size.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -99,10 +108,21 @@ def group_offsets(n: int, group_sizes: Sequence[int]) -> tuple[int, ...]:
 
 
 class PrefixChunk(NamedTuple):
-    """Prefix rows of the canonical stream, standing for their leaf rows.
+    """Prefix rows of the canonical stream, in runs, standing for their
+    leaf rows.
 
-    ``rows`` holds the columns of vertices 0..n-2 (int32, one prefix per
-    row).  Prefix i's leaves are its row followed by each of
+    A prefix is the columns of vertices 0..n-2.  The prefixes come in
+    runs, one per state of vertex n-2 that the walk reached, and a run's
+    prefixes share the columns of vertices 0..n-3: ``upper`` holds them
+    once per run, and ``heads`` the position of each run's first prefix,
+    ascending from 0.  ``lower`` holds, per prefix, the columns of vertex
+    n-2 alone, so prefix i is ``upper[r]`` followed by ``lower[i]`` for
+    the run r holding it.  Both are in the walk's narrowest integer type.
+    Consecutive runs differ on vertices 0..n-3, except that a run cut by
+    a chunk end starts again at position 0 in the next chunk.  With
+    n < 2 a prefix has no columns and the chunk is one run.
+
+    Prefix i's leaves are its row followed by each of
     ``lists[start[i]:start[i] + count[i]]``, in order, and the chunk's
     ``leaves`` are those of all its prefixes, ``count.sum()`` of them.
     ``lists`` is the stream's read-only int32 table of last-vertex lists
@@ -110,15 +130,26 @@ class PrefixChunk(NamedTuple):
     the stream; every chunk of a stream holds the same two.  Nothing
     bounds the leaves a chunk stands for, so they are read in slices of
     at most ``bulk.CHUNK_ROWS``: ``leaves_of`` and ``leaf_rows`` of a
-    slice of positions.
+    slice of positions.  ``rows`` assembles the full int32 prefix rows,
+    for tests and oracles; no decision reads it.
     """
 
-    rows: np.ndarray
+    upper: np.ndarray
+    heads: np.ndarray
+    lower: np.ndarray
     start: np.ndarray
     count: np.ndarray
     lists: np.ndarray
     palette: np.ndarray
     leaves: int
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Fresh int32 prefix rows, one per prefix: the columns of
+        vertices 0..n-2."""
+        lens = np.diff(self.heads, append=self.lower.shape[0])
+        return np.concatenate([np.repeat(self.upper, lens, axis=0),
+                               self.lower], axis=1, dtype=np.int32)
 
     def leaves_of(self, prefixes: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -151,11 +182,14 @@ class PrefixChunk(NamedTuple):
         ends = np.cumsum(self.count)
         prefix = np.searchsorted(ends, positions, side="right")
         table = (self.start - ends + self.count)[prefix] + positions
-        split = self.rows.shape[1]
-        out = np.empty((len(prefix), split + self.lists.shape[1]),
+        run = np.searchsorted(self.heads, prefix, side="right") - 1
+        split = self.upper.shape[1]
+        mid = split + self.lower.shape[1]
+        out = np.empty((len(prefix), mid + self.lists.shape[1]),
                        dtype=np.int32)
-        out[:, :split] = self.rows[prefix]
-        out[:, split:] = self.lists[table]
+        out[:, :split] = self.upper.take(run, axis=0)
+        out[:, split:mid] = self.lower.take(prefix, axis=0)
+        out[:, mid:] = self.lists.take(table, axis=0)
         return out
 
 
@@ -210,6 +244,8 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
         lists = np.zeros((1, 0), dtype=np.int32)
         lists.flags.writeable = False
         yield PrefixChunk(np.zeros((1, 0), dtype=np.int32),
+                          np.zeros(1, dtype=np.intp),
+                          np.zeros((1, 0), dtype=np.int32),
                           np.zeros(1, dtype=np.int32),
                           np.ones(1, dtype=np.int32), lists,
                           np.zeros(0, dtype=np.intp), 1)
@@ -236,12 +272,13 @@ class _Base:
         self.kids: list | None = None
         self.cum: list | None = None
         self.pcum: list | None = None
-        # Last vertex: the base's start in the lists table.
+        # Vertex n-1 or n-2: the base's start in its vertex's table, the
+        # lists or the vertex-(n-2) rows.
         self.start: int | None = None
-        # Vertex n-2: each row's leaf count, and the start of its lists in
-        # the table.
-        self.per: np.ndarray | None = None
+        # Vertex n-2 or n-3: per row, the span of its next state's rows in
+        # the table below it: their start, and their count.
         self.first: np.ndarray | None = None
+        self.per: np.ndarray | None = None
 
 
 def _walk(n: int, sizes: tuple[int, ...],
@@ -267,7 +304,8 @@ def _walk(n: int, sizes: tuple[int, ...],
     choices: dict[tuple[int, int], tuple] = {}
 
     def options(g: int, seen: int):
-        """All canonical choices for one vertex in group g, sorted."""
+        """All canonical choices for one vertex in group g, sorted, and
+        their colors as a narrow array."""
         got = choices.get((g, seen))
         if got is None:
             size, off = sizes[g], offs[g]
@@ -279,28 +317,46 @@ def _walk(n: int, sizes: tuple[int, ...],
                     out.append((rel, tuple(c + off for c in rel),
                                 seen + fresh))
             out.sort(key=lambda o: o[0])
-            got = choices[g, seen] = tuple(out)
+            got = choices[g, seen] = (tuple(out), np.array(
+                [o[1] for o in out], dtype=narrow).reshape(-1, size))
         return got
 
-    def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...]):
+    def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...],
+                    last: bool):
         """All admissible rows for one vertex given the colors each group
         has used and the equal-size groups still tied, in lexicographic
-        order of their per-group relative choices."""
+        order of their per-group relative choices: their colors, as a
+        narrow array, their relative choices and, unless the vertex is the
+        last, their next colors used and groups tied."""
+        opts = [options(g, seen[g]) for g in range(t)]
+        if not any(eqpair[g] and r3eq[g] for g in range(t)):
+            # No group is tied: the rows are every combination of the
+            # groups' choices, and no group stays tied below.
+            lens = [len(opt) for opt, _ in opts]
+            heads = np.empty(lens + [k], dtype=narrow)
+            col = 0
+            for g, (_, colors) in enumerate(opts):
+                shape = [1] * t + [sizes[g]]
+                shape[g] = lens[g]
+                heads[..., col:col + sizes[g]] = colors.reshape(shape)
+                col += sizes[g]
+            rels = tuple(product(*[[o[0] for o in opt] for opt, _ in opts]))
+            if last:
+                return heads.reshape(-1, k), rels, ()
+            return heads.reshape(-1, k), rels, (
+                tuple(product(*[[o[2] for o in opt] for opt, _ in opts])),
+                ((False,) * t,) * len(rels))
         rows = [((), (), (), ())]
         for g in range(t):
-            opts = options(g, seen[g])
             tied = eqpair[g] and r3eq[g]
-            grown = []
-            for abs_acc, rel_acc, seen_acc, r3_acc in rows:
-                floor = rel_acc[g - 1] if tied else None
-                for rel, abs_, nseen in opts:
-                    if tied and rel < floor:
-                        continue
-                    grown.append((abs_acc + abs_, rel_acc + (rel,),
-                                  seen_acc + (nseen,),
-                                  r3_acc + (tied and rel == floor,)))
-            rows = grown
-        return rows
+            rows = [(abs_acc + abs_, rel_acc + (rel,), seen_acc + (nseen,),
+                     r3_acc + (tied and rel == rel_acc[g - 1],))
+                    for abs_acc, rel_acc, seen_acc, r3_acc in rows
+                    for rel, abs_, nseen in opts[g][0]
+                    if not tied or rel >= rel_acc[g - 1]]
+        heads, rels, seens, ties = zip(*rows)
+        return (np.array(heads, dtype=narrow).reshape(-1, k), rels,
+                () if last else (seens, ties))
 
     # A vertex state is (v, seen, r3eq, previous vertex's choice if v
     # shares its part, else None): everything the rows of vertices v..
@@ -309,32 +365,33 @@ def _walk(n: int, sizes: tuple[int, ...],
     # rows come out of vertex_rows in that order, so they are a suffix of
     # the base's: a state is held as (base, offset).  A base is built the
     # first time a state meets it, and the bases below it right after,
-    # depth first.  A last-vertex base takes the next rows of the lists
-    # table, in the order built, and a vertex-(n-2) base the start of each
-    # row's lists there.
+    # depth first.  A last-vertex base keeps only its rows and relative
+    # choices.  The bases of the last two vertices take the next rows of
+    # their vertex's table, in the order built: last-vertex bases the
+    # lists table, vertex-(n-2) bases the table of vertex-(n-2) rows.
     bases: dict[tuple, _Base] = {}
-    lasts: list[np.ndarray] = []
-    used = 0
+    tables: dict[int, list[_Base]] = {n - 1: [], n - 2: []}
 
     def base_at(v: int, seen: tuple[int, ...], r3eq: tuple[bool, ...]):
         """The base of (v, seen, r3eq) and, when this call built it above
         the last vertex, each row's relative choices and next (seen,
         r3eq), still to be read."""
-        nonlocal used
         key = (v, seen, r3eq)
         got = bases.get(key)
         if got is not None:
             return got, None
-        heads, rels, seens, ties = zip(*vertex_rows(seen, r3eq))
-        heads = np.array(heads, dtype=narrow).reshape(len(rels), k)
+        last = v == n - 1
+        heads, rels, nexts = vertex_rows(seen, r3eq, last)
         got = bases[key] = _Base(v, heads, rels)
-        if v == n - 1:
-            got.start = used
-            used += len(rels)
-            lasts.append(heads)
+        tabled = tables.get(v)
+        if tabled is not None:
+            got.start = (tabled[-1].start + tabled[-1].heads.shape[0]
+                         if tabled else 0)
+            tabled.append(got)
+        if last:
             return got, None
         got.kids = []
-        return got, zip(rels, seens, ties)
+        return got, zip(rels, *nexts)
 
     def count(state) -> int:
         """The leaves below a state."""
@@ -366,32 +423,53 @@ def _walk(n: int, sizes: tuple[int, ...],
             stack.pop()
             b.cum = list(accumulate(map(count, reversed(b.kids)),
                                     initial=0))[::-1]
-            if b.v == n - 2:
-                b.per = -np.diff(b.cum)
-                b.first = np.array([c.start + o for c, o in b.kids],
-                                   dtype=np.intp)
-            else:
+            if b.v < n - 2:
                 b.pcum = list(accumulate(
                     map(prefixes, reversed(b.kids)), initial=0))[::-1]
+            if b.v >= n - 3:
+                b.first = np.array([c.start + o for c, o in b.kids],
+                                   dtype=np.int32)
+                b.per = (-np.diff(b.cum if b.v == n - 2 else b.pcum)
+                         ).astype(np.int32)
 
-    # Blocks of the subtrees that emitted blocks: the prefix rows over
-    # vertices v..n-2, each prefix's start in the lists table and leaf
-    # count.  A vertex-(n-2) state's block is read from its base's; those
-    # above are built per state, from their children's, and those below
-    # the emitted state kept read-only.
+    # Every base is built: the lists table and its colors, read-only and
+    # shared by every chunk.
+    lists = np.concatenate([b.heads for b in tables[n - 1]], dtype=np.int32)
+    lists.flags.writeable = False
+    palette = bulk._colors(lists)
+    bare = np.zeros((1, 0), dtype=narrow)
+    if n == 1:
+        # The one prefix is empty, and its leaves are the root's rows.
+        yield PrefixChunk(bare, np.zeros(1, dtype=np.intp), bare,
+                          np.zeros(1, dtype=np.int32),
+                          np.array([len(lists)], dtype=np.int32), lists,
+                          palette, len(lists))
+        return
+    # The table of vertex-(n-2) rows: each row's columns, the start of its
+    # lists and its leaf count.  A chunk gathers its prefixes' from it.
+    lower_table, start_table, count_table = (
+        np.concatenate([getattr(b, name) for b in tables[n - 2]])
+        for name in ("heads", "first", "per"))
+
+    # Blocks of the subtrees that emitted blocks, in run form: per run, its
+    # columns of vertices v..n-3, and the span of its prefixes in the
+    # vertex-(n-2) table: their start, and their count.  A vertex-(n-2)
+    # state is one run, and a vertex-(n-3) state's block is its base's from
+    # its offset on; those above are built per state, from their
+    # children's, and those below the emitted state kept read-only.
     blocks: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def low(state):
-        """The block of a state of vertex n-2 or n-1."""
+        """The block of a state of vertex n-3, or of the root when it is
+        vertex n-2."""
         b, off = state
-        if b.v == n - 1:
-            return (np.zeros((1, 0), dtype=narrow),
-                    np.array([b.start + off], dtype=np.intp),
-                    np.array([b.heads.shape[0] - off], dtype=np.intp))
+        if b.v == n - 2:
+            return (bare, np.array([b.start + off]),
+                    np.array([b.heads.shape[0] - off]))
         return b.heads[off:], b.first[off:], b.per[off:]
 
     def block(state):
-        if state[0].v >= n - 2:
+        if state[0].v >= n - 3:
             return low(state)
         got = blocks.get(state)
         if got is not None:
@@ -404,18 +482,18 @@ def _walk(n: int, sizes: tuple[int, ...],
                 todo.pop()
                 continue
             wait = [c for c in b.kids[off:]
-                    if c[0].v < n - 2 and c not in blocks]
+                    if c[0].v < n - 3 and c not in blocks]
             if wait:
                 todo.extend(wait)
                 continue
             todo.pop()
-            subs = [low(c) if c[0].v == n - 2 else blocks[c]
+            subs = [low(c) if c[0].v == n - 3 else blocks[c]
                     for c in b.kids[off:]]
-            lens = [sub[1].shape[0] for sub in subs]
-            rows = np.empty((sum(lens), (n - 1 - b.v) * k), dtype=narrow)
-            rows[:, :k] = np.repeat(b.heads[off:], lens, axis=0)
-            np.concatenate([sub[0] for sub in subs], out=rows[:, k:])
-            got = (rows, np.concatenate([sub[1] for sub in subs]),
+            runs = [sub[1].shape[0] for sub in subs]
+            upper = np.empty((sum(runs), (n - 2 - b.v) * k), dtype=narrow)
+            upper[:, :k] = np.repeat(b.heads[off:], runs, axis=0)
+            np.concatenate([sub[0] for sub in subs], out=upper[:, k:])
+            got = (upper, np.concatenate([sub[1] for sub in subs]),
                    np.concatenate([sub[2] for sub in subs]))
             if todo:
                 for part in got:
@@ -423,50 +501,62 @@ def _walk(n: int, sizes: tuple[int, ...],
                 blocks[here] = got
         return got
 
-    # Every base is built: the lists table and its colors, read-only and
-    # shared by every chunk.
-    lists = np.concatenate(lasts, dtype=np.int32)
-    lists.flags.writeable = False
-    palette = bulk._colors(lists)
-    width = (n - 1) * k
     cap = min(chunk_rows, prefixes((root, 0)))
-    buf = first = per = None
-    pos = 0
+    upper = first = size = None
+    pos = held = 0
 
     def flush() -> PrefixChunk:
-        nonlocal buf, first, per, pos
-        out = PrefixChunk(buf[:pos], first[:pos], per[:pos], lists, palette,
-                          int(per[:pos].sum()))
-        buf = first = per = None
-        pos = 0
+        """The chunk of the runs held: its prefixes gathered from the
+        vertex-(n-2) table."""
+        nonlocal upper, first, size, pos, held
+        heads = np.cumsum(size[:held]) - size[:held]
+        at = np.repeat(first[:held] - heads, size[:held]) + np.arange(pos)
+        count = count_table[at]
+        out = PrefixChunk(upper[:held], heads, lower_table.take(at, axis=0),
+                          start_table[at], count, lists, palette,
+                          int(count.sum()))
+        upper = first = size = None
+        pos = held = 0
         return out
 
     # Emit the prefixes in order, over an explicit stack of the rows still
     # to descend: a subtree whose prefixes fit in a chunk whole, a larger
-    # one a vertex row at a time.
+    # one a vertex row at a time, down to vertex n-3, whose states are
+    # emitted whole, however many prefixes they hold.  A chunk holds the
+    # runs it was given, cut to its prefixes, and at most one per prefix.
     stack = [iter([((root, 0), [])])]
     while stack:
         for state, prefix in stack[-1]:
             b, off = state
-            if b.v < n - 1 and prefixes(state) > chunk_rows:
+            if b.v < n - 3 and prefixes(state) > chunk_rows:
                 stack.append(zip(b.kids[off:], map(
                     prefix.__add__, b.heads[off:].tolist())))
                 break
-            rows, sub_first, sub_per = block(state)
-            done, stop = 0, rows.shape[0]
+            sub_upper, sub_first, sub_size = block(state)
+            ends = np.cumsum(sub_size)
+            done, stop = 0, int(ends[-1])
             split = len(prefix)
             while done < stop:
-                if buf is None:
-                    # int32 spans: a table of 2^31 lists would not fit in
-                    # memory.
-                    buf = np.empty((cap, width), dtype=np.int32)
-                    first = np.empty(cap, dtype=np.int32)
-                    per = np.empty(cap, dtype=np.int32)
+                if upper is None:
+                    upper = np.empty((cap, (n - 2) * k), dtype=narrow)
+                    first = np.empty(cap, dtype=np.intp)
+                    size = np.empty(cap, dtype=np.intp)
                 take = min(stop - done, cap - pos)
-                buf[pos:pos + take, :split] = prefix
-                buf[pos:pos + take, split:] = rows[done:done + take]
-                first[pos:pos + take] = sub_first[done:done + take]
-                per[pos:pos + take] = sub_per[done:done + take]
+                # Runs a..z-1 hold prefixes done..done+take-1: the first
+                # is cut to begin at prefix done, the last to end with
+                # prefix done+take-1.
+                a = int(np.searchsorted(ends, done, side="right"))
+                z = int(np.searchsorted(ends, done + take)) + 1
+                to = held + z - a
+                upper[held:to, :split] = prefix
+                upper[held:to, split:] = sub_upper[a:z]
+                first[held:to] = sub_first[a:z]
+                size[held:to] = sub_size[a:z]
+                skip = done - int(ends[a] - sub_size[a])
+                first[held] += skip
+                size[held] -= skip
+                size[to - 1] -= int(ends[z - 1]) - done - take
+                held = to
                 pos += take
                 done += take
                 if pos == cap:

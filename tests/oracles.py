@@ -7,7 +7,9 @@ coefficients of the graph polynomial) by the slow direct route, so
 agreement between the two is testable.
 ``enumerate_lambda_assignments`` is the lam-assignment stream as objects,
 which only the tests read, ``leaf_slices`` reads a prefix chunk's leaf
-rows in bounded slices, ``color_via_partition`` colors an assignment
+rows in bounded slices, ``chunk_from_rows`` builds a prefix chunk from
+full prefix rows, finding its runs by comparing columns (``run_heads``),
+``color_via_partition`` colors an assignment
 block by block from a partitionability witness, and ``l_color_oracle``
 is the list coloring search written recursively.
 """
@@ -33,7 +35,12 @@ from strictcolor.lambdacolor import (
 )
 from strictcolor.listcolor import ColoringOutcome, _palette_masks, l_color
 from strictcolor.partitions import IntegerPartition
-from strictcolor.streams import enumerate_grouped, group_offsets, row_lists
+from strictcolor.streams import (
+    PrefixChunk,
+    enumerate_grouped,
+    group_offsets,
+    row_lists,
+)
 
 
 def l_color_oracle(g: Graph, lists) -> ColoringOutcome:
@@ -361,6 +368,27 @@ def leaf_slices(chunk, leaves: int | None = None) -> Iterator[np.ndarray]:
         yield chunk.leaf_rows(np.arange(lo, min(lo + bulk.CHUNK_ROWS, leaves)))
 
 
+def run_heads(rows: np.ndarray, width: int) -> np.ndarray:
+    """Where each run of rows agreeing on their first ``width`` columns
+    begins: the runs of prefix rows found by comparing columns."""
+    m = rows.shape[0]
+    same = np.ones(max(m - 1, 0), dtype=bool)
+    for j in range(width):
+        same &= rows[1:, j] == rows[:-1, j]
+    return np.flatnonzero(np.concatenate(([m > 0], ~same)))
+
+
+def chunk_from_rows(rows: np.ndarray, start, count,
+                    lists: np.ndarray) -> PrefixChunk:
+    """A prefix chunk of full prefix rows, vertices 0..n-2 of n >= 2: its
+    runs are the stretches that agree on vertices 0..n-3, its palette the
+    colors of ``lists`` and its leaves ``count``'s sum."""
+    split = rows.shape[1] - lists.shape[1]
+    heads = run_heads(rows, split)
+    return PrefixChunk(rows[heads, :split], heads, rows[:, split:], start,
+                       count, lists, np.unique(lists), int(np.sum(count)))
+
+
 def leaf_refusals_oracle(g: Graph, chunks, first_only: bool = True):
     """find_refusals the leaf way: mask every leaf row, confirm refusals.
 
@@ -392,14 +420,15 @@ def prefix_colors_oracle(chunk, n: int, edges) -> np.ndarray:
     prefixes go 256 at a time, so the (prefix, vertex, vector) color
     array stays small.
     """
-    m, k = chunk.rows.shape[0], chunk.lists.shape[1]
+    rows, k = chunk.rows, chunk.lists.shape[1]
+    m = rows.shape[0]
     palette = chunk.palette
     picks = _filter_vectors(k, n)
     inner = [(u, v) for u, v in edges if v < n - 1]
     around = [u for u, v in edges if v == n - 1]
     inside = np.zeros(m, dtype=np.uint64)
     for at in range(0, m, 256):
-        part = chunk.rows[at:at + 256].reshape(-1, n - 1, k)
+        part = rows[at:at + 256].reshape(-1, n - 1, k)
         # colors[p, v, b]: the color vector b puts on vertex v of prefix p.
         colors = np.take_along_axis(part, picks[None, :n - 1, :], axis=2)
         proper = np.ones((part.shape[0], picks.shape[1]), dtype=bool)

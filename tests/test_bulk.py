@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations, islice, product
 from pathlib import Path
@@ -14,7 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import leaf_refusals_oracle, leaf_slices, prefix_colors_oracle
+from oracles import (
+    chunk_from_rows,
+    leaf_refusals_oracle,
+    leaf_slices,
+    prefix_colors_oracle,
+)
 import strictcolor as sc
 from strictcolor import bulk, limits, streams
 from strictcolor.bulk import (
@@ -205,6 +213,18 @@ class TestMaskProperties:
                                                  workers=workers)]
 
         assert run(1) == run(2)
+
+    def test_import_leaves_the_pool_out(self):
+        # Only mask_chunks's workers > 1 branch uses the thread pool, so
+        # importing the package loads neither concurrent.futures nor the
+        # logging it imports.
+        src = Path(sc.__file__).resolve().parent.parent
+        code = ("import sys, strictcolor; print(sorted({'concurrent.futures',"
+                " 'logging'} & set(sys.modules)))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "[]"
 
 
 class TestStragglerSweep:
@@ -551,7 +571,7 @@ class TestPrefixFilter:
             self, monkeypatch, sizes, groups, caps, filtered):
         g = complete_multipartite(sizes)
         chunk = next(grouped_chunks(g.n, groups, parts=g.parts, caps=caps))
-        assert (chunk.leaves >= 3 * chunk.rows.shape[0]) == filtered
+        assert (chunk.leaves >= 3 * len(chunk.count)) == filtered
         calls = []
         inner = bulk._prefix_colors
 
@@ -593,8 +613,7 @@ class TestPrefixFilter:
         rows[:, :2] = 0, 1  # vertex 0 always lists (0, 1): refusals happen
         # Each prefix spans one of 9 runs of 5 lists.
         start = 5 * rng.integers(0, 9, size=40)
-        chunk = PrefixChunk(rows, start, np.full(40, 5), lists,
-                            np.unique(lists), 5 * 40)
+        chunk = chunk_from_rows(rows, start, np.full(40, 5), lists)
         assert chunk.palette.size == 90
         assert leaf_candidates(chunk, g.n, g.edges).tolist() == list(
             range(chunk.leaves))
@@ -708,9 +727,7 @@ def hand_made_chunks(draw):
     low = draw(st.sampled_from((1, 3)))
     count = rng.integers(low, low + 3, size=len(rows))
     start = rng.integers(0, len(lists) - count + 1)
-    chunk = PrefixChunk(rows, start, count, lists, np.unique(lists),
-                        int(count.sum()))
-    return chunk, n, edges
+    return chunk_from_rows(rows, start, count, lists), n, edges
 
 
 class TestFilterColors:
@@ -746,7 +763,7 @@ class TestFilterColors:
 
     @pytest.mark.parametrize("sizes, groups, caps", [
         ((2, 5, 5), (2, 1), (4, 1)),  # 2.25 prefixes per run
-        ((2, 2, 2, 2), (3,), None),   # 52 prefixes per run
+        ((2, 2, 2, 2), (3,), None),   # 41 prefixes per run
     ])
     def test_memory_stays_bounded(self, sizes, groups, caps):
         # A full chunk of CHUNK_ROWS prefixes, through G alone and through

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grouped_rows_oracle, leaf_slices
+from oracles import grouped_rows_oracle, leaf_slices, run_heads
 from strictcolor import bulk
 from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded
@@ -410,6 +410,70 @@ class TestSpans:
         assert got == want
         for chunk, lists in held:  # the walk went on past every chunk
             assert np.array_equal(chunk.lists, lists)
+
+
+class TestRuns:
+    """A chunk holds its prefixes in the runs the walk emits: they are the
+    stretches that agree on vertices 0..n-3, as comparing the columns of
+    the chunk's assembled rows finds them, and a run cut by a chunk end
+    starts again at position 0 of the next chunk.  leaf_rows builds full
+    rows only at the positions asked for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream_cases(), st.integers(0, 2**32))
+    @example((0, (2,), None, None, 1), 0)
+    @example((4, (1, 1), None, (2, 2), 3), 1)  # cut inside a prefix
+    @example((6, (2, 1), ((0, 1), (2, 3), (4, 5)), None, 64), 2)
+    def test_runs_are_the_column_runs(self, case, seed):
+        n, sizes, parts, caps, chunk_rows = case
+        rng = np.random.default_rng(seed)
+        stream = grouped_chunks(n, sizes, parts=parts, caps=caps,
+                                chunk_rows=chunk_rows)
+        try:
+            chunks = list(islice(stream, 4))
+        except BoundExceeded:
+            return
+        split = max(n - 2, 0) * sum(sizes)
+        tail = None  # the previous chunk's last prefix on vertices 0..n-3
+        for chunk in chunks:
+            rows = chunk.rows
+            assert rows.dtype == np.int32
+            assert chunk.upper.shape == (chunk.heads.size, split)
+            assert chunk.lower.shape == (chunk.count.size,
+                                         rows.shape[1] - split)
+            assert np.array_equal(chunk.heads, run_heads(rows, split))
+            if tail is not None and np.array_equal(rows[0, :split], tail):
+                # A run cut by the chunk end before goes on here.
+                assert np.array_equal(chunk.upper[0], tail)
+            tail = rows[-1, :split]
+            # leaf_rows against the assembly of whole prefix rows.
+            at = rng.integers(0, chunk.leaves, size=rng.integers(0, 9))
+            ends = np.cumsum(chunk.count)
+            prefix = np.searchsorted(ends, at, side="right")
+            table = (chunk.start - ends + chunk.count)[prefix] + at
+            want = np.concatenate([rows[prefix], chunk.lists[table]], axis=1)
+            got = chunk.leaf_rows(at)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+
+    def test_cut_runs_go_on_in_the_next_chunk(self):
+        # K(2,2,2)'s {1,2} stream in chunks of 64 prefixes: its runs are
+        # about 53 prefixes long, so chunk ends cut many of them, and the
+        # runs of the whole stream are those of its chunks, each cut run
+        # joined again.
+        g = complete_multipartite((2, 2, 2))
+        chunks = list(islice(grouped_chunks(6, (2, 1), parts=g.parts,
+                                            chunk_rows=64), 200))
+        rows = np.concatenate([chunk.rows for chunk in chunks])
+        heads, cuts, at = [], 0, 0
+        for before, chunk in zip([None] + chunks, chunks):
+            cut = before is not None and np.array_equal(
+                before.upper[-1], chunk.upper[0])
+            cuts += cut
+            heads.extend((chunk.heads + at)[1 if cut else 0:].tolist())
+            at += chunk.count.size
+        assert cuts > 20
+        assert heads == run_heads(rows, 12).tolist()
 
 
 PINS = Path(__file__).with_name("stream_pins.json")
