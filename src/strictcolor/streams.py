@@ -89,7 +89,7 @@ chunk's ``leaf_rows`` flattened in slices of that size.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -304,8 +304,8 @@ def _walk(n: int, sizes: tuple[int, ...],
     choices: dict[tuple[int, int], tuple] = {}
 
     def options(g: int, seen: int):
-        """All canonical choices for one vertex in group g, sorted, and
-        their colors as a narrow array."""
+        """All canonical choices for one vertex in group g, sorted, as
+        three columns: relative choices, colors and next colors used."""
         got = choices.get((g, seen))
         if got is None:
             size, off = sizes[g], offs[g]
@@ -317,8 +317,7 @@ def _walk(n: int, sizes: tuple[int, ...],
                     out.append((rel, tuple(c + off for c in rel),
                                 seen + fresh))
             out.sort(key=lambda o: o[0])
-            got = choices[g, seen] = (tuple(out), np.array(
-                [o[1] for o in out], dtype=narrow).reshape(-1, size))
+            got = choices[g, seen] = tuple(zip(*out))
         return got
 
     def vertex_rows(seen: tuple[int, ...], r3eq: tuple[bool, ...],
@@ -332,27 +331,21 @@ def _walk(n: int, sizes: tuple[int, ...],
         if not any(eqpair[g] and r3eq[g] for g in range(t)):
             # No group is tied: the rows are every combination of the
             # groups' choices, and no group stays tied below.
-            lens = [len(opt) for opt, _ in opts]
-            heads = np.empty(lens + [k], dtype=narrow)
-            col = 0
-            for g, (_, colors) in enumerate(opts):
-                shape = [1] * t + [sizes[g]]
-                shape[g] = lens[g]
-                heads[..., col:col + sizes[g]] = colors.reshape(shape)
-                col += sizes[g]
-            rels = tuple(product(*[[o[0] for o in opt] for opt, _ in opts]))
+            rels = tuple(product(*[opt[0] for opt in opts]))
+            heads = np.fromiter(chain.from_iterable(chain.from_iterable(
+                product(*[opt[1] for opt in opts]))), dtype=narrow,
+                count=len(rels) * k).reshape(-1, k)
             if last:
-                return heads.reshape(-1, k), rels, ()
-            return heads.reshape(-1, k), rels, (
-                tuple(product(*[[o[2] for o in opt] for opt, _ in opts])),
-                ((False,) * t,) * len(rels))
+                return heads, rels, ()
+            return heads, rels, (tuple(product(*[opt[2] for opt in opts])),
+                                 ((False,) * t,) * len(rels))
         rows = [((), (), (), ())]
         for g in range(t):
             tied = eqpair[g] and r3eq[g]
             rows = [(abs_acc + abs_, rel_acc + (rel,), seen_acc + (nseen,),
                      r3_acc + (tied and rel == rel_acc[g - 1],))
                     for abs_acc, rel_acc, seen_acc, r3_acc in rows
-                    for rel, abs_, nseen in opts[g][0]
+                    for rel, abs_, nseen in zip(*opts[g])
                     if not tied or rel >= rel_acc[g - 1]]
         heads, rels, seens, ties = zip(*rows)
         return (np.array(heads, dtype=narrow).reshape(-1, k), rels,
