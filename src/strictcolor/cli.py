@@ -238,6 +238,8 @@ def _claim_unit_equivalence() -> tuple[bool, str]:
 
 
 def cmd_verify_claims(args: argparse.Namespace) -> int:
+    if args.k_max < 3:
+        raise ValueError(f"--k-max must be at least 3, got {args.k_max}")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         try:
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify-claims",
                             help="re-verify every desk-scale claim")
     verify.add_argument("--k-max", type=int, default=6,
-                        help="largest part count for the witness lemmas")
+                        help="largest part count for the witness lemmas, >= 3")
     verify.add_argument("--out", help="directory for certificates and "
                                       "report.json")
     verify.add_argument("--seed", type=int, default=0,

@@ -12,14 +12,15 @@ The largest group constrains enumeration the most, which is why the
 canonical stream is built in that order, and certificates read naturally
 ("the size-2 group first").
 
-Choosability is decided on a ladder.  The constructive fast paths come
-first (the Case-2 colorer for its exact part shapes, then a
-lambda-partition, which colors each block from its own group), then a
-hunt for a refusal among color-starved rows, and only then full
+Choosability is decided on a ladder of three rungs, the same for every
+graph: a lambda-partition, which colors each block from its own group,
+then a hunt for a refusal among color-starved rows, and only then full
 enumeration of the canonical assignment stream.  When every rung is out
 of bounds the verdict is an explicit "undecided"; the module never
 reports choosability it did not prove, and each positive verdict records
-which rung proved it in ``provenance``.
+which rung proved it in ``provenance``.  Nothing here reads the
+strictness characterization, so ``strict.decide_strict_search`` stays
+independent of the comparison route.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .partitions import (
     GroupingWitness,
     IntegerPartition,
     check_refinement_witness,
-    near_unit_partition,
 )
 from .streams import group_offsets, grouped_chunks
 from .streams import enumerate_grouped  # noqa: F401  perfbench rebinds it
@@ -476,7 +476,7 @@ def _prospect_bad_row(g: Graph, lam: IntegerPartition
 @dataclass(frozen=True)
 class LambdaVerdict:
     choosable: bool | None
-    provenance: str  # "exhaustive"|"partitionable"|"case2"|"undecided"
+    provenance: str  # "exhaustive"|"partitionable"|"undecided"
     classes_checked: int = 0
     witness: BadAssignmentWitness | None = None
     partition: PartitionabilityWitness | None = None
@@ -499,15 +499,6 @@ def lambda_choosable(g: Graph, lam: IntegerPartition, method: str = "auto"
     desc = descending_parts(lam)
     stops: list[str] = []
     if method == "auto":
-        if g.parts is not None:
-            sizes = tuple(sorted(len(p) for p in g.parts))
-            k = len(sizes)
-            if (k >= 3 and lam == near_unit_partition(k) and sizes[0] == 2
-                    and sizes[1] == 4 and sizes[2] <= 5):
-                from .strict import case2_color
-                demo = random_lambda_assignment(g.n, lam, seed=0, sizes=sizes)
-                case2_color(sizes, demo)
-                return LambdaVerdict(True, "case2")
         part = lambda_partitionable(g, lam)
         if isinstance(part, PartitionabilityWitness):
             return LambdaVerdict(True, "partitionable", partition=part)

@@ -17,8 +17,7 @@ MULTIPARTITE_BOUND = 64  # vertices: graphs.complete_multipartite
 CHROMATIC_BOUND = 16  # vertices without parts: graphs.find_coloring
 ENUMERATION_BOUND = 30  # weight k: partitions.enumerate_partitions
 HASSE_BOUND = 12  # weight k: partitions.refinement_hasse
-GROUPED_BOUND = 30  # colors n*k per uncapped row: streams.grouped_chunks
-KLISTS_BOUND = 24  # colors n*k per row: listcolor.k_choosable
+GROUPED_BOUND = 24  # colors n*k per uncapped row: streams.grouped_chunks
 CHOICE_CAP = 2_000_000  # k^n vectors or t^P maps: bulk.colorable_mask,
 #   and grid points: listcolor._graph_coefficient
 AT_VECTORS = 500  # exponent vectors tried: listcolor.alon_tarsi

@@ -276,12 +276,11 @@ def k_choosable(g: Graph, k: int) -> ChoosabilityVerdict:
 
     On failure the earliest uncolorable row, shifted to colors 1..n*k,
     becomes bad_lists, with the node count of its confirming l_color
-    solve.  Raises BoundExceeded past ``limits.KLISTS_BOUND`` total colors.
+    solve.  The stream is uncapped, so it raises BoundExceeded past
+    ``limits.GROUPED_BOUND`` total colors n*k (streams.grouped_chunks).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    limits.enforce("KLISTS_BOUND", g.n * k,
-                   "the total colors per row of a k-choosability check")
     stream = grouped_chunks(g.n, (k,), parts=g.parts)
     refusals, checked = find_refusals(g, stream)
     if not refusals:

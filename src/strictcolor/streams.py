@@ -207,6 +207,9 @@ def grouped_chunks(n: int, group_sizes: Sequence[int],
     share a part.  Without it every vertex is its own part and only
     constraints 1 and 3 apply.
 
+    An uncapped stream stops at GROUPED_BOUND colors n*sum(group_sizes)
+    per row, the one bound on every exhaustive decision, k-lists included.
+
     ``caps`` filters the stream to rows whose group-i colors stay within
     the first caps[i] values of that group's window.  Assignments hostile
     to coloring reuse few colors, so small caps concentrate them; the

@@ -17,7 +17,10 @@ shuffling which parts lean on which color group.
 The pair `decide_strict_cmp` / `decide_strict_search` keeps two fully
 independent routes to the same verdicts: one reads only part sizes and the
 subgraph characterization, the other runs the generic choosability
-machinery on the graph itself.
+machinery on the graph itself, which imports nothing from this module.
+The search route therefore has no shortcut for case 2: its shapes go
+through the same ladder as every host, and K(2,4,4) and K(2,4,5) come
+back undecided, their full streams being past GROUPED_BOUND.
 """
 
 from __future__ import annotations

@@ -890,7 +890,8 @@ class TestBlockBounds:
 
 
 def strict_profiles():
-    """The three-part profiles up to 11 vertices but the case-2 shapes."""
+    """The three-part profiles up to 11 vertices but the case-2 shapes,
+    as in the search-strict benchmark workload."""
     return [(a, b, c) for a in range(1, 12) for b in range(a, 12)
             for c in range(b, 12)
             if a + b + c <= 11 and (a, b, c) not in {(2, 4, 4), (2, 4, 5)}]

@@ -10,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -283,9 +284,10 @@ class TestCheck:
                               "the vertex count of a graph object is "
                               "bounded at 1024, got 1000000000")
 
-    def test_unsorted_json_parts_reach_case2(self, capsys, tmp_path):
-        # K(2,4,4) listed as parts of sizes 4, 2, 4: the case-2 rung reads
-        # the sizes sorted, as it does for --parts.
+    def test_unsorted_json_parts_match_sorted_parts(self, capsys, tmp_path):
+        # K(2,4,4) listed as parts of sizes 4, 2, 4 gets the verdict of
+        # --parts 2,4,4: no partition, no refusal within PROSPECT_ROWS, and
+        # a full stream past GROUPED_BOUND.
         parts = [[0, 1, 2, 3], [4, 5], [6, 7, 8, 9]]
         edges = [[u, v] for i, p in enumerate(parts) for q in parts[i + 1:]
                  for u in p for v in q]
@@ -293,11 +295,15 @@ class TestCheck:
         gf.write_text(json.dumps({"n": 10, "edges": edges, "parts": parts}))
         code, out, _ = run_cli(capsys, "check", "lambda-choosable",
                                "--graph", str(gf), "--lambda", "1,2")
-        assert code == 0
-        assert json.loads(out)["provenance"] == "case2"
+        assert code == 2
+        verdict = json.loads(out)
+        assert (verdict["choosable"], verdict["provenance"]) == (
+            None, "undecided")
+        assert [stop.split(":")[0] for stop in verdict["reason"].split(
+            "; ")] == ["PROSPECT_ROWS", "GROUPED_BOUND"]
         code, sorted_out, _ = run_cli(capsys, "check", "lambda-choosable",
                                       "--parts", "2,4,4", "--lambda", "1,2")
-        assert code == 0 and out == sorted_out
+        assert code == 2 and out == sorted_out
 
     def test_internal_fault(self, capsys, monkeypatch):
         # A bulk mask that refuses a colorable row is a fault of the
@@ -342,6 +348,27 @@ class TestStrict:
         code, out, _ = run_cli(capsys, "strict", "check", "--parts", "2,2,2",
                                "--method", "search")
         assert code == 1
+
+    def test_search_route_leaves_case2_undecided(self, capsys):
+        code, out, err = run_cli(capsys, "strict", "check", "--parts",
+                                 "2,4,4", "--method", "search")
+        assert code == 2
+        assert json.loads(out)["strict"] is None
+        assert err.startswith("search-undecided: PROSPECT_ROWS: ")
+        assert "; GROUPED_BOUND: " in err
+
+    def test_exhaustive_case2_shape_stops_at_once(self, capsys):
+        # 3.99e13 leaves: the stream stops before its walk builds a base.
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", "lambda-choosable",
+                                 "--parts", "2,4,4", "--lambda", "1,2",
+                                 "--method", "exhaustive")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(out)["choosable"] is None
+        assert err == ("undecided: GROUPED_BOUND: the total colors per row "
+                       "of an assignment enumeration is bounded at 24, "
+                       "got 30\n")
 
     def test_search_undecided_names_limits(self, capsys, monkeypatch):
         monkeypatch.setattr(limits, "PROSPECT_ROWS", 1)
@@ -473,6 +500,18 @@ class TestEntryPoint:
 
 
 class TestVerifyClaims:
+    @pytest.mark.parametrize("k_max", ["-1", "2"])
+    def test_k_max_below_three_is_a_usage_error(self, capsys, tmp_path,
+                                                k_max):
+        # The witness lemmas start at three parts: below that they would
+        # drop out of a report that still says "ok".
+        out_dir = tmp_path / "certs"
+        code, stdout, err = run_cli(capsys, "--quiet", "verify-claims",
+                                    "--k-max", k_max, "--out", str(out_dir))
+        assert (code, stdout) == (64, "")
+        assert err == f"error: --k-max must be at least 3, got {k_max}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("where", ["file", "under-a-file",
                                        "report-is-a-directory"])
     def test_unusable_out_is_a_usage_error(self, capsys, tmp_path, where):

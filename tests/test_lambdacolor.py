@@ -217,10 +217,10 @@ class TestPartitionable:
         assert isinstance(got, Undetermined)
 
     def test_block_bound_is_raised_by_k_choosable(self):
-        # The level-3 block needs 33 colors per row, over KLISTS_BOUND;
+        # The level-3 block needs 33 colors per row, over GROUPED_BOUND;
         # lambda_partitionable catches it (test above).
         cyc = Graph(11, tuple((i, (i + 1) % 11) for i in range(11)))
-        with pytest.raises(BoundExceeded, match="KLISTS_BOUND.*33"):
+        with pytest.raises(BoundExceeded, match="GROUPED_BOUND.*33"):
             _certify_block(cyc, tuple(range(11)), 3)
 
     def test_tampered_witness_fails(self):
@@ -283,10 +283,10 @@ class TestPartitionMemo:
     @example((Graph(5, C5_EDGES), P((1, 2))))
     def test_matches_unmemoised_oracle(self, case):
         g, lam = case
-        # A 6-vertex level-3 block then stops at KLISTS_BOUND, which
+        # A 6-vertex level-3 block then stops at GROUPED_BOUND, which
         # exercises a stored BoundExceeded; 5 vertices still certify.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "KLISTS_BOUND", 15)
+            mp.setattr(limits, "GROUPED_BOUND", 15)
             assert lambda_partitionable(g, lam) == partitionable_oracle(g, lam)
 
     def test_each_induced_block_certified_once_per_call(self, monkeypatch):
@@ -353,14 +353,14 @@ class TestPrunedWalk:
     def test_matches_oracle_beyond_weight_3(self, case):
         g, lam = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "KLISTS_BOUND", 15)
+            mp.setattr(limits, "GROUPED_BOUND", 15)
             assert lambda_partitionable(g, lam) == partitionable_oracle(g, lam)
 
     def test_level_3_stop_beside_a_level_1_edge(self, monkeypatch):
         # K_5, a separate edge {5, 6} and vertex 7: the whole graph stops
-        # at KLISTS_BOUND (8 * 3 colors), and 6-vertex level-3 blocks stop
+        # at GROUPED_BOUND (8 * 3 colors), and 6-vertex level-3 blocks stop
         # beside the level-1 block {5, 6}; no candidate certifies.
-        monkeypatch.setattr(limits, "KLISTS_BOUND", 15)
+        monkeypatch.setattr(limits, "GROUPED_BOUND", 15)
         g = Graph(8, K5_EDGES + ((5, 6),))
         got = lambda_partitionable(g, P((1, 3)))
         assert isinstance(got, Undetermined)
@@ -409,12 +409,12 @@ class TestPartAlignedBound:
     @pytest.mark.parametrize("parts", [12, 16])
     def test_fewer_parts_walk_every_candidate(self, parts):
         # 2^12 and 2^16 candidates: both stages run, and the whole graph,
-        # the first level-3 block, stops at KLISTS_BOUND.
+        # the first level-3 block, stops at GROUPED_BOUND.
         got = lambda_partitionable(complete_multipartite([1] * parts),
                                    P((1, 3)))
         assert got == Undetermined(
-            "KLISTS_BOUND: the total colors per row of a k-choosability "
-            f"check is bounded at 24, got {3 * parts}")
+            "GROUPED_BOUND: the total colors per row of an assignment "
+            f"enumeration is bounded at 24, got {3 * parts}")
 
     def test_pruned_walk_is_not_bounded(self):
         # With {1,2} the walk drops every candidate whose level-1 block
@@ -460,8 +460,8 @@ class TestChoosable:
                     assert v.choosable is (chromatic_number(g) <= k), (g, k)
 
 
-# The search-strict benchmark profiles; the case-2 shapes never reach the
-# prospect rung.
+# The search-strict benchmark profiles, which leave out the case-2 shapes:
+# those read the whole PROSPECT_ROWS budget without a refusal.
 PROSPECT_PROFILES = [
     (a, b, c) for a in range(1, 12) for b in range(a, 12) for c in range(b, 12)
     if a + b + c <= 11 and (a, b, c) not in {(2, 4, 4), (2, 4, 5)}]

@@ -37,8 +37,7 @@ LIMITS = {
     "CHROMATIC_BOUND": 16,
     "ENUMERATION_BOUND": 30,
     "HASSE_BOUND": 12,
-    "GROUPED_BOUND": 30,
-    "KLISTS_BOUND": 24,
+    "GROUPED_BOUND": 24,
     "CHOICE_CAP": 2_000_000,
     "AT_VECTORS": 500,
     "PARTITION_GENERIC_BOUND": 200_000,
@@ -74,21 +73,21 @@ CASES = [
      lambda: list(enumerate_partitions(31)), {}),
     ("HASSE_BOUND", "bounded at 12, got 13",
      lambda: refinement_hasse(13), {}),
-    ("GROUPED_BOUND", "bounded at 30, got 32",
+    ("GROUPED_BOUND", "bounded at 24, got 32",
      lambda: next(grouped_chunks(16, (2,))), {}),
-    ("KLISTS_BOUND", "bounded at 24, got 30",
+    ("GROUPED_BOUND", "bounded at 24, got 30",
      lambda: k_choosable(complete_multipartite([5, 5]), 3), {}),
-    ("KLISTS_BOUND", "bounded at 24, got 31",
+    ("GROUPED_BOUND", "bounded at 24, got 31",
      lambda: k_choosable(Graph(1, ()), 31), {}),
     ("CHOICE_CAP", "5^10 of a mask sweep is bounded at 2000000, got 9765625",
      lambda: colorable_mask(np.zeros((1, 50), dtype=np.int32), 10,
                             ((0, 1),)), {}),
-    ("GROUPED_BOUND", "bounded at 30, got 33",
+    ("GROUPED_BOUND", "bounded at 24, got 33",
      lambda: lambda_choosable(cycle(11), IntegerPartition((3,))),
      {"PROSPECT_ROWS": 1000}),
-    ("KLISTS_BOUND", "bounded at 24, got 27; not (2)-choosable",
+    ("GROUPED_BOUND", "bounded at 24, got 27; not (2)-choosable",
      lambda: choice_number(complete_multipartite([3, 3, 3])), {}),
-    ("KLISTS_BOUND", "bounded at 24, got 33",
+    ("GROUPED_BOUND", "bounded at 24, got 33",
      lambda: lambda_partitionable(cycle(11), IntegerPartition((3,))), {}),
     ("PARTITION_GENERIC_BOUND", "bounded at 200000, got 262144",
      lambda: lambda_partitionable(Graph(18, ()), IntegerPartition((1, 1))),
@@ -138,7 +137,7 @@ def test_lambda_choosable_names_every_rung_that_stopped(monkeypatch):
     monkeypatch.setattr(limits, "PROSPECT_ROWS", 1000)
     v = lambda_choosable(cycle(11), IntegerPartition((3,)))
     assert [stop.split(":")[0] for stop in v.reason.split("; ")] == [
-        "KLISTS_BOUND", "PROSPECT_ROWS", "GROUPED_BOUND"]
+        "GROUPED_BOUND", "PROSPECT_ROWS", "GROUPED_BOUND"]
 
 
 def test_limits_are_read_at_call_time(monkeypatch):
@@ -152,7 +151,7 @@ def test_limits_are_read_at_call_time(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,limit", [
-    (["check", "k-choosable", "--parts", "5,5", "--k", "3"], "KLISTS_BOUND"),
+    (["check", "k-choosable", "--parts", "5,5", "--k", "3"], "GROUPED_BOUND"),
     (["partitions", "list", "31"], "ENUMERATION_BOUND"),
     (["partitions", "hasse", "13"], "HASSE_BOUND"),
 ])
@@ -250,7 +249,6 @@ def test_each_limit_is_checked_in_one_function():
         "ENUMERATION_BOUND": {"partitions.enumerate_partitions"},
         "HASSE_BOUND": {"partitions.refinement_hasse"},
         "GROUPED_BOUND": {"streams.grouped_chunks"},
-        "KLISTS_BOUND": {"listcolor.k_choosable"},
         "CHOICE_CAP": {"bulk.colorable_mask", "listcolor._graph_coefficient"},
         "AT_VECTORS": {"listcolor.alon_tarsi"},
         "PARTITION_GENERIC_BOUND": {"lambdacolor.lambda_partitionable"},

@@ -228,7 +228,7 @@ class TestChoiceNumber:
         assert choice_number(complete_multipartite([1, 1, 1, 1])) == 4
 
     def test_undetermined_when_capped(self, monkeypatch):
-        monkeypatch.setattr(limits, "KLISTS_BOUND", 8)
+        monkeypatch.setattr(limits, "GROUPED_BOUND", 8)
         out = choice_number(cycle(5))
         assert isinstance(out, Undetermined)
         assert out.lower_bound == 2
@@ -236,7 +236,7 @@ class TestChoiceNumber:
             bool(out)
 
     def test_edgeless_is_one_and_an_edge_starts_at_two(self):
-        # 25 vertices are past KLISTS_BOUND even at k = 1; the empty
+        # 25 vertices are past GROUPED_BOUND even at k = 1; the empty
         # monomial's coefficient 1 certifies 1-choosability instead.
         assert choice_number(Graph(25, ())) == 1
         out = choice_number(complete_multipartite([13, 13]))
@@ -248,7 +248,7 @@ class TestChoiceNumber:
     def test_alon_tarsi_decides_the_top(self):
         # Erdos-Rubin-Taylor: ch(K_{2*k}) = k; K(4,4) and K(2,2,2) are
         # not 2-choosable.  The stream alone cannot reach k = 4 on
-        # K(2,2,2,2) (32 colors per row, over KLISTS_BOUND).
+        # K(2,2,2,2) (32 colors per row, over GROUPED_BOUND).
         t0 = time.perf_counter()
         assert choice_number(complete_multipartite([2, 2, 2, 2])) == 4
         assert time.perf_counter() - t0 <= 0.2
@@ -263,17 +263,17 @@ class TestChoiceNumber:
         assert isinstance(out, Undetermined)
         assert out.lower_bound == 3
         assert out.reason == (
-            "KLISTS_BOUND: the total colors per row of a k-choosability "
-            "check is bounded at 24, got 27; not (2)-choosable")
+            "GROUPED_BOUND: the total colors per row of an assignment "
+            "enumeration is bounded at 24, got 27; not (2)-choosable")
 
     def test_names_both_stops_in_order(self, monkeypatch):
         monkeypatch.setattr(limits, "AT_VECTORS", 0)
-        monkeypatch.setattr(limits, "KLISTS_BOUND", 8)
+        monkeypatch.setattr(limits, "GROUPED_BOUND", 8)
         out = choice_number(cycle(5))
         assert isinstance(out, Undetermined)
         assert out.lower_bound == 2
         assert [stop.split(":")[0] for stop in out.reason.split("; ")] == [
-            "AT_VECTORS", "KLISTS_BOUND", "not (1)-choosable"]
+            "AT_VECTORS", "GROUPED_BOUND", "not (1)-choosable"]
 
 
 # ---------------------------------------------------------------- Alon-Tarsi

@@ -9,6 +9,7 @@ minimized over the symmetries the stream is allowed to quotient by.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import grouped_rows_oracle, leaf_slices, run_heads
-from strictcolor import bulk
+from strictcolor import bulk, limits
 from strictcolor.bulk import mask_chunks
 from strictcolor.errors import BoundExceeded
 from strictcolor.graphs import complete_multipartite
@@ -261,6 +262,21 @@ def first_error(stream):
     return type(info.value), str(info.value)
 
 
+def at_head_bound(test):
+    """Run test with GROUPED_BOUND at 30 colors per row.
+
+    The tests so marked read only a few chunks of each stream, which stay
+    cheap past GROUPED_BOUND, so they keep checking streams of up to 30
+    colors per row.
+    """
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "GROUPED_BOUND", 30)
+            return test(*args, **kwargs)
+    return run
+
+
 @st.composite
 def stream_cases(draw):
     """(n, sizes, parts, caps, chunk_rows) over small streams."""
@@ -291,6 +307,7 @@ class TestGroupedChunks:
     @example((7, (1, 1), ((0, 1), (2, 3, 4, 5, 6)), (3, 3), 1))
     @example((7, (2, 1, 1), ((0,), (1, 2, 3, 4, 5, 6)), (3, 2, 2), 3))
     @example((7, (1, 1, 1), ((0, 1, 2), (3, 4, 5, 6)), (2, 2, 2), 64))
+    @at_head_bound
     def test_matches_reference_rows(self, case):
         n, sizes, parts, caps, chunk_rows = case
         try:
@@ -424,6 +441,7 @@ class TestRuns:
     @example((0, (2,), None, None, 1), 0)
     @example((4, (1, 1), None, (2, 2), 3), 1)  # cut inside a prefix
     @example((6, (2, 1), ((0, 1), (2, 3), (4, 5)), None, 64), 2)
+    @at_head_bound
     def test_runs_are_the_column_runs(self, case, seed):
         n, sizes, parts, caps, chunk_rows = case
         rng = np.random.default_rng(seed)

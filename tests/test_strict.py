@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
-from strictcolor import listcolor
+from strictcolor import listcolor, strict
 from strictcolor.graphs import Graph, complete_multipartite, contains_parts, is_proper
 from strictcolor.lambdacolor import (
     BadAssignmentWitness,
@@ -458,6 +460,29 @@ class TestDecideStrictSearch:
         assert "GROUPED_BOUND: " in d.reason
         assert decide_strict_cmp(sizes).strict is True
 
+    @pytest.mark.parametrize("sizes", [(2, 4, 4), (2, 4, 5)])
+    def test_case2_shapes_are_undecided_without_case2_color(
+            self, monkeypatch, sizes):
+        # The search route has no case-2 shortcut: the ladder runs on these
+        # shapes as on any host and names the limits that stopped it.
+        calls = []
+
+        def spy(*args, _inner=strict.case2_color):
+            calls.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(strict, "case2_color", spy)
+        d = decide_strict_search(complete_multipartite(sizes), 3)
+        assert calls == []
+        assert (d.strict, d.certificate) == (None, None)
+        head, _, reason = d.reason.partition(": ")
+        assert head == "search-undecided"
+        assert [stop.split(":")[0] for stop in reason.split("; ")] == [
+            "PROSPECT_ROWS", "GROUPED_BOUND"]
+        # The comparison route does call it, through the spy.
+        assert decide_strict_cmp(sizes).reason == "case2"
+        assert len(calls) == 1
+
     def test_ladder_shortfall_reported(self, monkeypatch):
         monkeypatch.setattr(
             "strictcolor.strict.lambda_choosable",
@@ -486,6 +511,37 @@ class TestDecideStrictSearch:
         assert calls == []
         listcolor.choice_number(complete_multipartite((2, 2)))
         assert calls[0] == "alon_tarsi"
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an import in tree names, inside functions too, as a
+    dotted path; an imported name counts as a module as well."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, [
+                "strictcolor" if node.level else None, node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+class TestRouteIndependence:
+    """The search route's modules never read the comparison route."""
+
+    SRC = Path(strict.__file__).resolve().parent
+
+    def test_search_modules_do_not_import_strict(self):
+        found = {name: imported_modules(ast.parse(
+                     (self.SRC / f"{name}.py").read_text()))
+                 for name in ("streams", "bulk", "listcolor", "lambdacolor",
+                              "cli")}
+        # The scan sees the CLI's import of the comparison route.
+        assert "strictcolor.strict" in found.pop("cli")
+        assert [name for name, modules in found.items()
+                if "strictcolor.strict" in modules] == []
 
 
 class TestHoffmanJohnson:
